@@ -193,13 +193,31 @@ def _verify_dominating_set(inst, k, cap):
     return positive == expected
 
 
+_VERIFY_INPUT = {
+    "dominating-set": Graph,
+    "sync-stars": DsrInstance,
+    "triangle": TapeInstance,
+    "path": TapeInstance,
+    "selector": MultiTapeInstance,
+    "ts-dsr": TapeInstance,
+    "tj-cdsr": TapeInstance,
+    "formula": NormalizedFormula,
+}
+
+
 def _cmd_verify_reduction(args) -> int:
     inst = _load(args.instance)
     name = args.construction
     cap = args.state_cap
+    expected = _VERIFY_INPUT.get(name)
+    if expected is None:
+        raise MalformedInput(f"unknown construction {name!r}")
+    if not isinstance(inst, expected):
+        raise MalformedInput(f"{name} verification expects a {expected.__name__}, "
+                             f"not a {type(inst).__name__}")
     if name == "dominating-set":
-        if not isinstance(inst, Graph) or args.k is None:
-            raise MalformedInput("dominating-set verification needs a graph and --k")
+        if args.k is None:
+            raise MalformedInput("dominating-set verification needs --k")
         agree = _verify_dominating_set(inst, args.k, cap)
     elif name == "sync-stars":
         agree = solve_tape(partitioned_dsr_to_sync_stars(inst), cap).reachable == \
@@ -217,13 +235,11 @@ def _cmd_verify_reduction(args) -> int:
         agree = solve(tape_to_ts_dsr(inst), cap).reachable == solve_tape(inst, cap).reachable
     elif name == "tj-cdsr":
         agree = solve(tape_to_tj_cdsr(inst), cap).reachable == solve_tape(inst, cap).reachable
-    elif name == "formula":
-        if not isinstance(inst, NormalizedFormula) or args.k is None:
-            raise MalformedInput("formula verification needs a formula and --k")
+    else:
+        if args.k is None:
+            raise MalformedInput("formula verification needs --k")
         agree = solve_multi(formula_to_multi(inst, args.k), cap).positive == \
             weighted_satisfiable(inst, args.k)
-    else:
-        raise MalformedInput(f"unknown construction {name!r}")
     _emit({"kind": "verification", "version": 1, "agree": agree})
     return EXIT_OK if agree else EXIT_NEGATIVE
 

@@ -1,8 +1,14 @@
 """Exact reachability for dominating-set reconfiguration under sliding and jumping.
 
-Configurations are exact-k vertex sets (no token stacking, no null moves);
-the breadth-first search expands lexicographically smallest successors first
-so witnesses are reproducible byte for byte.
+Configurations are exact-k vertex sets (no token stacking, no null moves).
+Inside the breadth-first search a configuration D is an int bitmask, and the
+legal destinations of the token on u come out as one mask: with
+``priv(u) = core & ~N[D - u]`` (N[D - u] from prefix and suffix ORs of the
+closed neighbourhoods, O(k) per state), they are
+``AND_{x in priv(u)} N[x] & ~D``, further masked by N(u) for sliding and by
+u's part for partitioned instances; only connected instances test each
+candidate.  Successors are still expanded in lexicographic order of their
+sorted vertex lists, so witnesses are reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from math import comb
 from typing import Optional
 
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
-from .graphs import Graph, bits, closed_mask_of, delete_vertices, mask_of
+from .graphs import Graph, bits, closed_mask_of, delete_vertices, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -62,6 +68,9 @@ def validate_instance(inst: DsrInstance) -> None:
     if inst.partition is not None:
         seen: set[int] = set()
         for part in inst.partition:
+            for v in part:
+                if not (0 <= v < g.n):
+                    raise MalformedInput(f"partition vertex {v} out of range")
             if seen & part:
                 raise MalformedInput("partition parts overlap")
             seen |= part
@@ -75,17 +84,19 @@ def validate_instance(inst: DsrInstance) -> None:
 
 
 def _induces_connected(g: Graph, dmask: int) -> bool:
-    verts = list(bits(dmask))
-    if len(verts) <= 1:
-        return True
-    seen = 1 << verts[0]
-    stack = [verts[0]]
-    while stack:
-        u = stack.pop()
-        for w in bits(g.nbr_mask[u] & dmask & ~seen):
-            seen |= 1 << w
-            stack.append(w)
+    nbr = g.nbr_mask
+    seen = todo = dmask & -dmask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = nbr[low.bit_length() - 1] & dmask & ~seen
+        seen |= new
+        todo |= new
     return seen == dmask
+
+
+def _core_mask(inst: DsrInstance) -> int:
+    return inst.graph.full_mask if inst.core is None else mask_of(inst.core)
 
 
 def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
@@ -93,10 +104,9 @@ def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
     if len(d) != inst.k:
         return False
     g = inst.graph
-    dmask = mask_of(d)
-    if mask_of(inst.core_set()) & ~closed_mask_of(g, d):
+    if _core_mask(inst) & ~closed_mask_of(g, d):
         return False
-    if inst.connected and not _induces_connected(g, dmask):
+    if inst.connected and not _induces_connected(g, mask_of(d)):
         return False
     if inst.partition is not None:
         for part in inst.partition:
@@ -112,44 +122,79 @@ def _part_of(inst: DsrInstance, v: int) -> Optional[frozenset[int]]:
     return None
 
 
-def successors(inst: DsrInstance, d: frozenset[int]) -> list[frozenset[int]]:
-    """All feasible configurations one legal move away, sorted canonically."""
-    if not is_feasible(inst, d):
-        raise MalformedInput("successors called on an infeasible configuration")
+def _move_masks(inst: DsrInstance) -> list[int]:
+    """Per vertex u, where a token on u may go before domination is checked.
+
+    Sliding allows N(u), jumping every vertex.  Under a partition a token
+    stays in its part; a token on a vertex outside every part may only go to
+    another such vertex, since any other move leaves a part empty or doubled.
+    """
     g = inst.graph
-    out = []
-    for u in sorted(d):
-        if inst.rule == SLIDE:
-            targets = (v for v in g.neighbors(u) if v not in d)
-        else:
-            targets = (v for v in range(g.n) if v not in d)
-        part = _part_of(inst, u) if inst.partition is not None else None
-        for v in targets:
-            if part is not None and v not in part:
-                continue
-            nxt = (d - {u}) | {v}
-            if is_feasible(inst, nxt):
-                out.append(nxt)
-    return sorted(set(out), key=sorted)
+    moves = list(g.nbr_mask) if inst.rule == SLIDE else [g.full_mask] * g.n
+    if inst.partition is not None:
+        outside = g.full_mask
+        for part in inst.partition:
+            pmask = mask_of(part)
+            outside &= ~pmask
+            for v in part:
+                moves[v] &= pmask
+        for v in bits(outside):
+            moves[v] &= outside
+    return moves
 
 
 def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
     source, target = inst.source, inst.target
     if source == target:
         return ReconfigResult(True, (source,), 1)
-    parents: dict[frozenset[int], Optional[frozenset[int]]] = {source: None}
-    queue = deque([source])
+    g = inst.graph
+    closed = g.closed_mask
+    core = _core_mask(inst)
+    moves = _move_masks(inst)
+    connected = inst.connected
+    # Equal-size sets A, B: A precedes B in the order of sorted vertex lists
+    # iff min(A ^ B) lies in A, i.e. iff A's bit-reversed mask is the larger.
+    # D - u + v reverses to rev(D) - rank[u] + rank[v], so sorting ascending
+    # on rank[u] - rank[v] reproduces that order.
+    rank = [1 << (g.n - 1 - v) for v in range(g.n)]
+    start, goal = mask_of(source), mask_of(target)
+    parents: dict[int, int] = {start: -1}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in successors(inst, cur):
-            if nxt in parents:
-                continue
+        tokens = list(bits(cur))
+        suffix = [0] * (len(tokens) + 1)
+        for i in range(len(tokens) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | closed[tokens[i]]
+        prefix = 0
+        fresh = []
+        for i, u in enumerate(tokens):
+            dest = moves[u] & ~cur
+            priv = core & ~(prefix | suffix[i + 1])
+            prefix |= closed[u]
+            while priv and dest:
+                low = priv & -priv
+                dest &= closed[low.bit_length() - 1]
+                priv ^= low
+            rest = cur ^ (1 << u)
+            ru = rank[u]
+            while dest:
+                low = dest & -dest
+                dest ^= low
+                nxt = rest | low
+                if nxt in parents or (connected and not _induces_connected(g, nxt)):
+                    continue
+                fresh.append((ru - rank[low.bit_length() - 1], nxt))
+        # visited states were skipped above: only the order of the new ones
+        # decides parents, the cap and the witness
+        fresh.sort()
+        for _, nxt in fresh:
             parents[nxt] = cur
-            if nxt == target:
+            if nxt == goal:
                 path = [nxt]
-                while parents[path[-1]] is not None:
+                while parents[path[-1]] != -1:
                     path.append(parents[path[-1]])
-                return ReconfigResult(True, tuple(reversed(path)), len(parents))
+                return ReconfigResult(True, tuple(set_of(m) for m in reversed(path)), len(parents))
             if len(parents) > state_cap:
                 raise StateCapExceeded(f"search passed {state_cap} configurations")
             queue.append(nxt)

@@ -1,0 +1,59 @@
+"""Reference token search: frozenset successors checked one candidate at a time.
+
+``dsr._bfs`` finds each token's destinations as one bitmask; this module keeps
+the direct construction it replaced, which builds every candidate
+configuration and asks ``is_feasible`` about it, as the oracle the kernel is
+compared against.
+"""
+from __future__ import annotations
+
+from collections import deque
+from typing import Optional
+
+from reconflab.dsr import SLIDE, DsrInstance, ReconfigResult, _part_of, is_feasible
+from reconflab.errors import MalformedInput, StateCapExceeded
+
+
+def successors(inst: DsrInstance, d: frozenset[int]) -> list[frozenset[int]]:
+    """All feasible configurations one legal move away, sorted canonically."""
+    if not is_feasible(inst, d):
+        raise MalformedInput("successors called on an infeasible configuration")
+    g = inst.graph
+    out = []
+    for u in sorted(d):
+        if inst.rule == SLIDE:
+            targets = (v for v in g.neighbors(u) if v not in d)
+        else:
+            targets = (v for v in range(g.n) if v not in d)
+        part = _part_of(inst, u) if inst.partition is not None else None
+        for v in targets:
+            if part is not None and v not in part:
+                continue
+            nxt = (d - {u}) | {v}
+            if is_feasible(inst, nxt):
+                out.append(nxt)
+    return sorted(set(out), key=sorted)
+
+
+def bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
+    """Breadth-first search over ``successors``, with ``dsr._bfs``'s signature."""
+    source, target = inst.source, inst.target
+    if source == target:
+        return ReconfigResult(True, (source,), 1)
+    parents: dict[frozenset[int], Optional[frozenset[int]]] = {source: None}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for nxt in successors(inst, cur):
+            if nxt in parents:
+                continue
+            parents[nxt] = cur
+            if nxt == target:
+                path = [nxt]
+                while parents[path[-1]] is not None:
+                    path.append(parents[path[-1]])
+                return ReconfigResult(True, tuple(reversed(path)), len(parents))
+            if len(parents) > state_cap:
+                raise StateCapExceeded(f"search passed {state_cap} configurations")
+            queue.append(nxt)
+    return ReconfigResult(False, None, len(parents))

@@ -134,6 +134,14 @@ def test_verify_reduction_negative_exit(tmp_path, capsys):
     assert code == 0 and doc["agree"] is True
 
 
+@pytest.mark.parametrize("construction",
+                         ["triangle", "path", "sync-stars", "selector", "ts-dsr", "tj-cdsr"])
+def test_verify_reduction_wrong_input_kind_exits_2(tmp_path, capsys, construction):
+    path = write(tmp_path, "g.json", serialize.graph_to_json(path_graph(3)))
+    code, doc = run(capsys, "verify-reduction", path, "--construction", construction)
+    assert code == 2 and doc is None
+
+
 def test_verify_witness_exit_codes(tmp_path, capsys):
     inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
     ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))

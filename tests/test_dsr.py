@@ -4,6 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dsr_oracle
+from dsr_oracle import successors
+from reconflab import dsr
 from reconflab.dsr import (
     JUMP,
     SLIDE,
@@ -12,7 +15,6 @@ from reconflab.dsr import (
     is_feasible,
     minimum_dominating_sets,
     solve,
-    successors,
     verify_witness,
 )
 from reconflab.errors import InfeasibleInstance, MalformedInput, StateCapExceeded
@@ -184,6 +186,77 @@ def test_partitioned_moves_stay_in_part():
     assert res.reachable
     for d in res.witness:
         assert len(d & {0, 1}) == 1 and len(d & {2, 3}) == 1
+
+
+def test_partition_vertex_out_of_range_rejected():
+    g = path_graph(3)
+    inst = DsrInstance(g, 1, frozenset({1}), frozenset({1}), JUMP,
+                       partition=(frozenset({1, 9}),))
+    with pytest.raises(MalformedInput, match="partition vertex 9"):
+        solve(inst)
+
+
+# ------------------------------------------------------------------ bitmask kernel vs oracle
+
+def solve_with_oracle(inst):
+    """``solve`` with the frozenset reference search in place of the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsr, "_bfs", dsr_oracle.bfs)
+        return solve(inst)
+
+
+def kernel_case(rng, kind):
+    """A random instance of one kind with two distinct feasible configurations."""
+    while True:
+        n = rng.randint(3, 10)
+        p = rng.uniform(0.2, 0.6)
+        if kind == "disconnected":
+            cut = rng.randint(1, n - 1)
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if (u < cut) == (v < cut) and rng.random() < p]
+        else:
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = Graph(n, edges)
+        if kind == "disconnected" and g.is_connected():
+            continue
+        rule = SLIDE if kind in ("slide", "connected-slide", "disconnected") else JUMP
+        if kind in ("core", "partitioned"):
+            rule = rng.choice([SLIDE, JUMP])
+        k = rng.randint(1, min(5, n - 1))
+        core = partition = None
+        if kind == "core":
+            core = frozenset(v for v in range(n) if rng.random() < 0.5)
+        if kind == "partitioned":
+            verts = rng.sample(range(n), n)
+            covered = rng.randint(1, n)
+            parts_n = rng.randint(1, min(3, covered))
+            cuts = sorted(rng.sample(range(1, covered), parts_n - 1))
+            partition = tuple(frozenset(verts[a:b]) for a, b in zip([0] + cuts, cuts + [covered]))
+            k = parts_n + rng.randint(0, min(2, n - covered))
+        probe = DsrInstance(g, k, frozenset(), frozenset(), rule, kind.startswith("connected"),
+                            core, partition)
+        feas = [frozenset(c) for c in itertools.combinations(range(n), k)
+                if is_feasible(probe, frozenset(c))]
+        if len(feas) >= 2:
+            src, tgt = rng.sample(feas, 2)
+            return DsrInstance(g, k, src, tgt, rule, probe.connected, core, partition)
+
+
+@pytest.mark.parametrize("kind", ["slide", "jump", "core", "connected-slide", "connected-jump",
+                                  "partitioned", "disconnected"])
+def test_kernel_matches_oracle_search(kind):
+    rng = random.Random(f"kernel-{kind}")
+    for _ in range(100):
+        inst = kernel_case(rng, kind)
+        assert solve(inst) == solve_with_oracle(inst)
+
+
+def test_kernel_moves_tokens_outside_every_part():
+    # 3 and 4 lie in no part, so the token on 3 may jump to 4
+    inst = DsrInstance(path_graph(5), 2, frozenset({1, 3}), frozenset({1, 4}), JUMP,
+                       partition=(frozenset({0, 1, 2}),))
+    res = solve(inst)
+    assert res.reachable and res == solve_with_oracle(inst)
 
 
 # ------------------------------------------------------------------ witnesses

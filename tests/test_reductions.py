@@ -612,7 +612,7 @@ def test_ts_dsr_reachable_states_keep_hub_cover():
     hub, leaf = dsr.provenance["hub"], dsr.provenance["leaf"]
     from collections import deque
 
-    from reconflab.dsr import successors
+    from dsr_oracle import successors
 
     seen = {dsr.source}
     queue = deque([dsr.source])
