@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from dataclasses import dataclass
 
 from .decomposition import verify_decomposition
@@ -39,16 +40,11 @@ from .graphs import (
 )
 from .kernel import kernelize, solve_dcr, solve_via_kernel, zero_class_of
 from .reductions import (
+    CONSTRUCTIONS,
     NormalizedFormula,
-    desynchronize_path,
     desynchronize_triangle,
     ds_to_sync_multi,
     check_min_ds_structure,
-    formula_to_multi,
-    select_from_tuples,
-    tape_to_tj_cdsr,
-    tape_to_ts_dsr,
-    weighted_satisfiable,
 )
 from .tape_reduce import solve_bounded_alphabet
 from .tapes import (
@@ -69,35 +65,32 @@ class CriterionResult:
     details: str
 
 
-_TRIALS_FLOOR = 0  # raised by run_all(--trials): never below the official counts
-
-
-def _count(full: int, quick: bool, floor: int = 10) -> int:
-    base = max(floor, full // 10) if quick else full
-    return max(base, _TRIALS_FLOOR)
+def _count(full: int, quick: bool, floor: int, quick_min: int = 10) -> int:
+    """Trials to run: the official ``full``, a tenth of it (at least
+    ``quick_min``) when quick, and never fewer than ``floor``."""
+    base = max(quick_min, full // 10) if quick else full
+    return max(base, floor)
 
 
 # ---------------------------------------------------------------- criterion 1
 
-def _c01_check_encoding(quick: bool) -> tuple[bool, str]:
-    trials = _count(200, quick)
+def _c01_check_encoding(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(200, quick, floor)
     rng = random.Random(7101)
     bad = 0
     for _ in range(trials):
         n = rng.randint(2, 7)
         g = gen_random_graph(rng.randrange(2**31), n, rng.uniform(0.3, 0.8), "connected")
         k = rng.randint(1, min(3, n))
-        expected = any(
-            dominates(g, set(c), range(n)) for c in itertools.combinations(range(n), k)
-        )
-        if solve_multi(ds_to_sync_multi(g, k)).positive != expected:
+        _, agree = CONSTRUCTIONS["dominating-set"].replay(g, k)
+        if not agree:
             bad += 1
     return bad == 0, f"{trials - bad}/{trials} agree with subset enumeration"
 
 
 # ---------------------------------------------------------------- criterion 2
 
-def _c02_drawn_pattern(quick: bool) -> tuple[bool, str]:
+def _c02_drawn_pattern(quick: bool, floor: int = 0) -> tuple[bool, str]:
     inst = ds_to_sync_multi(cycle_graph(5), 2)
     marks = ["".join("x" if c else "." for c in t.content) for t in inst.tuples[0]]
     expected = ["xx..x", "xxx..", ".xxx.", "..xxx", "x..xx"]
@@ -114,16 +107,16 @@ def _c02_drawn_pattern(quick: bool) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 3
 
-def _c03_triangle_desync(quick: bool) -> tuple[bool, str]:
-    trials = _count(100, quick)
+def _c03_triangle_desync(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(100, quick, floor)
     rng = random.Random(7301)
     for i in range(trials):
         inst = gen_random_tape_instance(
             rng.randrange(2**31), tapes=rng.randint(1, 3), cells=rng.randint(2, 6),
             sigma=rng.randint(1, 3), sync=True,
         )
-        out = desynchronize_triangle(inst)
-        if solve_tape(out).reachable != solve_tape(inst).reachable:
+        out, agree = CONSTRUCTIONS["triangle"].replay(inst)
+        if not agree:
             return False, f"answer changed on instance {i}"
         if not is_irreducible(out):
             return False, f"output {i} is reducible"
@@ -134,24 +127,24 @@ def _c03_triangle_desync(quick: bool) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 4
 
-def _c04_path_desync_and_selector(quick: bool) -> tuple[bool, str]:
-    trials = _count(100, quick)
+def _c04_path_desync_and_selector(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(100, quick, floor)
     rng = random.Random(7401)
     for i in range(trials):
         inst = gen_sync_path_instance(
             rng.randrange(2**31), tapes=3, cells=6, sigma=rng.randint(1, 3)
         )
-        out = desynchronize_path(inst)
+        out, agree = CONSTRUCTIONS["path"].replay(inst)
         if not all(tape_is_path(t) for t in out.tapes):
             return False, f"non-path tape in output {i}"
-        if solve_tape(out).reachable != solve_tape(inst).reachable:
+        if not agree:
             return False, f"path desync changed the answer on instance {i}"
     for i in range(trials):
         multi = gen_random_multi(rng.randrange(2**31), tuples=2, members=2, cells=3)
-        out = select_from_tuples(multi)
+        out, agree = CONSTRUCTIONS["selector"].replay(multi)
         if not all(tape_is_path(t) for t in out.tapes):
             return False, f"selector output {i} contains a non-path tape"
-        if solve_tape(out).reachable != solve_multi(multi).positive:
+        if not agree:
             return False, f"selector changed the answer on instance {i}"
     return True, f"{trials} path-desync and {trials} selector instances all agree"
 
@@ -166,15 +159,15 @@ def _small_irreducible(rng, cells: int, sigma: int):
     return inst, desynchronize_triangle(inst)
 
 
-def _c05_sliding_reduction(quick: bool) -> tuple[bool, str]:
-    trials = _count(100, quick)
+def _c05_sliding_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(100, quick, floor)
     rng = random.Random(7501)
     for i in range(trials):
         src, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
         if not is_irreducible(art):
             return False, f"artifact {i} not irreducible"
-        dsr = tape_to_ts_dsr(art)
-        if solve(dsr).reachable != solve_tape(art).reachable:
+        dsr, agree = CONSTRUCTIONS["ts-dsr"].replay(art)
+        if not agree:
             return False, f"answer changed on artifact {i}"
         if not check_min_ds_structure(dsr):
             return False, f"minimum dominating sets lost their shape on artifact {i}"
@@ -199,14 +192,14 @@ def _c05_sliding_reduction(quick: bool) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 6
 
-def _c06_jumping_reduction(quick: bool) -> tuple[bool, str]:
-    trials = _count(100, quick)
+def _c06_jumping_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(100, quick, floor)
     enum_trials = 6 if not quick else 2
     rng = random.Random(7601)
     for i in range(trials):
         _, art = _small_irreducible(rng, cells=2, sigma=2)
-        cd = tape_to_tj_cdsr(art)
-        if solve(cd).reachable != solve_tape(art).reachable:
+        cd, agree = CONSTRUCTIONS["tj-cdsr"].replay(art)
+        if not agree:
             return False, f"answer changed on artifact {i}"
         if i < enum_trials:
             guards = set(cd.provenance["guards"])
@@ -262,22 +255,22 @@ def _formula_corpus(rng) -> list[tuple[NormalizedFormula, int]]:
     return corpus
 
 
-def _c07_formula_pipeline(quick: bool) -> tuple[bool, str]:
+def _c07_formula_pipeline(quick: bool, floor: int = 0) -> tuple[bool, str]:
     rng = random.Random(7701)
     corpus = _formula_corpus(rng)
     if quick:
         corpus = corpus[:10] + corpus[40:44]
     for i, (phi, k) in enumerate(corpus):
-        expected = weighted_satisfiable(phi, k)
-        if solve_multi(formula_to_multi(phi, k)).positive != expected:
+        _, agree = CONSTRUCTIONS["formula"].replay(phi, k)
+        if not agree:
             return False, f"formula {i} (depth {phi.depth()}, k={k}) disagrees"
     return True, f"{len(corpus)} formulas agree with weighted truth tables"
 
 
 # ---------------------------------------------------------------- criterion 8
 
-def _c08_tape_reduction(quick: bool) -> tuple[bool, str]:
-    trials = _count(200, quick)
+def _c08_tape_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(200, quick, floor)
     rng = random.Random(7801)
     for i in range(trials):
         sigma = rng.randint(1, 3)
@@ -300,8 +293,8 @@ def _c08_tape_reduction(quick: bool) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 9
 
-def _c09_kernelization(quick: bool) -> tuple[bool, str]:
-    trials = _count(100, quick)
+def _c09_kernelization(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(100, quick, floor)
     rng = random.Random(7901)
     for i in range(trials):
         inst = gen_dcr_instance(rng.randrange(2**31), n_max=8, k_max=2, d=2)
@@ -369,8 +362,8 @@ def _dfs_reachability_oracle(inst: DsrInstance) -> bool:
     return dfs(inst.source)
 
 
-def _c10_engine_consistency(quick: bool) -> tuple[bool, str]:
-    trials = _count(500, quick, floor=50)
+def _c10_engine_consistency(quick: bool, floor: int = 0) -> tuple[bool, str]:
+    trials = _count(500, quick, floor, quick_min=50)
     rng = random.Random(9001)
     for i in range(trials):
         inst = gen_random_dsr_instance(rng.randrange(2**31), n_max=6, k_max=3)
@@ -403,17 +396,15 @@ CRITERIA = [
 
 def run_all(quick: bool = False, log=None, trials: int = 0) -> list[CriterionResult]:
     """Run every criterion; ``trials`` raises the per-criterion counts (it can
-    never lower them below the official numbers unless quick is set)."""
-    global _TRIALS_FLOOR
-    _TRIALS_FLOOR = max(0, trials)
-    try:
-        results = []
-        for ident, title, fn in CRITERIA:
-            passed, details = fn(quick)
-            results.append(CriterionResult(ident, title, passed, details))
-            if log is not None:
-                status = "PASS" if passed else "FAIL"
-                print(f"{status} {ident} {title}: {details}", file=log, flush=True)
-        return results
-    finally:
-        _TRIALS_FLOOR = 0
+    never lower them below the official numbers unless quick is set).  With a
+    ``log``, each criterion writes one PASS/FAIL line with its seconds."""
+    results = []
+    for ident, title, fn in CRITERIA:
+        start = time.perf_counter()
+        passed, details = fn(quick, max(0, trials))
+        results.append(CriterionResult(ident, title, passed, details))
+        if log is not None:
+            status = "PASS" if passed else "FAIL"
+            print(f"{status} {ident} [{time.perf_counter() - start:6.1f}s] {title}: "
+                  f"{details}", file=log, flush=True)
+    return results

@@ -6,7 +6,6 @@ Deterministic JSON goes to stdout, diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -21,20 +20,8 @@ from .errors import (
     WorkbenchError,
 )
 from .generators import gen_random_graph, gen_random_tape_instance
-from .graphs import Graph, dominates
 from .kernel import DcrInstance, kernelize as run_kernelize, solve_dcr
-from .reductions import (
-    NormalizedFormula,
-    desynchronize_path,
-    desynchronize_triangle,
-    ds_to_sync_multi,
-    formula_to_multi,
-    partitioned_dsr_to_sync_stars,
-    select_from_tuples,
-    tape_to_tj_cdsr,
-    tape_to_ts_dsr,
-    weighted_satisfiable,
-)
+from .reductions import CONSTRUCTIONS, Construction
 from .tapes import MultiTapeInstance, TapeInstance, solve_multi, solve_tape
 from .tape_reduce import reduce_tapes_fully
 
@@ -101,35 +88,25 @@ def _cmd_solve_tape(args) -> int:
     return EXIT_OK
 
 
-_REDUCE_ROUTES = {
-    ("graph", "sync-multi"): "needs_k",
-    ("dsr-instance", "sync-stars"): partitioned_dsr_to_sync_stars,
-    ("tape-instance", "tape"): desynchronize_triangle,
-    ("tape-instance", "path-tape"): desynchronize_path,
-    ("multi-tape-instance", "path-tape"): select_from_tuples,
-    ("tape-instance", "ts-dsr"): tape_to_ts_dsr,
-    ("tape-instance", "tj-cdsr"): tape_to_tj_cdsr,
-    ("formula", "multi-tape"): "needs_k",
-}
+def _check_input(con: Construction, inst, k, what: str) -> None:
+    if not isinstance(inst, con.source):
+        raise MalformedInput(f"{what} expects a {con.source.__name__}, "
+                             f"not a {type(inst).__name__}")
+    if con.needs_k and k is None:
+        raise MalformedInput(f"{what} needs --k")
 
 
 def _cmd_reduce(args) -> int:
     inst = _load(args.instance)
-    kind = serialize.encode(inst)["kind"] if not isinstance(inst, Graph) else "graph"
-    if isinstance(inst, NormalizedFormula):
-        kind = "formula"
+    kind = serialize.encode(inst)["kind"]
     if args.src is not None and args.src != kind:
         raise MalformedInput(f"input is a {kind}, not a {args.src}")
-    route = _REDUCE_ROUTES.get((kind, args.dst))
-    if route is None:
+    con = next((c for c in CONSTRUCTIONS.values()
+                if c.to == args.dst and isinstance(inst, c.source)), None)
+    if con is None:
         raise MalformedInput(f"no reduction from {kind} to {args.dst}")
-    if route == "needs_k":
-        if args.k is None:
-            raise MalformedInput("this reduction needs --k")
-        out = (ds_to_sync_multi(inst, args.k) if kind == "graph"
-               else formula_to_multi(inst, args.k))
-    else:
-        out = route(inst)
+    _check_input(con, inst, args.k, "this reduction")
+    out = con.build(inst, args.k)
     doc = serialize.encode(out)
     prov = getattr(out, "provenance", None) or {}
     doc["provenance"] = {
@@ -183,63 +160,11 @@ def _cmd_verify_witness(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _verify_dominating_set(inst, k, cap):
-    multi = ds_to_sync_multi(inst, k)
-    positive = solve_multi(multi, cap).positive
-    expected = any(
-        dominates(inst, set(c), range(inst.n))
-        for c in itertools.combinations(range(inst.n), k)
-    )
-    return positive == expected
-
-
-_VERIFY_INPUT = {
-    "dominating-set": Graph,
-    "sync-stars": DsrInstance,
-    "triangle": TapeInstance,
-    "path": TapeInstance,
-    "selector": MultiTapeInstance,
-    "ts-dsr": TapeInstance,
-    "tj-cdsr": TapeInstance,
-    "formula": NormalizedFormula,
-}
-
-
 def _cmd_verify_reduction(args) -> int:
     inst = _load(args.instance)
-    name = args.construction
-    cap = args.state_cap
-    expected = _VERIFY_INPUT.get(name)
-    if expected is None:
-        raise MalformedInput(f"unknown construction {name!r}")
-    if not isinstance(inst, expected):
-        raise MalformedInput(f"{name} verification expects a {expected.__name__}, "
-                             f"not a {type(inst).__name__}")
-    if name == "dominating-set":
-        if args.k is None:
-            raise MalformedInput("dominating-set verification needs --k")
-        agree = _verify_dominating_set(inst, args.k, cap)
-    elif name == "sync-stars":
-        agree = solve_tape(partitioned_dsr_to_sync_stars(inst), cap).reachable == \
-            solve(inst, cap).reachable
-    elif name == "triangle":
-        agree = solve_tape(desynchronize_triangle(inst), cap).reachable == \
-            solve_tape(inst, cap).reachable
-    elif name == "path":
-        agree = solve_tape(desynchronize_path(inst), cap).reachable == \
-            solve_tape(inst, cap).reachable
-    elif name == "selector":
-        agree = solve_tape(select_from_tuples(inst), cap).reachable == \
-            solve_multi(inst, cap).positive
-    elif name == "ts-dsr":
-        agree = solve(tape_to_ts_dsr(inst), cap).reachable == solve_tape(inst, cap).reachable
-    elif name == "tj-cdsr":
-        agree = solve(tape_to_tj_cdsr(inst), cap).reachable == solve_tape(inst, cap).reachable
-    else:
-        if args.k is None:
-            raise MalformedInput("formula verification needs --k")
-        agree = solve_multi(formula_to_multi(inst, args.k), cap).positive == \
-            weighted_satisfiable(inst, args.k)
+    con = CONSTRUCTIONS[args.construction]
+    _check_input(con, inst, args.k, f"{args.construction} verification")
+    _, agree = con.replay(inst, args.k, args.state_cap)
     _emit({"kind": "verification", "version": 1, "agree": agree})
     return EXIT_OK if agree else EXIT_NEGATIVE
 
@@ -302,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="apply an instance transformation")
     p.add_argument("instance")
     p.add_argument("--from", dest="src", default=None, help="expected input kind")
-    p.add_argument("--to", dest="dst", required=True, help="target kind")
+    p.add_argument("--to", dest="dst", required=True, help="target kind: " + " | ".join(
+        dict.fromkeys(c.to for c in CONSTRUCTIONS.values())))
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_reduce)
 
@@ -316,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-reduction", help="solve both sides of a construction")
     p.add_argument("instance")
-    p.add_argument("--construction", required=True,
-                   help="dominating-set | sync-stars | triangle | path | selector | "
-                        "ts-dsr | tj-cdsr | formula")
+    p.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     p.add_argument("--k", type=int, default=None)
     add_cap(p)
     p.set_defaults(func=_cmd_verify_reduction)

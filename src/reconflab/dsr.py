@@ -19,13 +19,12 @@ from math import comb
 from typing import Optional
 
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
-from .graphs import Graph, bits, closed_mask_of, delete_vertices, mask_of, set_of
+from .graphs import ENUM_CAP, Graph, bits, closed_mask_of, delete_vertices, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
 
 DEFAULT_STATE_CAP = 2_000_000
-ENUM_CAP = 5_000_000
 
 
 @dataclass(frozen=True)

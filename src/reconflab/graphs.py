@@ -312,15 +312,20 @@ def min_feedback_vertex_set(g: Graph, cap: int = ENUM_CAP) -> frozenset[int]:
 
 
 def contains_biclique(g: Graph, a: int, b: int, cap: int = ENUM_CAP) -> bool:
-    """Does g contain K_{a,b} as a (not necessarily induced) subgraph?
+    """Does g contain K_{a,b} as a (not necessarily induced) subgraph?"""
+    return a <= 0 or b <= 0 or find_biclique(g, a, b, cap) is not None
+
+
+def find_biclique(g: Graph, a: int, b: int,
+                  cap: int = ENUM_CAP) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A K_{a,b} subgraph of g as (a-side, b-side), or None; a, b >= 1.
 
     Enumerates a-subsets and counts common neighbors; common neighbors of a
-    loop-free set are automatically disjoint from it.
+    loop-free set are automatically disjoint from it.  The b-side is the
+    first b common neighbors of the first a-subset that has enough.
     """
-    if a <= 0 or b <= 0:
-        return True
     if a > g.n:
-        return False
+        return None
     if comb(g.n, a) > cap:
         raise SizeCapExceeded(f"biclique search: C({g.n},{a}) exceeds cap {cap}")
     for combo in itertools.combinations(range(g.n), a):
@@ -330,5 +335,5 @@ def contains_biclique(g: Graph, a: int, b: int, cap: int = ENUM_CAP) -> bool:
             if not common:
                 break
         if common.bit_count() >= b:
-            return True
-    return False
+            return combo, tuple(bits(common))[:b]
+    return None

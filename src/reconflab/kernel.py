@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 from math import comb
 from typing import Optional
 
-from .dsr import SLIDE, DsrInstance, ReconfigResult, solve
+from .dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, solve
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from .graphs import (
+    ENUM_CAP,
     Graph,
     add_vertex,
     delete_vertices,
     dominates,
+    find_biclique,
     find_reducible_vertex,
     merge_vertices,
     neighborhood_classes,
@@ -29,7 +31,6 @@ from .graphs import (
 
 K3D_FREE = "k3d-free"
 K4D_MINOR_FREE = "k4d-minor-free"
-ENUM_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def as_dsr(inst: DcrInstance) -> DsrInstance:
     )
 
 
-def solve_dcr(inst: DcrInstance, state_cap: int = 2_000_000) -> ReconfigResult:
+def solve_dcr(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
     return solve(as_dsr(inst), state_cap)
 
 
@@ -342,21 +343,6 @@ def prune_three_classes(inst: DcrInstance) -> DcrInstance:
 # ---------------------------------------------------------------------------
 # the pipeline
 
-def find_biclique_witness(g: Graph, a: int, b: int,
-                          cap: int = ENUM_CAP) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    if comb(g.n, a) > cap:
-        raise SizeCapExceeded(f"biclique witness search: C({g.n},{a}) over cap")
-    for combo in itertools.combinations(range(g.n), a):
-        common = g.full_mask
-        for v in combo:
-            common &= g.nbr_mask[v]
-        if common.bit_count() >= b:
-            from .graphs import bits
-
-            return combo, tuple(bits(common))[:b]
-    return None
-
-
 def kernelize(inst: DcrInstance, cap: int = ENUM_CAP) -> tuple[DcrInstance, KernelReport]:
     """Run every rule to a global fixpoint and certify the kernel's shape."""
     validate_dcr(inst)
@@ -372,7 +358,7 @@ def kernelize(inst: DcrInstance, cap: int = ENUM_CAP) -> tuple[DcrInstance, Kern
         if len(key) >= q
     )
     if not big_classes_small:
-        witness = find_biclique_witness(inst.graph, q, inst.d)
+        witness = find_biclique(inst.graph, q, inst.d)
         if witness is not None:
             raise MalformedInput(
                 f"family promise violated: complete bipartite {q}x{inst.d} subgraph "
@@ -447,6 +433,6 @@ def kernelize(inst: DcrInstance, cap: int = ENUM_CAP) -> tuple[DcrInstance, Kern
     return inst, report
 
 
-def solve_via_kernel(inst: DcrInstance, state_cap: int = 2_000_000) -> ReconfigResult:
+def solve_via_kernel(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
     kernel, _ = kernelize(inst)
     return solve_dcr(kernel, state_cap)

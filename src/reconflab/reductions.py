@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .dsr import SLIDE, JUMP, DsrInstance, minimum_dominating_sets
+from .dsr import DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, minimum_dominating_sets, solve
 from .errors import MalformedInput
-from .graphs import Graph, add_vertex, complete_graph, mask_of
+from .graphs import Graph, add_vertex, complete_graph, dominates, mask_of
 from .tapes import (
     MultiTapeInstance,
     Tape,
@@ -22,6 +22,8 @@ from .tapes import (
     build_extended,
     is_irreducible,
     path_tape,
+    solve_multi,
+    solve_tape,
     tape_is_path,
 )
 
@@ -820,3 +822,76 @@ def check_min_ds_structure(inst: DsrInstance) -> bool:
             if len(d & span) != 1:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the construction table: every reduction with an exact solver for each side
+
+def _reachable(inst: DsrInstance, cap: int) -> bool:
+    return solve(inst, cap).reachable
+
+
+def _tape_reachable(inst: TapeInstance, cap: int) -> bool:
+    return solve_tape(inst, cap).reachable
+
+
+def _selectable(inst: MultiTapeInstance, cap: int) -> bool:
+    return solve_multi(inst, cap).positive
+
+
+def _has_dominating_set(g: Graph, k: int, cap: int) -> bool:
+    """Subset enumeration: do some k vertices dominate g?"""
+    return any(
+        dominates(g, set(c), range(g.n)) for c in itertools.combinations(range(g.n), k)
+    )
+
+
+def _weighted_satisfiable(phi: NormalizedFormula, k: int, cap: int) -> bool:
+    return weighted_satisfiable(phi, k)
+
+
+class Construction(NamedTuple):
+    """One reduction: what it reads, the ``reduce --to`` name of what it
+    builds, and how each side is solved.  ``transform`` and ``source_answer``
+    take ``(inst, k)`` when ``needs_k`` is set and ``(inst,)`` otherwise; both
+    answers also take the state cap.  A NamedTuple rather than a dataclass:
+    the table is built on every CLI start, and a frozen dataclass costs about
+    a millisecond more to create."""
+
+    source: type
+    to: str
+    transform: Callable
+    needs_k: bool
+    source_answer: Callable[..., bool]
+    target_answer: Callable[..., bool]
+
+    def _args(self, inst, k: int | None) -> tuple:
+        return (inst, k) if self.needs_k else (inst,)
+
+    def build(self, inst, k: int | None = None):
+        return self.transform(*self._args(inst, k))
+
+    def replay(self, inst, k: int | None = None, cap: int = DEFAULT_STATE_CAP):
+        """Build the output and solve both sides: ``(output, answers agree)``."""
+        out = self.build(inst, k)
+        return out, self.target_answer(out, cap) == self.source_answer(*self._args(inst, k), cap)
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "dominating-set": Construction(Graph, "sync-multi", ds_to_sync_multi, True,
+                                   _has_dominating_set, _selectable),
+    "sync-stars": Construction(DsrInstance, "sync-stars", partitioned_dsr_to_sync_stars,
+                               False, _reachable, _tape_reachable),
+    "triangle": Construction(TapeInstance, "tape", desynchronize_triangle, False,
+                             _tape_reachable, _tape_reachable),
+    "path": Construction(TapeInstance, "path-tape", desynchronize_path, False,
+                         _tape_reachable, _tape_reachable),
+    "selector": Construction(MultiTapeInstance, "path-tape", select_from_tuples, False,
+                             _selectable, _tape_reachable),
+    "ts-dsr": Construction(TapeInstance, "ts-dsr", tape_to_ts_dsr, False,
+                           _tape_reachable, _reachable),
+    "tj-cdsr": Construction(TapeInstance, "tj-cdsr", tape_to_tj_cdsr, False,
+                            _tape_reachable, _reachable),
+    "formula": Construction(NormalizedFormula, "multi-tape", formula_to_multi, True,
+                            _weighted_satisfiable, _selectable),
+}

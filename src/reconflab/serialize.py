@@ -155,6 +155,8 @@ def graph_from_json(payload: dict) -> Graph:
 
 def tape_from_json(payload: dict) -> Tape:
     cells = graph_from_json(_need(payload, "cells"))
+    if not cells.is_connected():
+        raise MalformedInput("tape cell graph is disconnected")
     content = [0] * cells.n
     for cell, letters in _need(payload, "content").items():
         c = int(cell)
@@ -165,6 +167,11 @@ def tape_from_json(payload: dict) -> Tape:
     number = None
     if "number" in payload:
         raw = payload["number"]
+        if not isinstance(raw, dict):
+            raise MalformedInput("tape numbering must map cells to numbers")
+        missing = [c for c in range(cells.n) if str(c) not in raw]
+        if missing:
+            raise MalformedInput(f"tape numbering misses cells {missing}")
         number = tuple(int(raw[str(c)]) for c in range(cells.n))
     return Tape(
         cells=cells,

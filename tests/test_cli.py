@@ -142,6 +142,69 @@ def test_verify_reduction_wrong_input_kind_exits_2(tmp_path, capsys, constructio
     assert code == 2 and doc is None
 
 
+# One case per construction: the input, the `reduce --to` kind of the output,
+# the transformer that `reduce` applies, and the k it needs, if any.
+def _pinned_constructions():
+    from reconflab.generators import (
+        gen_partitioned_instance,
+        gen_random_multi,
+        gen_random_tape_instance,
+        gen_sync_path_instance,
+    )
+    from reconflab.reductions import (
+        desynchronize_path,
+        desynchronize_triangle,
+        ds_to_sync_multi,
+        formula_to_multi,
+        partitioned_dsr_to_sync_stars,
+        select_from_tuples,
+        tape_to_tj_cdsr,
+        tape_to_ts_dsr,
+    )
+
+    art = desynchronize_triangle(gen_random_tape_instance(8, 1, 2, 2, sync=True))
+    cnf = NormalizedFormula(3, ("and", (("or", (("var", 0), ("var", 1))),
+                                        ("or", (("var", 1), ("var", 2))))))
+    return {
+        "dominating-set": (cycle_graph(5), "sync-multi", ds_to_sync_multi, 2),
+        "sync-stars": (gen_partitioned_instance(4), "sync-stars",
+                       partitioned_dsr_to_sync_stars, None),
+        "triangle": (gen_random_tape_instance(5, 2, 3, 2, sync=True), "tape",
+                     desynchronize_triangle, None),
+        "path": (gen_sync_path_instance(6, 3, 5, 2), "path-tape", desynchronize_path, None),
+        "selector": (gen_random_multi(7, 2, 2, 3), "path-tape", select_from_tuples, None),
+        "ts-dsr": (art, "ts-dsr", tape_to_ts_dsr, None),
+        "tj-cdsr": (art, "tj-cdsr", tape_to_tj_cdsr, None),
+        "formula": (cnf, "multi-tape", formula_to_multi, 1),
+    }
+
+
+_PINNED_NAMES = ["dominating-set", "sync-stars", "triangle", "path", "selector",
+                 "ts-dsr", "tj-cdsr", "formula"]
+
+
+@pytest.mark.parametrize("name", _PINNED_NAMES)
+def test_every_construction_reduces_and_verifies(tmp_path, capsys, name):
+    inst, dst, transformer, k = _pinned_constructions()[name]
+    doc = serialize.encode(inst)
+    path = write(tmp_path, "in.json", doc)
+    k_args = [] if k is None else ["--k", str(k)]
+
+    decoded = serialize.decode(doc)
+    out = transformer(decoded) if k is None else transformer(decoded, k)
+    expected = serialize.encode(out)
+    expected["provenance"] = {
+        key: val for key, val in (out.provenance or {}).items()
+        if isinstance(val, (str, int, list, tuple))
+    }
+    code = main(["reduce", path, "--to", dst, *k_args])
+    assert code == 0
+    assert capsys.readouterr().out == serialize.canonical_dumps(expected)
+
+    code, report = run(capsys, "verify-reduction", path, "--construction", name, *k_args)
+    assert code == 0 and report == {"kind": "verification", "version": 1, "agree": True}
+
+
 def test_verify_witness_exit_codes(tmp_path, capsys):
     inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
     ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
@@ -172,6 +235,27 @@ def test_gen_tape_valid(tmp_path, capsys):
     from reconflab.tapes import validate_instance
 
     assert validate_instance(inst) == []
+
+
+def _generated_sync_tape(capsys):
+    code, doc = run(capsys, "gen", "tape", "--seed", "3", "--tapes", "2",
+                    "--cells", "3", "--sigma", "2", "--sync")
+    assert code == 0
+    return doc
+
+
+def test_solve_tape_rejects_missing_cell_number(tmp_path, capsys):
+    doc = _generated_sync_tape(capsys)
+    del doc["tapes"][0]["number"]["1"]
+    code, out = run(capsys, "solve-tape", write(tmp_path, "t.json", doc))
+    assert code == 2 and out is None
+
+
+def test_solve_tape_rejects_disconnected_cells(tmp_path, capsys):
+    doc = _generated_sync_tape(capsys)
+    doc["tapes"][1]["cells"]["edges"] = []
+    code, out = run(capsys, "solve-tape", write(tmp_path, "t.json", doc))
+    assert code == 2 and out is None
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

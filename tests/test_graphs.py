@@ -9,6 +9,7 @@ from reconflab.graphs import (
     Graph,
     complete_graph,
     contains_biclique,
+    find_biclique,
     cycle_graph,
     degeneracy,
     delete_vertices,
@@ -226,6 +227,8 @@ def test_biclique_named():
     assert contains_biclique(k33, 3, 3)
     assert not contains_biclique(path_graph(6), 2, 2)
     assert contains_biclique(complete_graph(4), 2, 2)
+    assert find_biclique(k33, 3, 3) == ((0, 1, 2), (3, 4, 5))
+    assert find_biclique(path_graph(6), 2, 2) is None
 
 
 def test_biclique_cap():
@@ -249,3 +252,9 @@ def test_biclique_matches_other_side_enumeration(seed, n):
             oracle = True
             break
     assert contains_biclique(g, a, b) == oracle
+    found = find_biclique(g, a, b)
+    assert (found is not None) == oracle
+    if found is not None:
+        left, right = found
+        assert len(left) == a and len(set(right)) == b
+        assert all(g.has_edge(u, v) for u in left for v in right)

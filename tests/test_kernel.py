@@ -237,7 +237,8 @@ def test_family_violation_rejected_with_witness():
     k33 = Graph(6, [(i, j) for i in (0, 1, 2) for j in (3, 4, 5)] + [(0, 1), (0, 2)])
     inst = DcrInstance(k33, 1, frozenset({0}), frozenset({0}), d=2,
                        core=frozenset({0, 1, 2}))
-    with pytest.raises(MalformedInput, match="family promise"):
+    with pytest.raises(MalformedInput, match=r"family promise violated: complete "
+                       r"bipartite 3x2 subgraph on \(0, 1, 2\) / \(3, 4\)"):
         kernelize(inst)
 
 
