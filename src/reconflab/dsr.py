@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional
 
-from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
-from .graphs import ENUM_CAP, Graph, bits, closed_mask_of, delete_vertices, mask_of, set_of
+from .errors import InfeasibleInstance, MalformedInput, StateCapExceeded
+from .graphs import Graph, bits, closed_mask_of, delete_vertices, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -286,57 +285,54 @@ def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
     return True
 
 
-def dominating_sets_of_size(g: Graph, size: int, cap: int = ENUM_CAP) -> list[frozenset[int]]:
-    """Every dominating set of exactly ``size`` vertices, in sorted order."""
-    if comb(g.n, size) > cap:
-        raise SizeCapExceeded(f"C({g.n},{size}) exceeds cap {cap}")
-    full = g.full_mask
-    out = []
-    for combo in itertools.combinations(range(g.n), size):
-        m = 0
-        for v in combo:
-            m |= g.closed_mask[v]
-        if m == full:
-            out.append(frozenset(combo))
-    return out
-
-
 def enumerate_dominating_sets(g: Graph, size: int):
     """Yield every dominating set of exactly ``size`` vertices, each once.
 
-    Branches on the smallest undominated vertex's closed neighborhood with an
-    exclusion set for canonicity; once everything is dominated, the remaining
-    slots are filled in ascending order.  Output-sensitive, so it stays usable
-    where scanning all n-choose-size subsets would not.
+    Branches on the smallest undominated vertex's closed neighborhood; the
+    vertices earlier siblings took are banned from later ones, which keeps
+    each set to one branch.  A child is pushed only if its remaining slots
+    could still cover what is undominated, and once everything is dominated
+    the remaining slots are filled by one ``itertools.combinations`` over the
+    vertices neither chosen nor banned.  One explicit stack, children pushed
+    in reverse, so the sets come out in depth-first order.  Output-sensitive,
+    so it stays usable where scanning all n-choose-size subsets would not.
     """
     full = g.full_mask
-    maxcov = max((m.bit_count() for m in g.closed_mask), default=1)
-
-    def rec(d: tuple, dmask: int, covered: int, banned: int, min_free: int):
-        rest = size - len(d)
-        if rest == 0:
-            if covered == full:
-                yield frozenset(d)
-            return
+    closed = g.closed_mask
+    maxcov = max((m.bit_count() for m in closed), default=1)
+    if full.bit_count() > size * maxcov:
+        return
+    stack = [((), 0, 0, 0)]  # chosen vertices, their mask, what they dominate, banned
+    while stack:
+        d, dmask, covered, banned = stack.pop()
         missing = full & ~covered
-        if missing:
-            if missing.bit_count() > rest * maxcov:
-                return
-            v = (missing & -missing).bit_length() - 1
-            local_ban = banned
-            for u in bits(g.closed_mask[v] & ~local_ban & ~dmask):
-                yield from rec(d + (u,), dmask | 1 << u, covered | g.closed_mask[u], local_ban, 0)
-                local_ban |= 1 << u
-        else:
-            for u in range(min_free, g.n):
-                if (dmask >> u | banned >> u) & 1:
-                    continue
-                yield from rec(d + (u,), dmask | 1 << u, covered, banned, u + 1)
-
-    yield from rec((), 0, 0, 0, 0)
+        if not missing:
+            free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
+            yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
+            continue
+        room = (size - len(d) - 1) * maxcov
+        v = (missing & -missing).bit_length() - 1
+        kids = []
+        for u in bits(closed[v] & ~banned & ~dmask):
+            cov = covered | closed[u]
+            if (full & ~cov).bit_count() <= room:
+                kids.append((d + (u,), dmask | 1 << u, cov, banned))
+            banned |= 1 << u
+        stack.extend(reversed(kids))
 
 
-def minimum_dominating_sets(g: Graph, k: int, cap: int = ENUM_CAP) -> list[frozenset[int]]:
+def has_dominating_set(g: Graph, k: int) -> bool:
+    """Do at most ``k`` vertices dominate g?  Supersets of a dominating set
+    dominate, so the sets of min(k, n) vertices decide it."""
+    return next(enumerate_dominating_sets(g, min(k, g.n)), None) is not None
+
+
+def dominating_sets_of_size(g: Graph, size: int) -> list[frozenset[int]]:
+    """Every dominating set of exactly ``size`` vertices, in sorted order."""
+    return sorted(enumerate_dominating_sets(g, size), key=sorted)
+
+
+def minimum_dominating_sets(g: Graph, k: int) -> list[frozenset[int]]:
     """All minimum-cardinality dominating sets, searching sizes 0..k.
 
     The returned sets have the domination number as their size; if that is
@@ -344,7 +340,7 @@ def minimum_dominating_sets(g: Graph, k: int, cap: int = ENUM_CAP) -> list[froze
     no dominating set of size at most k exists.
     """
     for size in range(0, k + 1):
-        found = dominating_sets_of_size(g, size, cap)
+        found = dominating_sets_of_size(g, size)
         if found:
             return found
     raise InfeasibleInstance(f"no dominating set of size at most {k}")

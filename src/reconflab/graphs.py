@@ -274,41 +274,92 @@ def degeneracy(g: Graph) -> tuple[int, list[int]]:
     return d, order
 
 
-def is_forest(g: Graph, removed_mask: int = 0) -> bool:
-    """Acyclicity of g minus the vertices in removed_mask (union-find)."""
-    parent = list(range(g.n))
+def _strip_acyclic(nbr: list[int], alive: int) -> int:
+    """Delete vertices of degree at most one until none is left: they lie on
+    no cycle.  What remains is empty exactly when ``alive`` induced a forest."""
+    todo = alive
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        if (nbr[v] & alive).bit_count() <= 1:
+            alive ^= low
+            todo |= nbr[v] & alive
+    return alive
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for u, v in g.edges:
-        if removed_mask >> u & 1 or removed_mask >> v & 1:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+def _short_cycle(nbr: list[int], alive: int) -> int:
+    """The vertex mask of a shortest cycle in a nonempty graph of minimum
+    degree two: a breadth-first search from every vertex, each cut off once
+    it can no longer beat the best cycle so far.  A non-tree edge closes the
+    cycle through the two tree paths up to their lowest common ancestor."""
+    best, best_len = 0, alive.bit_count() + 1
+    for r in bits(alive):
+        parent, dist = {r: -1}, {r: 0}
+        frontier, depth = [r], 0
+        while frontier and 2 * depth + 1 < best_len:
+            nxt = []
+            for u in frontier:
+                for w in bits(nbr[u] & alive):
+                    if w not in dist:
+                        parent[w], dist[w] = u, depth + 1
+                        nxt.append(w)
+                    elif w != parent[u] and depth + dist[w] + 1 < best_len:
+                        a, b, cycle = u, w, 1 << u | 1 << w
+                        while a != b:  # climb from the deeper end
+                            if dist[a] < dist[b]:
+                                a, b = b, a
+                            a = parent[a]
+                            cycle |= 1 << a
+                        if cycle.bit_count() < best_len:
+                            best, best_len = cycle, cycle.bit_count()
+                            if best_len == 3:
+                                return best
+            frontier, depth = nxt, depth + 1
+    return best
 
 
 def min_feedback_vertex_set(g: Graph, cap: int = ENUM_CAP) -> frozenset[int]:
     """Minimum-cardinality vertex set whose removal leaves a forest.
 
-    Exponential subset search, guarded by ``cap`` on the number of candidate
-    subsets per size; exists only to certify small reduction artifacts.
+    Iterative deepening on the budget b = 0, 1, 2, ...; a search node strips
+    the vertices of degree at most one and succeeds when nothing is left.
+    Otherwise it gives up if b deletions cannot bring m - n down to 0 (one
+    deletion lowers it by at most the largest degree minus one), and else
+    branches on the vertices of one shortest cycle, which every feedback
+    vertex set must hit (Cygan et al., *Parameterized Algorithms*, 2015,
+    section 3.3).  ``cap`` bounds the search nodes summed over all budgets;
+    past it SizeCapExceeded is raised.
     """
-    if is_forest(g):
-        return frozenset()
-    for size in range(1, g.n + 1):
-        if comb(g.n, size) > cap:
-            raise SizeCapExceeded(f"feedback vertex set search: C({g.n},{size}) exceeds cap {cap}")
-        for combo in itertools.combinations(range(g.n), size):
-            if is_forest(g, mask_of(combo)):
-                return frozenset(combo)
-    return frozenset(range(g.n))
+    nbr = g.nbr_mask
+    nodes = 0
+
+    def search(alive: int, budget: int) -> Optional[list[int]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise SizeCapExceeded(f"feedback vertex set search passed {cap} nodes")
+        alive = _strip_acyclic(nbr, alive)
+        if not alive:
+            return []
+        if budget == 0:
+            return None
+        deg = {v: (nbr[v] & alive).bit_count() for v in bits(alive)}
+        if budget * (max(deg.values()) - 1) * 2 < sum(deg.values()) - 2 * len(deg):
+            return None
+        cycle = _short_cycle(nbr, alive)
+        for v in sorted(bits(cycle), key=lambda v: -deg[v]):
+            found = search(alive & ~(1 << v), budget - 1)
+            if found is not None:
+                found.append(v)
+                return found
+        return None
+
+    for budget in range(g.n + 1):
+        found = search(g.full_mask, budget)
+        if found is not None:
+            return frozenset(found)
+    raise AssertionError("deleting every vertex leaves a forest")
 
 
 def contains_biclique(g: Graph, a: int, b: int, cap: int = ENUM_CAP) -> bool:

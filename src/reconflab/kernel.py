@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from math import comb
 from typing import Optional
 
-from .dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, solve
+from .dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, has_dominating_set, solve
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from .graphs import (
     ENUM_CAP,
@@ -107,16 +107,6 @@ def solve_dcr(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> Reconfig
 # ---------------------------------------------------------------------------
 # domination cores
 
-def _has_dominating_set(g: Graph, k: int, cap: int = ENUM_CAP) -> bool:
-    for size in range(0, k + 1):
-        if comb(g.n, size) > cap:
-            raise SizeCapExceeded("dominating-set search over cap")
-        for combo in itertools.combinations(range(g.n), size):
-            if dominates(g, combo, range(g.n)):
-                return True
-    return False
-
-
 def _is_core(g: Graph, k: int, x: frozenset[int], cap: int = ENUM_CAP) -> bool:
     """Exact oracle: every set of at most k vertices dominating x dominates V."""
     total = 0
@@ -137,7 +127,7 @@ def compute_core(g: Graph, k: int, must_include: frozenset[int], d: int,
     The closed-form size bound (2d+1) * k^(d+1) is a certificate the caller
     may check against family-promised inputs, not a construction guarantee.
     """
-    if not _has_dominating_set(g, k, cap):
+    if not has_dominating_set(g, k):
         raise InfeasibleInstance(f"no dominating set of size at most {k}")
     x = set(range(g.n))
     changed = True

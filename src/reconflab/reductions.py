@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .dsr import DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, minimum_dominating_sets, solve
+from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, has_dominating_set,
+                  minimum_dominating_sets, solve)
 from .errors import MalformedInput
-from .graphs import Graph, add_vertex, complete_graph, dominates, mask_of
+from .graphs import Graph, add_vertex, complete_graph, mask_of
 from .tapes import (
     MultiTapeInstance,
     Tape,
@@ -840,10 +841,7 @@ def _selectable(inst: MultiTapeInstance, cap: int) -> bool:
 
 
 def _has_dominating_set(g: Graph, k: int, cap: int) -> bool:
-    """Subset enumeration: do some k vertices dominate g?"""
-    return any(
-        dominates(g, set(c), range(g.n)) for c in itertools.combinations(range(g.n), k)
-    )
+    return has_dominating_set(g, k)
 
 
 def _weighted_satisfiable(phi: NormalizedFormula, k: int, cap: int) -> bool:

@@ -153,7 +153,7 @@ def graph_from_json(payload: dict) -> Graph:
     return Graph(n, edges, labels)
 
 
-def tape_from_json(payload: dict) -> Tape:
+def tape_from_json(payload: dict, sigma: int) -> Tape:
     cells = graph_from_json(_need(payload, "cells"))
     if not cells.is_connected():
         raise MalformedInput("tape cell graph is disconnected")
@@ -162,8 +162,11 @@ def tape_from_json(payload: dict) -> Tape:
         c = int(cell)
         if not (0 <= c < cells.n):
             raise MalformedInput(f"content on unknown cell {c}")
-        for letter in letters:
-            content[c] |= 1 << int(letter)
+        for raw in letters:
+            letter = int(raw)
+            if not (0 <= letter < sigma):
+                raise MalformedInput(f"letter {letter} on cell {c} outside alphabet of {sigma}")
+            content[c] |= 1 << letter
     number = None
     if "number" in payload:
         raw = payload["number"]
@@ -183,9 +186,10 @@ def tape_from_json(payload: dict) -> Tape:
 
 
 def tape_instance_from_json(payload: dict) -> TapeInstance:
+    sigma = int(_need(payload, "sigma"))
     return TapeInstance(
-        sigma=int(_need(payload, "sigma")),
-        tapes=tuple(tape_from_json(t) for t in _need(payload, "tapes")),
+        sigma=sigma,
+        tapes=tuple(tape_from_json(t, sigma) for t in _need(payload, "tapes")),
         cs=tuple(int(c) for c in _need(payload, "cs")),
         ct=tuple(int(c) for c in _need(payload, "ct")),
         sync=bool(payload.get("sync", False)),
@@ -194,10 +198,11 @@ def tape_instance_from_json(payload: dict) -> TapeInstance:
 
 
 def multi_from_json(payload: dict) -> MultiTapeInstance:
+    sigma = int(_need(payload, "sigma"))
     return MultiTapeInstance(
-        sigma=int(_need(payload, "sigma")),
+        sigma=sigma,
         tuples=tuple(
-            tuple(tape_from_json(t) for t in tup) for tup in _need(payload, "tuples")
+            tuple(tape_from_json(t, sigma) for t in tup) for tup in _need(payload, "tuples")
         ),
         sync=bool(payload.get("sync", False)),
         r=int(payload["r"]) if payload.get("r") is not None else None,

@@ -130,46 +130,6 @@ def _best_assignment(
     return dict(best_pick)
 
 
-def _walk_order(
-    tapes: Sequence[Tape], heads: Sequence[int], sub: ReducibleSubset
-) -> list[int]:
-    """Topological order of the letters' park-in walks; cycles are a bug.
-
-    Arc i -> j when letter i occurs on letter j's tape strictly closer to its
-    head than j's parking cell; minimal-distance parking makes this acyclic.
-    """
-    letters = list(sub.assignment)
-    dists = {i: _tape_distances(tapes[i], heads[i]) for i, _ in sub.assignment.values()}
-    arcs: dict[int, set[int]] = {a: set() for a in letters}
-    for a in letters:
-        for b in letters:
-            if a == b:
-                continue
-            tape_b, cell_b = sub.assignment[b]
-            dist = dists[tape_b]
-            for cell in range(tapes[tape_b].cells.n):
-                if tapes[tape_b].content[cell] >> a & 1 and dist[cell] < dist[cell_b]:
-                    arcs[a].add(b)
-                    break
-    order, seen, onstack = [], set(), set()
-
-    def visit(a):
-        if a in onstack:
-            raise AssertionError("cyclic walk order: parking cells were not distance-minimal")
-        if a in seen:
-            return
-        onstack.add(a)
-        for b in arcs[a]:
-            visit(b)
-        onstack.discard(a)
-        seen.add(a)
-        order.append(a)
-    for a in letters:
-        visit(a)
-    order.reverse()
-    return order
-
-
 def _strip_letters(tape: Tape, keep_map: dict[int, int]) -> Tape:
     content = []
     for m in tape.content:
@@ -222,7 +182,6 @@ def tape_reduce_once(inst: TapeInstance) -> TapeInstance:
         [inst.tapes[i] for i in rest], heads=[inst.cs[i] for i in rest]
     )
     assert isinstance(sub, ReducibleSubset)
-    _walk_order([inst.tapes[i] for i in rest], [inst.cs[i] for i in rest], sub)
     dropped = [rest[i] for i in sub.indices]
     return _drop(inst, dropped=dropped, erased=list(sub.letters))
 

@@ -1,0 +1,75 @@
+"""Reference certificate verifiers: subset enumeration and recursive generators.
+
+``graphs.min_feedback_vertex_set`` branches on short cycles and
+``dsr.enumerate_dominating_sets`` runs on one explicit stack; this module keeps
+the direct constructions they replaced as the oracles they are compared
+against, together with the union-find forest test the subset search uses.
+"""
+from __future__ import annotations
+
+import itertools
+
+from reconflab.graphs import Graph, bits, mask_of
+
+
+def is_forest(g: Graph, removed_mask: int = 0) -> bool:
+    """Acyclicity of g minus the vertices in removed_mask (union-find)."""
+    parent = list(range(g.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in g.edges:
+        if removed_mask >> u & 1 or removed_mask >> v & 1:
+            continue
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
+    """First subset, by increasing size, whose removal leaves a forest."""
+    for size in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            if is_forest(g, mask_of(combo)):
+                return frozenset(combo)
+    raise AssertionError("deleting every vertex leaves a forest")
+
+
+def enumerate_dominating_sets(g: Graph, size: int):
+    """Every dominating set of exactly ``size`` vertices, from nested generators.
+
+    Branches on the smallest undominated vertex's closed neighborhood with an
+    exclusion set for canonicity; once everything is dominated, the remaining
+    slots are filled in ascending order, one generator frame per slot.
+    """
+    full = g.full_mask
+    maxcov = max((m.bit_count() for m in g.closed_mask), default=1)
+
+    def rec(d: tuple, dmask: int, covered: int, banned: int, min_free: int):
+        rest = size - len(d)
+        if rest == 0:
+            if covered == full:
+                yield frozenset(d)
+            return
+        missing = full & ~covered
+        if missing:
+            if missing.bit_count() > rest * maxcov:
+                return
+            v = (missing & -missing).bit_length() - 1
+            local_ban = banned
+            for u in bits(g.closed_mask[v] & ~local_ban & ~dmask):
+                yield from rec(d + (u,), dmask | 1 << u, covered | g.closed_mask[u], local_ban, 0)
+                local_ban |= 1 << u
+        else:
+            for u in range(min_free, g.n):
+                if (dmask >> u | banned >> u) & 1:
+                    continue
+                yield from rec(d + (u,), dmask | 1 << u, covered, banned, u + 1)
+
+    yield from rec((), 0, 0, 0, 0)

@@ -5,6 +5,7 @@ import pytest
 from reconflab import serialize
 from reconflab.cli import main
 from reconflab.dsr import SLIDE, DsrInstance, solve
+from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, cycle_graph, path_graph
 from reconflab.kernel import DcrInstance
 from reconflab.reductions import NormalizedFormula
@@ -59,8 +60,6 @@ def test_formula_roundtrip():
 
 
 def test_decode_rejects_unknown_kind():
-    from reconflab.errors import MalformedInput
-
     with pytest.raises(MalformedInput):
         serialize.decode({"kind": "mystery", "version": 1})
 
@@ -131,6 +130,14 @@ def test_verify_reduction_negative_exit(tmp_path, capsys):
     path = write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5)))
     code, doc = run(capsys, "verify-reduction", path, "--construction",
                     "dominating-set", "--k", "1")
+    assert code == 0 and doc["agree"] is True
+
+
+def test_verify_reduction_dominating_set_budget_above_n(tmp_path, capsys):
+    # nine tokens on five vertices: a dominating set of at most nine exists
+    path = write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5)))
+    code, doc = run(capsys, "verify-reduction", path, "--construction",
+                    "dominating-set", "--k", "9")
     assert code == 0 and doc["agree"] is True
 
 
@@ -249,6 +256,21 @@ def test_solve_tape_rejects_missing_cell_number(tmp_path, capsys):
     del doc["tapes"][0]["number"]["1"]
     code, out = run(capsys, "solve-tape", write(tmp_path, "t.json", doc))
     assert code == 2 and out is None
+
+
+def test_solve_tape_rejects_letters_outside_the_alphabet(tmp_path, capsys):
+    doc = _generated_sync_tape(capsys)
+    doc["tapes"][0]["content"]["0"] = [0, 1, 5]
+    code, out = run(capsys, "solve-tape", write(tmp_path, "t.json", doc))
+    assert code == 2 and out is None
+
+
+def test_multi_decoder_rejects_letters_outside_the_alphabet():
+    multi = MultiTapeInstance(1, ((path_tape([1]), path_tape([0])),))
+    doc = serialize.multi_to_json(multi)
+    doc["tuples"][0][1]["content"] = {"0": [1]}
+    with pytest.raises(MalformedInput):
+        serialize.decode(doc)
 
 
 def test_solve_tape_rejects_disconnected_cells(tmp_path, capsys):

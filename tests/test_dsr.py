@@ -4,14 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import certificate_oracle
 import dsr_oracle
 from dsr_oracle import successors
 from reconflab import dsr
+from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import (
     JUMP,
     SLIDE,
     DsrInstance,
     dominating_sets_of_size,
+    enumerate_dominating_sets,
     is_feasible,
     minimum_dominating_sets,
     solve,
@@ -19,6 +22,7 @@ from reconflab.dsr import (
 )
 from reconflab.errors import InfeasibleInstance, MalformedInput, StateCapExceeded
 from reconflab.graphs import Graph, complete_graph, cycle_graph, dominates, path_graph
+from reconflab.reductions import tape_to_tj_cdsr
 
 
 # ------------------------------------------------------------------ oracle
@@ -334,6 +338,38 @@ def test_minimum_dominating_sets_infeasible():
     g = Graph(4, [])
     with pytest.raises(InfeasibleInstance):
         minimum_dominating_sets(g, 2)
+
+
+def enumerator_cases() -> list[tuple[Graph, int]]:
+    """Seeded graphs at every size from 0 to n + 1, graphs with isolated
+    vertices, and connected-jumping reduction outputs at and below their
+    budget."""
+    rng = random.Random(4402)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        p = rng.choice((0.2, 0.4, 0.6))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        cases += [(g, size) for size in range(n + 2)]
+    for g in (Graph(6, [(0, 1), (1, 2)]), Graph(5, [(1, 3)]), Graph(3, []), Graph(0, [])):
+        cases += [(g, size) for size in range(g.n + 2)]
+    rng = random.Random(7601)  # acceptance C06's seed
+    outputs: list[Graph] = []
+    while len(outputs) < 3:  # the first artifact, then two distinct two-tape ones
+        _, art = _small_irreducible(rng, cells=2, sigma=2)
+        cd = tape_to_tj_cdsr(art)
+        if cd.graph not in outputs and (not outputs or len(art.tapes) <= 2):
+            outputs.append(cd.graph)
+            # three tapes give ~500k sets at the budget; stay two below it there
+            top = cd.k - 2 if len(art.tapes) > 2 else cd.k
+            cases += [(cd.graph, top - 1), (cd.graph, top)]
+    return cases
+
+
+def test_enumerator_matches_oracle():
+    for g, size in enumerator_cases():
+        got = list(enumerate_dominating_sets(g, size))
+        assert got == list(certificate_oracle.enumerate_dominating_sets(g, size)), (g, size)
 
 
 def test_dominating_sets_of_size_matches_definition():

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import certificate_oracle
+from reconflab.acceptance import _small_irreducible
 from reconflab.errors import MalformedInput, SizeCapExceeded
 from reconflab.graphs import (
     Graph,
@@ -15,11 +17,14 @@ from reconflab.graphs import (
     delete_vertices,
     dominates,
     find_reducible_vertex,
+    mask_of,
     merge_vertices,
     min_feedback_vertex_set,
     neighborhood_classes,
     path_graph,
 )
+from reconflab.reductions import tape_to_ts_dsr
+from reconflab.tapes import extended_graph
 
 
 def random_graph(rng, n, p=0.5):
@@ -218,6 +223,37 @@ def test_fvs_k4_two():
 def test_fvs_cap():
     with pytest.raises(SizeCapExceeded):
         min_feedback_vertex_set(complete_graph(12), cap=10)
+
+
+def fvs_cases() -> list[Graph]:
+    """Seeded random graphs, the first C05 artifacts (extended graph and
+    sliding-reduction output), K4, cycles, a forest and a disconnected graph."""
+    rng = random.Random(4401)
+    graphs = [random_graph(rng, rng.randint(0, 10), rng.uniform(0.15, 0.7))
+              for _ in range(200)]
+    rng = random.Random(7501)  # acceptance C05's seed
+    for i in range(12):
+        _, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
+        graphs += [extended_graph(art), tape_to_ts_dsr(art).graph]
+    forest = Graph(9, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)])
+    # a triangle, a K4 sharing nothing with it, a pendant path and two isolated vertices
+    apart = Graph(11, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+                       (5, 6), (6, 7), (7, 8)])
+    # branching on only the two highest-degree vertices of each shortest cycle
+    # misses the minimum here: the search must try every vertex of the cycle
+    low_pick = [Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4),
+                          (2, 5), (3, 4), (3, 5)]),
+                Graph(10, [(0, 3), (0, 9), (1, 2), (1, 3), (1, 4), (1, 7), (2, 4), (2, 5),
+                           (2, 6), (3, 5), (3, 6), (3, 7), (3, 8), (4, 6), (4, 7), (5, 9),
+                           (6, 8)])]
+    return graphs + low_pick + [complete_graph(4), cycle_graph(3), cycle_graph(9), forest, apart]
+
+
+def test_fvs_matches_oracle():
+    for g in fvs_cases():
+        got = min_feedback_vertex_set(g)
+        assert len(got) == len(certificate_oracle.min_feedback_vertex_set(g)), g
+        assert certificate_oracle.is_forest(g, mask_of(got)), g
 
 
 # ---------------------------------------------------------------- bicliques

@@ -9,6 +9,7 @@ from reconflab.graphs import Graph, bits
 from reconflab.tape_reduce import (
     EmptyTape,
     ReducibleSubset,
+    _tape_distances,
     extract_reducible_subset,
     reduce_tapes_fully,
     solve_bounded_alphabet,
@@ -37,6 +38,40 @@ def random_instance(rng, sigma=None, extra_tapes=2, max_cells=3):
         if len(valid) >= 2:
             cs, ct = rng.sample(valid, 2)
             return TapeInstance(sigma, tuple(tapes), cs, ct)
+
+
+def walk_order(tapes, heads, sub: ReducibleSubset) -> list[int]:
+    """Topological order of the letters' park-in walks; cycles are a bug.
+
+    Arc a -> b when letter a occurs on letter b's tape strictly closer to its
+    head than b's parking cell; minimal-distance parking makes this acyclic.
+    """
+    letters = list(sub.assignment)
+    arcs: dict[int, set[int]] = {a: set() for a in letters}
+    for b in letters:
+        tape_b, cell_b = sub.assignment[b]
+        dist = _tape_distances(tapes[tape_b], heads[tape_b])
+        for a in letters:
+            if a != b and any(tapes[tape_b].content[cell] >> a & 1 and dist[cell] < dist[cell_b]
+                              for cell in range(tapes[tape_b].cells.n)):
+                arcs[a].add(b)
+    order, seen, onstack = [], set(), set()
+
+    def visit(a):
+        assert a not in onstack, "cyclic walk order: parking cells were not distance-minimal"
+        if a in seen:
+            return
+        onstack.add(a)
+        for b in arcs[a]:
+            visit(b)
+        onstack.discard(a)
+        seen.add(a)
+        order.append(a)
+
+    for a in letters:
+        visit(a)
+    order.reverse()
+    return order
 
 
 # ------------------------------------------------------- extract subset
@@ -86,6 +121,7 @@ def test_extract_postconditions_vs_subset_scan(seed):
     for letter, (tape, cell) in sub.assignment.items():
         assert tape in sub.indices
         assert tapes[tape].content[cell] >> letter & 1
+    assert sorted(walk_order(tapes, [t.start for t in tapes], sub)) == list(sub.letters)
     # minimality vs exhaustive scan: no smaller group has alphabet < size
     for size in range(1, len(sub.indices)):
         for combo in itertools.combinations(range(len(tapes)), size):
@@ -127,6 +163,9 @@ def test_reduce_once_rejects_sync_and_small():
 def test_reduce_once_preserves_answer(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
+    sub = extract_reducible_subset(inst.tapes, heads=inst.cs)
+    if isinstance(sub, ReducibleSubset):
+        assert sorted(walk_order(inst.tapes, inst.cs, sub)) == list(sub.letters)
     out = tape_reduce_once(inst)
     assert len(out.tapes) < len(inst.tapes)
     assert solve_tape(out).reachable == solve_tape(inst).reachable
