@@ -49,6 +49,17 @@ def _emit(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _reach_result(res, witness: bool, config_json) -> dict:
+    """The solve-result document of one search; ``config_json`` lists a configuration."""
+    out = {"kind": "solve-result", "version": 1, "reachable": res.reachable,
+           "explored": res.explored}
+    if res.witness is not None:
+        out["witnessLength"] = len(res.witness) - 1
+        if witness:
+            out["witness"] = [config_json(c) for c in res.witness]
+    return out
+
+
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
     if isinstance(inst, DcrInstance):
@@ -57,26 +68,14 @@ def _cmd_solve(args) -> int:
         res = solve(inst, args.state_cap)
     else:
         raise MalformedInput("solve expects a dsr-instance or dcr-instance")
-    out = {"kind": "solve-result", "version": 1, "reachable": res.reachable,
-           "explored": res.explored}
-    if res.witness is not None:
-        out["witnessLength"] = len(res.witness) - 1
-        if args.witness:
-            out["witness"] = [sorted(c) for c in res.witness]
-    _emit(out)
+    _emit(_reach_result(res, args.witness, sorted))
     return EXIT_OK
 
 
 def _cmd_solve_tape(args) -> int:
     inst = _load(args.instance)
     if isinstance(inst, TapeInstance):
-        res = solve_tape(inst, args.state_cap)
-        out = {"kind": "solve-result", "version": 1, "reachable": res.reachable,
-               "explored": res.explored}
-        if res.witness is not None:
-            out["witnessLength"] = len(res.witness) - 1
-            if args.witness:
-                out["witness"] = [list(c) for c in res.witness]
+        out = _reach_result(solve_tape(inst, args.state_cap), args.witness, list)
     elif isinstance(inst, MultiTapeInstance):
         res = solve_multi(inst, args.state_cap)
         out = {"kind": "solve-result", "version": 1, "positive": res.positive}

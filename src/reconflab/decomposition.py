@@ -117,8 +117,3 @@ def verify_decomposition(g: Graph, td: TreeDecomposition, s: Optional[int] = Non
         structured = td.max_tapes_per_bag() <= s
     return DecompositionReport(valid=valid, width=td.width if td.bags else -1,
                                structured=structured, reasons=tuple(reasons))
-
-
-def trivial_decomposition(g: Graph, tape_of: Optional[dict[int, int]] = None) -> TreeDecomposition:
-    """Single bag holding every vertex; the universal fallback."""
-    return TreeDecomposition(bags=(frozenset(range(g.n)),), tree=(), tape_of=tape_of)

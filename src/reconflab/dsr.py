@@ -1,10 +1,12 @@
 """Exact reachability for dominating-set reconfiguration under sliding and jumping.
 
 Configurations are exact-k vertex sets (no token stacking, no null moves).
-Inside the breadth-first search a configuration D is an int bitmask, and the
-legal destinations of the token on u come out as one mask: with
-``priv(u) = core & ~N[D - u]`` (N[D - u] from prefix and suffix ORs of the
-closed neighbourhoods, O(k) per state), they are
+``bfs`` is the package's one breadth-first search: the token search here and
+the head search of ``tapes`` both run on it, each with its own successors.
+Inside the token search a configuration D is an int bitmask, and the legal
+destinations of the token on u come out as one mask: with ``priv(u)`` the
+core vertices that u alone dominates (one pass over the tokens finds the
+vertices dominated twice, O(k) per state), they are
 ``AND_{x in priv(u)} N[x] & ~D``, further masked by N(u) for sliding and by
 u's part for partitioned instances; only connected instances test each
 candidate.  Successors are still expanded in lexicographic order of their
@@ -47,6 +49,34 @@ class ReconfigResult:
     reachable: bool
     witness: Optional[tuple[frozenset[int], ...]]
     explored: int
+
+
+def bfs(start, goal, successors, state_cap: int):
+    """Shortest path from ``start`` to ``goal`` (None if none) and the number of states seen.
+
+    ``successors(state, visited)`` lists the states one move away in discovery
+    order; it may leave out states already in ``visited``.  The goal is tested
+    before the cap.  Token and tape searches both run on this loop.
+    """
+    if start == goal:
+        return (start,), 1
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in successors(cur, parents):
+            if nxt in parents:
+                continue
+            parents[nxt] = cur
+            if nxt == goal:
+                path = [nxt]
+                while parents[path[-1]] is not None:
+                    path.append(parents[path[-1]])
+                return tuple(reversed(path)), len(parents)
+            if len(parents) > state_cap:
+                raise StateCapExceeded(f"search passed {state_cap} configurations")
+            queue.append(nxt)
+    return None, len(parents)
 
 
 def validate_instance(inst: DsrInstance) -> None:
@@ -142,9 +172,6 @@ def _move_masks(inst: DsrInstance) -> list[int]:
 
 
 def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
-    source, target = inst.source, inst.target
-    if source == target:
-        return ReconfigResult(True, (source,), 1)
     g = inst.graph
     closed = g.closed_mask
     core = _core_mask(inst)
@@ -155,21 +182,18 @@ def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
     # D - u + v reverses to rev(D) - rank[u] + rank[v], so sorting ascending
     # on rank[u] - rank[v] reproduces that order.
     rank = [1 << (g.n - 1 - v) for v in range(g.n)]
-    start, goal = mask_of(source), mask_of(target)
-    parents: dict[int, int] = {start: -1}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+
+    def successors(cur: int, visited: dict) -> list[int]:
         tokens = list(bits(cur))
-        suffix = [0] * (len(tokens) + 1)
-        for i in range(len(tokens) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | closed[tokens[i]]
-        prefix = 0
+        seen = twice = 0
+        for u in tokens:
+            twice |= seen & closed[u]
+            seen |= closed[u]
+        once = core & ~twice  # core vertices one token dominates (cur dominates all)
         fresh = []
-        for i, u in enumerate(tokens):
+        for u in tokens:
             dest = moves[u] & ~cur
-            priv = core & ~(prefix | suffix[i + 1])
-            prefix |= closed[u]
+            priv = once & closed[u]
             while priv and dest:
                 low = priv & -priv
                 dest &= closed[low.bit_length() - 1]
@@ -180,23 +204,15 @@ def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
                 low = dest & -dest
                 dest ^= low
                 nxt = rest | low
-                if nxt in parents or (connected and not _induces_connected(g, nxt)):
+                if nxt in visited or (connected and not _induces_connected(g, nxt)):
                     continue
                 fresh.append((ru - rank[low.bit_length() - 1], nxt))
-        # visited states were skipped above: only the order of the new ones
-        # decides parents, the cap and the witness
         fresh.sort()
-        for _, nxt in fresh:
-            parents[nxt] = cur
-            if nxt == goal:
-                path = [nxt]
-                while parents[path[-1]] != -1:
-                    path.append(parents[path[-1]])
-                return ReconfigResult(True, tuple(set_of(m) for m in reversed(path)), len(parents))
-            if len(parents) > state_cap:
-                raise StateCapExceeded(f"search passed {state_cap} configurations")
-            queue.append(nxt)
-    return ReconfigResult(False, None, len(parents))
+        return [nxt for _, nxt in fresh]
+
+    path, explored = bfs(mask_of(inst.source), mask_of(inst.target), successors, state_cap)
+    witness = None if path is None else tuple(set_of(m) for m in path)
+    return ReconfigResult(path is not None, witness, explored)
 
 
 def _solve_per_component(inst: DsrInstance, state_cap: int) -> ReconfigResult:
@@ -212,11 +228,7 @@ def _solve_per_component(inst: DsrInstance, state_cap: int) -> ReconfigResult:
         tgt = inst.target & cset
         if len(src) != len(tgt):
             return ReconfigResult(False, None, explored)
-        if not src:
-            if inst.core_set() & cset:
-                # unreachable corner: instance validation already requires the
-                # source to dominate the core, so this cannot happen
-                return ReconfigResult(False, None, explored)
+        if not src:  # the source dominates the core, so no core vertex is here
             continue
         sub, remap = delete_vertices(g, [v for v in range(g.n) if v not in cset])
         back = {nv: ov for ov, nv in remap.items()}

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from typing import Optional
 
 from .dsr import JUMP, SLIDE, DsrInstance, is_feasible
@@ -67,20 +66,6 @@ def random_connected_cells(rng: random.Random, m: int, extra_prob: float = 0.2) 
     return Graph(m, edges)
 
 
-def _bfs_layers(g: Graph, root: int) -> list[int]:
-    dist = [0] * g.n
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def gen_random_tape_instance(
     seed: int,
     tapes: int,
@@ -106,7 +91,7 @@ def gen_random_tape_instance(
                 sum(1 << l for l in range(sigma) if rng.random() < content_prob)
                 for _ in range(m)
             )
-            number = tuple(d + 1 for d in _bfs_layers(g, 0)) if sync else None
+            number = tuple(d + 1 for d in g.distances(0)) if sync else None
             built.append(Tape(g, content, 0, m - 1, number))
         if sync:
             r = max(max(t.number) for t in built)

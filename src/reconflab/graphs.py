@@ -7,7 +7,8 @@ every graph size this package handles.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from collections import deque
+from math import comb, inf
 from typing import Iterable, Optional
 
 from .errors import MalformedInput, SizeCapExceeded
@@ -114,6 +115,19 @@ class Graph:
                         stack.append(w)
             comps.append(sorted(comp))
         return comps
+
+    def distances(self, source: int) -> list[float]:
+        """Edge counts of shortest paths from ``source``; inf where unreachable."""
+        dist: list[float] = [inf] * self.n
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in self.adj[u]:
+                if dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

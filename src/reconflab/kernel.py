@@ -141,10 +141,6 @@ def compute_core(g: Graph, k: int, must_include: frozenset[int], d: int,
     return frozenset(x)
 
 
-def core_size_bound(k: int, d: int) -> int:
-    return (2 * d + 1) * k ** (d + 1)
-
-
 # ---------------------------------------------------------------------------
 # reduction rules; each returns a new instance (identical object if no-op)
 

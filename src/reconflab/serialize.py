@@ -112,10 +112,6 @@ def formula_to_json(phi: NormalizedFormula) -> dict:
     return _envelope("formula", {"vars": phi.nvars, "tree": node(phi.root)})
 
 
-def witness_to_json(configs) -> dict:
-    return _envelope("witness", {"configs": [sorted(c) for c in configs]})
-
-
 def encode(obj: Any) -> dict:
     if isinstance(obj, Graph):
         return graph_to_json(obj)
@@ -144,12 +140,9 @@ def _need(payload: dict, key: str):
 def graph_from_json(payload: dict) -> Graph:
     if payload.get("kind", "graph") != "graph":
         raise MalformedInput("expected a graph document")
-    try:
-        n = int(_need(payload, "n"))
-        edges = [(int(u), int(v)) for u, v in _need(payload, "edges")]
-        labels = {int(v): str(lab) for v, lab in payload.get("labels", {}).items()}
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad graph document: {exc}") from exc
+    n = int(_need(payload, "n"))
+    edges = [(int(u), int(v)) for u, v in _need(payload, "edges")]
+    labels = {int(v): str(lab) for v, lab in payload.get("labels", {}).items()}
     return Graph(n, edges, labels)
 
 
@@ -170,8 +163,6 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
     number = None
     if "number" in payload:
         raw = payload["number"]
-        if not isinstance(raw, dict):
-            raise MalformedInput("tape numbering must map cells to numbers")
         missing = [c for c in range(cells.n) if str(c) not in raw]
         if missing:
             raise MalformedInput(f"tape numbering misses cells {missing}")
@@ -238,8 +229,6 @@ def dcr_from_json(payload: dict) -> DcrInstance:
 
 def formula_from_json(payload: dict) -> NormalizedFormula:
     def node(raw):
-        if not isinstance(raw, list) or not raw:
-            raise MalformedInput("formula nodes are [op, ...] lists")
         if raw[0] == "var":
             return ("var", int(raw[1]))
         if raw[0] in ("and", "or"):
@@ -265,11 +254,16 @@ DECODERS = {
 
 
 def decode(doc: dict):
+    """Decode any envelope.  The decoders assume well-typed fields; the errors
+    a badly typed field raises become ``MalformedInput`` here, and only here."""
     if not isinstance(doc, dict):
         raise MalformedInput("expected a JSON object")
     kind = doc.get("kind")
-    if kind not in DECODERS:
+    if not isinstance(kind, str) or kind not in DECODERS:
         raise MalformedInput(f"unknown document kind {kind!r}")
     if doc.get("version", VERSION) != VERSION:
         raise MalformedInput(f"unsupported version {doc.get('version')!r}")
-    return DECODERS[kind](doc)
+    try:
+        return DECODERS[kind](doc)
+    except (TypeError, ValueError, AttributeError, IndexError, KeyError) as exc:
+        raise MalformedInput(f"bad {kind} document: {exc!r}") from exc

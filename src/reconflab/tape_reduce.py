@@ -8,7 +8,6 @@ Deleting the group (and erasing its letters everywhere) preserves the answer.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,19 +31,6 @@ class ReducibleSubset:
     indices: tuple[int, ...]  # the tape group L, as indices into the input list
     letters: tuple[int, ...]  # its joint alphabet
     assignment: dict[int, tuple[int, int]]  # letter -> (tape index, cell)
-
-
-def _tape_distances(tape: Tape, source: int) -> list[float]:
-    dist: list[float] = [INF] * tape.cells.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in tape.cells.neighbors(u):
-            if dist[w] is INF:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def extract_reducible_subset(
@@ -100,7 +86,7 @@ def _best_assignment(
     # nearest[(letter, tape)] = (distance, cell) for the closest cell holding the letter
     nearest: dict[tuple[int, int], tuple[float, int]] = {}
     for i in group:
-        dist = _tape_distances(tapes[i], heads[i])
+        dist = tapes[i].cells.distances(heads[i])
         for letter in letters:
             best = (INF, -1)
             for cell in range(tapes[i].cells.n):

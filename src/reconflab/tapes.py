@@ -4,16 +4,21 @@ A tape is a connected cell graph whose cells carry letter subsets (bitmask
 encoded).  One read head sits on each tape; a configuration is valid when the
 heads' letters jointly cover the whole alphabet.  Synchronized instances
 additionally keep all head numbers within one step of each other modulo r.
+
+Input is checked once, where it enters: ``solve_tape`` rejects an instance
+that ``validate_instance`` finds a problem with, and ``solve_multi`` one that
+``validate_multi`` does.  The search, on ``dsr.bfs``, then meets only valid
+configurations, so it raises nothing and re-checks nothing per state, and a
+moved head is tested only for what the move can break.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dsr import DEFAULT_STATE_CAP, ReconfigResult
-from .errors import MalformedInput, SizeCapExceeded, StateCapExceeded
+from .dsr import DEFAULT_STATE_CAP, ReconfigResult, bfs
+from .errors import MalformedInput, SizeCapExceeded
 from .graphs import Graph, bits, set_of
 
 
@@ -97,85 +102,84 @@ def _mod_close(a: int, b: int, r: int) -> bool:
     return (a - b) % r in (0, 1, r - 1)
 
 
-def _synchronized(inst: TapeInstance, config: tuple[int, ...]) -> bool:
-    assert inst.r is not None
-    nums = []
-    for tape, c in zip(inst.tapes, config):
-        if tape.number is None:
-            raise MalformedInput("synchronized instance contains an unnumbered tape")
-        nums.append(tape.number[c])
-    return all(_mod_close(a, b, inst.r) for a, b in itertools.combinations(nums, 2))
-
-
 def is_valid_configuration(inst: TapeInstance, config: tuple[int, ...]) -> bool:
-    if len(config) != len(inst.tapes):
-        raise MalformedInput("configuration must hold one cell per tape")
+    """The heads cover Σ and, when synchronized, sit in one number window.
+
+    ``config`` holds one cell per tape, and a synchronized instance has its
+    modulus and numberings: ``validate_instance`` checks both.
+    """
     covered = 0
     for tape, c in zip(inst.tapes, config):
-        if not (0 <= c < tape.cells.n):
-            raise MalformedInput(f"cell {c} out of range")
         covered |= tape.content[c]
     if covered & inst.full_mask != inst.full_mask:
         return False
-    if inst.sync and not _synchronized(inst, config):
-        return False
-    return True
+    nums = [t.number[c] for t, c in zip(inst.tapes, config)] if inst.sync else ()
+    return all(_mod_close(a, b, inst.r) for a, b in itertools.combinations(nums, 2))
 
 
 def tape_successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Move exactly one head along a tape edge; keep only valid results."""
-    if not is_valid_configuration(inst, config):
-        raise MalformedInput("successors of an invalid configuration")
+    """Move exactly one head along a tape edge; keep only valid results.
+
+    ``config`` must be valid in an instance ``validate_instance`` passes, so a
+    moved head is tested only for what its move can break: the letters no
+    other head covers and, when synchronized, the heads' number window.  The
+    window keeps the moved head's old number, which is harmless: adjacent
+    cells differ by at most one modulo r.
+    """
+    held = [t.content[c] for t, c in zip(inst.tapes, config)]
+    window = {t.number[c] for t, c in zip(inst.tapes, config)} if inst.sync else ()
+    seen = twice = 0
+    for m in held:
+        twice |= seen & m
+        seen |= m
+    once = inst.full_mask & ~twice  # letters of Σ under exactly one head
     out = []
     for i, tape in enumerate(inst.tapes):
+        need = held[i] & once
         for nb in tape.cells.neighbors(config[i]):
-            nxt = config[:i] + (nb,) + config[i + 1 :]
-            if is_valid_configuration(inst, nxt):
-                out.append(nxt)
+            if need & ~tape.content[nb]:
+                continue
+            if window and not all(_mod_close(tape.number[nb], y, inst.r) for y in window):
+                continue
+            out.append(config[:i] + (nb,) + config[i + 1 :])
     return out
 
 
 def solve_tape(inst: TapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
-    """Breadth-first search over head tuples from cs; reachable iff ct found."""
-    cs, ct = tuple(inst.cs), tuple(inst.ct)
-    for name, config in (("cs", cs), ("ct", ct)):
-        if not is_valid_configuration(inst, config):
-            raise MalformedInput(f"{name} is not a valid configuration")
-    if cs == ct:
-        return ReconfigResult(True, (cs,), 1)
-    parents: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {cs: None}
-    queue = deque([cs])
-    while queue:
-        cur = queue.popleft()
-        for nxt in tape_successors(inst, cur):
-            if nxt in parents:
-                continue
-            parents[nxt] = cur
-            if nxt == ct:
-                path = [nxt]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return ReconfigResult(True, tuple(path), len(parents))
-            if len(parents) > state_cap:
-                raise StateCapExceeded(f"tape search passed {state_cap} configurations")
-            queue.append(nxt)
-    return ReconfigResult(False, None, len(parents))
+    """Breadth-first search over head tuples from cs; reachable iff ct found.
+
+    The instance is checked once, here, by ``validate_instance``: the search
+    then meets only valid configurations and re-checks none of them.
+    """
+    problems = validate_instance(inst)
+    if problems:
+        raise MalformedInput("; ".join(problems))
+    return _search(inst, state_cap)
+
+
+def _search(inst: TapeInstance, state_cap: int) -> ReconfigResult:
+    path, explored = bfs(tuple(inst.cs), tuple(inst.ct),
+                         lambda config, _: tape_successors(inst, config), state_cap)
+    return ReconfigResult(path is not None, path, explored)
 
 
 def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> MultiResult:
-    """Try selections in lexicographic order; first positive one wins."""
+    """Try selections in lexicographic order; first positive one wins.
+
+    The instance is checked once, by ``validate_multi``.  A selection whose
+    start or end configuration is not valid is negative without a search.
+    """
+    problems = validate_multi(inst)
+    if problems:
+        raise MalformedInput("; ".join(problems))
     if not inst.tuples:
         # zero tuples: the empty configuration covers nothing
         return MultiResult(inst.sigma == 0, ())
     for indices in itertools.product(*(range(len(t)) for t in inst.tuples)):
         sel = inst.select(indices)
-        try:
-            if solve_tape(sel, state_cap).reachable:
-                return MultiResult(True, indices)
-        except MalformedInput:
-            # selection whose start or end configuration is invalid: negative
-            continue
+        ends_valid = is_valid_configuration(sel, sel.cs) and is_valid_configuration(sel, sel.ct)
+        if ends_valid and _search(sel, state_cap).reachable:
+            return MultiResult(True, indices)
     return MultiResult(False, None)
 
 
@@ -253,9 +257,7 @@ def build_extended(inst: TapeInstance | MultiTapeInstance) -> ExtendedGraph:
             vid = base[i] + c
             labels[vid] = f"cell:{i}:{c}"
             tape_of[vid] = i
-            for letter in bits(t.content[c]):
-                if letter >= inst.sigma:
-                    raise MalformedInput(f"letter {letter} outside alphabet of {inst.sigma}")
+            for letter in bits(t.content[c]):  # Graph rejects a letter >= sigma
                 edges.append((vid, letter_base + letter))
     for letter in range(inst.sigma):
         labels[letter_base + letter] = f"letter:{letter}"
@@ -291,53 +293,66 @@ def tape_is_subdivided_star(tape: Tape) -> bool:
     return sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
 
 
-def validate_instance(
-    inst: TapeInstance,
-    expect_paths: bool = False,
-    expect_stars: bool = False,
-) -> list[str]:
-    """All violated invariants, as human-readable strings; empty means sound."""
+def _numbering_problems(named_tapes: Iterable[tuple[str, Tape]], sync: bool, r: Optional[int]) -> list[str]:
+    """Faults of the modulus and the numberings, before anything divides by r.
+
+    A synchronized instance needs r >= 1 and a numbering on every tape;
+    numbers lie in [1, r] and adjacent cells differ by at most one modulo r.
+    """
     problems = []
+    if r is not None and r < 1:
+        problems.append(f"modulus r={r} is below 1")
+        r = None
+    elif sync and r is None:
+        problems.append("synchronized instance without modulus r")
+    for name, t in named_tapes:
+        if t.number is None:
+            if sync:
+                problems.append(f"{name} lacks a numbering in a synchronized instance")
+        elif r is not None:
+            if any(not (1 <= x <= r) for x in t.number):
+                problems.append(f"{name} numbering leaves [1,{r}]")
+            for u, v in t.cells.edges:
+                if not _mod_close(t.number[u], t.number[v], r):
+                    problems.append(
+                        f"{name} cells {u},{v} adjacent but numbered "
+                        f"{t.number[u]},{t.number[v]} (gap > 1 mod {r})"
+                    )
+    return problems
+
+
+def validate_instance(inst: TapeInstance) -> list[str]:
+    """All violated invariants, as human-readable strings; empty means sound.
+
+    Never raises on a decoded instance; ``solve_tape`` rejects any instance
+    for which this list is not empty.
+    """
     if len(inst.cs) != len(inst.tapes) or len(inst.ct) != len(inst.tapes):
         return ["cs/ct do not hold one cell per tape"]
+    problems = []
     for i, t in enumerate(inst.tapes):
         if not t.cells.is_connected():
             problems.append(f"tape {i} cell graph is disconnected")
         if t.alphabet_mask() & ~inst.full_mask:
             problems.append(f"tape {i} uses letters outside the alphabet")
-        if expect_paths and not tape_is_path(t):
-            problems.append(f"tape {i} is not a path")
-        if expect_stars and not tape_is_subdivided_star(t):
-            problems.append(f"tape {i} is not a subdivided star")
-        if t.number is not None:
-            if inst.r is not None:
-                r = inst.r
-                if any(not (1 <= x <= r) for x in t.number):
-                    problems.append(f"tape {i} numbering leaves [1,{r}]")
-                for u, v in t.cells.edges:
-                    if not _mod_close(t.number[u], t.number[v], r):
-                        problems.append(
-                            f"tape {i} cells {u},{v} adjacent but numbered "
-                            f"{t.number[u]},{t.number[v]} (gap > 1 mod {r})"
-                        )
-        elif inst.sync:
-            problems.append(f"tape {i} lacks a numbering in a synchronized instance")
-    if inst.sync and inst.r is None:
-        problems.append("synchronized instance without modulus r")
-    try:
-        for name, config in (("cs", inst.cs), ("ct", inst.ct)):
-            if not is_valid_configuration(inst, config):
-                problems.append(f"{name} is not a valid configuration")
-            elif inst.sync:
-                nums = {t.number[c] for t, c in zip(inst.tapes, config)}
-                if len(nums) > 1:
-                    problems.append(f"{name} heads are not all on one number")
-    except MalformedInput as exc:
-        problems.append(str(exc))
+    numbering = _numbering_problems(
+        ((f"tape {i}", t) for i, t in enumerate(inst.tapes)), inst.sync, inst.r
+    )
+    problems += numbering
+    if inst.sync and numbering:
+        return problems  # cs and ct are not tested against a broken numbering
+    for name, config in (("cs", inst.cs), ("ct", inst.ct)):
+        if any(not (0 <= c < t.cells.n) for t, c in zip(inst.tapes, config)):
+            problems.append(f"{name} has a cell out of range")
+        elif not is_valid_configuration(inst, config):
+            problems.append(f"{name} is not a valid configuration")
+        elif inst.sync and len({t.number[c] for t, c in zip(inst.tapes, config)}) > 1:
+            problems.append(f"{name} heads are not all on one number")
     return problems
 
 
 def validate_multi(inst: MultiTapeInstance) -> list[str]:
+    """All violated invariants of a multi-tape instance; empty means sound."""
     problems = []
     for j, tup in enumerate(inst.tuples):
         if not tup:
@@ -347,7 +362,9 @@ def validate_multi(inst: MultiTapeInstance) -> list[str]:
                 problems.append(f"tuple {j} member {i} is not a path with start/end endpoints")
             if t.alphabet_mask() & ~inst.full_mask:
                 problems.append(f"tuple {j} member {i} uses letters outside the alphabet")
-    return problems
+    named = ((f"tuple {j} member {i}", t)
+             for j, tup in enumerate(inst.tuples) for i, t in enumerate(tup))
+    return problems + _numbering_problems(named, inst.sync, inst.r)
 
 
 # ---------------------------------------------------------------------------

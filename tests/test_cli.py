@@ -212,14 +212,18 @@ def test_every_construction_reduces_and_verifies(tmp_path, capsys, name):
     assert code == 0 and report == {"kind": "verification", "version": 1, "agree": True}
 
 
+def witness_doc(configs) -> dict:
+    return {"kind": "witness", "version": 1, "configs": [sorted(c) for c in configs]}
+
+
 def test_verify_witness_exit_codes(tmp_path, capsys):
     inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
     ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
     res = solve(inst)
-    good = write(tmp_path, "w.json", serialize.witness_to_json(res.witness))
+    good = write(tmp_path, "w.json", witness_doc(res.witness))
     code, doc = run(capsys, "verify-witness", ipath, good)
     assert code == 0 and doc["valid"] is True
-    bad = write(tmp_path, "b.json", serialize.witness_to_json([[0, 1], [1, 2]]))
+    bad = write(tmp_path, "b.json", witness_doc([[0, 1], [1, 2]]))
     code, doc = run(capsys, "verify-witness", ipath, bad)
     assert code == 1 and doc["valid"] is False
 
@@ -280,6 +284,77 @@ def test_solve_tape_rejects_disconnected_cells(tmp_path, capsys):
     assert code == 2 and out is None
 
 
+def test_solve_tape_rejects_synchronized_tape_without_modulus(tmp_path, capsys):
+    doc = _generated_sync_tape(capsys)
+    del doc["r"]
+    code, out = run(capsys, "solve-tape", write(tmp_path, "t.json", doc))
+    assert code == 2 and out is None
+
+
+def test_solve_tape_rejects_modulus_zero(tmp_path, capsys):
+    doc = _generated_sync_tape(capsys)
+    doc["r"] = 0
+    code, out = run(capsys, "solve-tape", write(tmp_path, "t.json", doc))
+    assert code == 2 and out is None
+
+
+def _sync_multi_doc():
+    from reconflab.reductions import ds_to_sync_multi
+
+    return serialize.multi_to_json(ds_to_sync_multi(cycle_graph(5), 2))
+
+
+def test_solve_tape_rejects_synchronized_multi_without_modulus(tmp_path, capsys):
+    doc = _sync_multi_doc()
+    del doc["r"]
+    code, out = run(capsys, "solve-tape", write(tmp_path, "m.json", doc))
+    assert code == 2 and out is None
+
+
+def test_solve_tape_rejects_synchronized_multi_without_numbers(tmp_path, capsys):
+    doc = _sync_multi_doc()
+    code, out = run(capsys, "solve-tape", write(tmp_path, "m.json", doc))
+    assert code == 0 and out["positive"] is True
+    for tup in doc["tuples"]:
+        for tape in tup:
+            del tape["number"]
+    code, out = run(capsys, "solve-tape", write(tmp_path, "m.json", doc))
+    assert code == 2 and out is None
+
+
+def _valid_documents():
+    tape = TapeInstance(1, (path_tape([1, 1]),), (0,), (1,))
+    dsr = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
+    phi = NormalizedFormula(2, ("and", (("or", (("var", 0), ("var", 1))),)))
+    return {"tape": serialize.tape_instance_to_json(tape), "dsr": serialize.dsr_to_json(dsr),
+            "formula": serialize.formula_to_json(phi)}
+
+
+_COMMAND = {"tape": ["solve-tape"], "dsr": ["solve"],
+            "formula": ["reduce", "--to", "multi-tape", "--k", "1"]}
+
+
+@pytest.mark.parametrize("kind,path,value", [
+    ("tape", ("sigma",), None),
+    ("tape", ("tapes",), 5),
+    ("tape", ("tapes", 0, "cells"), []),
+    ("dsr", ("k",), None),
+    ("dsr", ("source",), 5),
+    ("dsr", ("graph",), "x"),
+    ("formula", ("tree",), ["var"]),
+], ids=["tape-sigma-null", "tape-tapes-int", "tape-cells-list", "dsr-k-null",
+        "dsr-source-int", "dsr-graph-string", "formula-var-without-index"])
+def test_badly_typed_field_exits_2(tmp_path, capsys, kind, path, value):
+    doc = _valid_documents()[kind]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    command, *options = _COMMAND[kind]
+    code, out = run(capsys, command, write(tmp_path, "bad.json", doc), *options)
+    assert code == 2 and out is None
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
@@ -321,3 +396,66 @@ def test_random_instances_roundtrip_canonically(seed):
         # canonical: dump -> load -> dump is byte-stable
         dumped = serialize.canonical_dumps(doc)
         assert serialize.canonical_dumps(serialize.encode(serialize.decode(json.loads(dumped)))) == dumped
+
+
+def _envelopes():
+    """One valid envelope of every kind that ``decode`` reads."""
+    from reconflab.reductions import ds_to_sync_multi
+
+    sync = TapeInstance(2, (path_tape([3, 1], number=[1, 2]), path_tape([0, 2], number=[1, 2])),
+                        (0, 0), (1, 1), sync=True, r=2)
+    dsr = DsrInstance(path_graph(4), 2, frozenset({0, 2}), frozenset({1, 3}), SLIDE,
+                      core=frozenset({0, 1, 2, 3}), partition=(frozenset({0, 1}), frozenset({2, 3})))
+    dcr = DcrInstance(path_graph(3), 1, frozenset({1}), frozenset({1}), d=2, core=frozenset({0, 1}))
+    return [
+        serialize.graph_to_json(Graph(3, [(0, 1)], labels={2: "hub"})),
+        serialize.tape_instance_to_json(sync),
+        serialize.multi_to_json(ds_to_sync_multi(path_graph(3), 1)),
+        serialize.dsr_to_json(dsr),
+        serialize.dcr_to_json(dcr),
+        _valid_documents()["formula"],
+        {"kind": "witness", "version": 1, "configs": [[0, 2], [1, 2]]},
+    ]
+
+
+def _field_paths(node, prefix=()):
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+_MISSING = object()
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_decode_of_a_mutated_envelope_returns_or_rejects(data):
+    from reconflab.dsr import validate_instance as validate_dsr
+    from reconflab.tapes import validate_instance, validate_multi
+
+    doc = data.draw(st.sampled_from(_envelopes()))
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    value = data.draw(st.sampled_from([None, 0, 7, -1, "x", [], [0], {}, _MISSING]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        obj = serialize.decode(doc)
+    except MalformedInput:
+        return
+    # what decodes must also get through the solvers' entry checks
+    if isinstance(obj, TapeInstance):
+        assert isinstance(validate_instance(obj), list)
+    elif isinstance(obj, MultiTapeInstance):
+        assert isinstance(validate_multi(obj), list)
+    elif isinstance(obj, DsrInstance):
+        try:
+            validate_dsr(obj)
+        except MalformedInput:
+            pass

@@ -1,6 +1,6 @@
 import pytest
 
-from reconflab.decomposition import TreeDecomposition, trivial_decomposition, verify_decomposition
+from reconflab.decomposition import TreeDecomposition, verify_decomposition
 from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, path_graph
 
@@ -20,7 +20,7 @@ def test_path_window_valid_width_one():
 
 def test_single_bag_valid():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    rep = verify_decomposition(g, trivial_decomposition(g))
+    rep = verify_decomposition(g, TreeDecomposition(bags=(frozenset(range(g.n)),), tree=()))
     assert rep.valid and rep.width == 3
 
 

@@ -11,7 +11,7 @@ from reconflab.generators import (
     gen_sync_path_instance,
 )
 from reconflab.graphs import contains_biclique
-from reconflab.tapes import validate_instance, validate_multi
+from reconflab.tapes import tape_is_path, validate_instance, validate_multi
 
 
 def test_graph_generator_deterministic():
@@ -55,7 +55,8 @@ def test_sync_tape_generator_numbering():
 
 def test_sync_path_generator_shape():
     inst = gen_sync_path_instance(3, tapes=3, cells=5, sigma=2)
-    assert validate_instance(inst, expect_paths=True) == []
+    assert validate_instance(inst) == []
+    assert all(tape_is_path(t) for t in inst.tapes)
 
 
 def test_multi_generator_members_are_paths():

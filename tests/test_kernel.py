@@ -20,7 +20,6 @@ from reconflab.kernel import (
     add_universal_and_prune_zero_class,
     compute_core,
     contract_class_components,
-    core_size_bound,
     fat_pairs,
     kernelize,
     prune_small_type_edges,
@@ -76,6 +75,10 @@ def test_full_vertex_set_is_always_a_core():
 
     g = path_graph(5)
     assert _is_core(g, 2, frozenset(range(5)))
+
+
+def core_size_bound(k: int, d: int) -> int:
+    return (2 * d + 1) * k ** (d + 1)
 
 
 def test_core_p5_within_bound():

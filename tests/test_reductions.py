@@ -214,7 +214,7 @@ def test_stars_shape_and_validity():
     out = partitioned_dsr_to_sync_stars(inst)
     from reconflab.tapes import tape_is_subdivided_star
 
-    assert validate_instance(out, expect_stars=True) == []
+    assert validate_instance(out) == []
     assert all(tape_is_subdivided_star(t) for t in out.tapes)
     assert out.sigma == inst.k + 1
     # modulus covers the (possibly dummy-padded) vertex columns, multiple of 3

@@ -9,7 +9,6 @@ from reconflab.graphs import Graph, bits
 from reconflab.tape_reduce import (
     EmptyTape,
     ReducibleSubset,
-    _tape_distances,
     extract_reducible_subset,
     reduce_tapes_fully,
     solve_bounded_alphabet,
@@ -50,7 +49,7 @@ def walk_order(tapes, heads, sub: ReducibleSubset) -> list[int]:
     arcs: dict[int, set[int]] = {a: set() for a in letters}
     for b in letters:
         tape_b, cell_b = sub.assignment[b]
-        dist = _tape_distances(tapes[tape_b], heads[tape_b])
+        dist = tapes[tape_b].cells.distances(heads[tape_b])
         for a in letters:
             if a != b and any(tapes[tape_b].content[cell] >> a & 1 and dist[cell] < dist[cell_b]
                               for cell in range(tapes[tape_b].cells.n)):

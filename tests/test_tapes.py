@@ -1,12 +1,23 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reconflab.errors import MalformedInput
+import tape_oracle
+from reconflab import tapes
+from reconflab.dsr import DEFAULT_STATE_CAP
+from reconflab.errors import MalformedInput, StateCapExceeded
+from reconflab.generators import (
+    gen_partitioned_instance,
+    gen_random_multi,
+    gen_random_tape_instance,
+)
 from reconflab.graphs import Graph, complete_graph
+from reconflab.reductions import ds_to_sync_multi, partitioned_dsr_to_sync_stars
 from reconflab.tapes import (
+    MultiResult,
     MultiTapeInstance,
     Tape,
     TapeInstance,
@@ -108,11 +119,12 @@ def test_successors_sync_filter():
     assert tape_successors(inst, (0, 1)) == [(1, 1), (0, 0)]
 
 
-def test_successors_invalid_config_errors():
+def test_solve_tape_rejects_an_invalid_cs():
+    # the instance is checked on entry; the search itself never re-checks
     t1 = path_tape([A, 0])
-    inst = instance([t1], [0], [0])
-    with pytest.raises(MalformedInput):
-        tape_successors(inst, (1,))
+    inst = instance([t1], [1], [0])
+    with pytest.raises(MalformedInput, match="cs is not a valid configuration"):
+        solve_tape(inst)
 
 
 # ----------------------------------------------------------------- solve_tape
@@ -156,6 +168,56 @@ def test_solve_tape_symmetric_and_witness_sound(seed):
             assert len(moved) == 1
             i = moved[0]
             assert inst.tapes[i].cells.has_edge(a[i], b[i])
+
+
+def _outcome(solver, inst, cap):
+    try:
+        return solver(inst, cap)
+    except StateCapExceeded:
+        return "cap"
+
+
+def _oracle_multi(multi):
+    for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
+        try:
+            if tape_oracle.solve_tape(multi.select(indices), DEFAULT_STATE_CAP).reachable:
+                return MultiResult(True, indices)
+        except MalformedInput:
+            continue
+    return MultiResult(False, None)
+
+
+def test_solve_tape_matches_oracle():
+    # sigma 4 with sparse letters gives the unreachable cases
+    cases = [gen_random_tape_instance(seed, 2 + seed % 3, 4, sigma, sync=seed % 2 == 0,
+                                      content_prob=prob)
+             for sigma, prob in ((2, 0.55), (4, 0.35)) for seed in range(60)]
+    cases += [partitioned_dsr_to_sync_stars(gen_partitioned_instance(seed)) for seed in range(20)]
+    cases += [replace(inst, ct=inst.cs) for inst in cases[:4]]
+    for inst in cases:
+        assert solve_tape(inst) == tape_oracle.solve_tape(inst, DEFAULT_STATE_CAP)
+    capped = 0
+    for cap in range(1, 9):
+        for inst in cases:
+            got = _outcome(solve_tape, inst, cap)
+            assert got == _outcome(tape_oracle.solve_tape, inst, cap)
+            capped += got == "cap"
+    assert capped
+
+    rng = random.Random("tape-oracle-multi")
+    multis = [ds_to_sync_multi(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < 0.4]), k)
+              for n, k in ((4, 1), (4, 2), (5, 2), (5, 3), (6, 2))]
+    multis += [gen_random_multi(seed, 3, 3, 3, sigma=2) for seed in range(20)]
+    for multi in multis:
+        assert solve_multi(multi) == _oracle_multi(multi)
+        for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
+            sel = multi.select(indices)
+            try:
+                want = tape_oracle.solve_tape(sel, DEFAULT_STATE_CAP)
+            except MalformedInput:  # solve_multi skips the selection unsearched
+                continue
+            assert tapes._search(sel, DEFAULT_STATE_CAP) == want
 
 
 # ----------------------------------------------------------------- solve_multi
@@ -322,14 +384,12 @@ def test_validate_ct_not_covering():
 
 def test_validate_shape_flags():
     tri = Tape(complete_graph(3), (1, 1, 1), 0, 2)
-    inst = instance([tri], [0], [2])
-    assert validate_instance(inst) == []
-    assert any("path" in p for p in validate_instance(inst, expect_paths=True))
+    assert validate_instance(instance([tri], [0], [2])) == []
+    assert not tape_is_path(tri)
     star = Tape(Graph(4, [(0, 1), (0, 2), (0, 3)]), (1, 1, 1, 1), 1, 2)
     assert tape_is_subdivided_star(star)
     assert not tape_is_path(star)
-    inst2 = instance([star], [0], [2])
-    assert validate_instance(inst2, expect_stars=True) == []
+    assert validate_instance(instance([star], [0], [2])) == []
 
 
 def test_validate_multi_members_must_be_paths():
