@@ -7,20 +7,13 @@ constants checked into the repository; reruns are byte-stable.
 """
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 import time
 from dataclasses import dataclass
 
 from .decomposition import verify_decomposition
-from .dsr import (
-    SLIDE,
-    DsrInstance,
-    enumerate_dominating_sets,
-    solve,
-    verify_witness,
-)
+from .dsr import SLIDE, DsrInstance, enumerate_dominating_sets, solve, verify_witness
 from .generators import (
     gen_dcr_instance,
     gen_random_dsr_instance,
@@ -44,6 +37,7 @@ from .reductions import (
     NormalizedFormula,
     desynchronize_triangle,
     ds_to_sync_multi,
+    check_guard_containment,
     check_min_ds_structure,
 )
 from .tape_reduce import solve_bounded_alphabet
@@ -201,15 +195,8 @@ def _c06_jumping_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
         cd, agree = CONSTRUCTIONS["tj-cdsr"].replay(art)
         if not agree:
             return False, f"answer changed on artifact {i}"
-        if i < enum_trials:
-            guards = set(cd.provenance["guards"])
-            hub, leaf = cd.provenance["hub"], cd.provenance["leaf"]
-            from .dsr import _induces_connected
-
-            for d in enumerate_dominating_sets(cd.graph, cd.k):
-                if _induces_connected(cd.graph, mask_of(d)):
-                    if not guards <= d or len(d & {hub, leaf}) != 1:
-                        return False, f"budget-size connected set evades a guard ({i})"
+        if i < enum_trials and not check_guard_containment(cd):
+            return False, f"budget-size connected set evades a guard ({i})"
     return True, (f"{trials}/{trials} equivalent; guard containment enumerated on "
                   f"{enum_trials} artifacts")
 
@@ -321,17 +308,11 @@ def _c09_kernelization(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 def _dfs_reachability_oracle(inst: DsrInstance) -> bool:
     """Recursive depth-first reachability over an independently built
-    configuration graph; shares no code with the engine."""
+    configuration graph; shares no code with the token search.  Its nodes
+    come from the dominating-set enumerator, which the tests check against
+    a subset scan."""
     g = inst.graph
-    core = sorted(inst.core) if inst.core is not None else list(range(g.n))
-
-    def feasible(config):
-        if len(config) != inst.k:
-            return False
-        for x in core:
-            if x not in config and not any(w in config for w in g.adj[x]):
-                return False
-        return True
+    core = g.full_mask if inst.core is None else mask_of(inst.core)
 
     def adjacent(a, b):
         gone, new = a - b, b - a
@@ -342,11 +323,7 @@ def _dfs_reachability_oracle(inst: DsrInstance) -> bool:
             return v in g.adj[u]
         return True
 
-    nodes = [
-        frozenset(c)
-        for c in itertools.combinations(range(g.n), inst.k)
-        if feasible(frozenset(c))
-    ]
+    nodes = list(enumerate_dominating_sets(g, inst.k, core))
     sys.setrecursionlimit(10000)
     seen = set()
 

@@ -10,9 +10,8 @@ import json
 import sys
 
 from . import serialize
-from .dsr import DEFAULT_STATE_CAP, DsrInstance, solve, verify_witness
+from .dsr import DEFAULT_STATE_CAP, DsrInstance, solve, validate_instance, verify_witness
 from .errors import (
-    InfeasibleInstance,
     MalformedInput,
     RetryBudgetExceeded,
     SizeCapExceeded,
@@ -22,7 +21,7 @@ from .errors import (
 from .generators import gen_random_graph, gen_random_tape_instance
 from .kernel import DcrInstance, kernelize as run_kernelize, solve_dcr
 from .reductions import CONSTRUCTIONS, Construction
-from .tapes import MultiTapeInstance, TapeInstance, solve_multi, solve_tape
+from .tapes import MultiTapeInstance, TapeInstance, require_valid, solve_multi, solve_tape
 from .tape_reduce import reduce_tapes_fully
 
 EXIT_OK = 0
@@ -93,6 +92,10 @@ def _check_input(con: Construction, inst, k, what: str) -> None:
                              f"not a {type(inst).__name__}")
     if con.needs_k and k is None:
         raise MalformedInput(f"{what} needs --k")
+    if isinstance(inst, DsrInstance):
+        validate_instance(inst)
+    elif isinstance(inst, (TapeInstance, MultiTapeInstance)):
+        require_valid(inst)
 
 
 def _cmd_reduce(args) -> int:
@@ -120,6 +123,7 @@ def _cmd_reduce_tapes(args) -> int:
     inst = _load(args.instance)
     if not isinstance(inst, TapeInstance):
         raise MalformedInput("reduce-tapes expects a tape instance")
+    require_valid(inst)
     reduced, log = reduce_tapes_fully(inst)
     doc = serialize.encode(reduced)
     doc["reductionLog"] = log
@@ -282,13 +286,10 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MalformedInput, InfeasibleInstance, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except (SizeCapExceeded, StateCapExceeded, RetryBudgetExceeded) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except WorkbenchError as exc:
+    except WorkbenchError as exc:  # MalformedInput, InfeasibleInstance
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

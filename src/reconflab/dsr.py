@@ -297,27 +297,36 @@ def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
     return True
 
 
-def enumerate_dominating_sets(g: Graph, size: int):
-    """Yield every dominating set of exactly ``size`` vertices, each once.
+def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
+                              forced: int = 0, banned: int = 0):
+    """Yield every set of exactly ``size`` vertices that dominates ``target``
+    (a vertex mask, all of V by default), holds every vertex of ``forced`` and
+    none of ``banned``; each set once.
 
-    Branches on the smallest undominated vertex's closed neighborhood; the
-    vertices earlier siblings took are banned from later ones, which keeps
+    Branches on the smallest undominated target vertex's closed neighborhood;
+    the vertices earlier siblings took are banned from later ones, which keeps
     each set to one branch.  A child is pushed only if its remaining slots
-    could still cover what is undominated, and once everything is dominated
+    could still cover what is undominated, and once the target is dominated
     the remaining slots are filled by one ``itertools.combinations`` over the
     vertices neither chosen nor banned.  One explicit stack, children pushed
-    in reverse, so the sets come out in depth-first order.  Output-sensitive,
-    so it stays usable where scanning all n-choose-size subsets would not.
+    in reverse, so the sets come out in depth-first order.  The three masks
+    only seed the stack's first entry; the loop is the same for every query.
+    Output-sensitive, so it stays usable where scanning all n-choose-size
+    subsets would not.
     """
-    full = g.full_mask
+    if target is None:
+        target = g.full_mask
     closed = g.closed_mask
+    d = tuple(bits(forced))
+    covered = closed_mask_of(g, d)
+    missing = target & ~covered
     maxcov = max((m.bit_count() for m in closed), default=1)
-    if full.bit_count() > size * maxcov:
+    if forced & banned or missing.bit_count() > (size - len(d)) * maxcov:
         return
-    stack = [((), 0, 0, 0)]  # chosen vertices, their mask, what they dominate, banned
+    stack = [(d, forced, covered, banned)]  # chosen vertices, their mask, what they dominate, banned
     while stack:
         d, dmask, covered, banned = stack.pop()
-        missing = full & ~covered
+        missing = target & ~covered
         if not missing:
             free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
             yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
@@ -327,7 +336,7 @@ def enumerate_dominating_sets(g: Graph, size: int):
         kids = []
         for u in bits(closed[v] & ~banned & ~dmask):
             cov = covered | closed[u]
-            if (full & ~cov).bit_count() <= room:
+            if (target & ~cov).bit_count() <= room:
                 kids.append((d + (u,), dmask | 1 << u, cov, banned))
             banned |= 1 << u
         stack.extend(reversed(kids))

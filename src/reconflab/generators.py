@@ -9,8 +9,8 @@ import itertools
 import random
 from typing import Optional
 
-from .dsr import JUMP, SLIDE, DsrInstance, is_feasible
-from .errors import RetryBudgetExceeded
+from .dsr import JUMP, SLIDE, DsrInstance, dominating_sets_of_size
+from .errors import MalformedInput, RetryBudgetExceeded
 from .graphs import Graph, contains_biclique, dominates
 from .kernel import DcrInstance, K3D_FREE, compute_core
 from .tapes import (
@@ -33,27 +33,28 @@ def gen_random_graph(
 ) -> Graph:
     """Erdos-Renyi style sampling, rejected until the constraint holds.
 
-    constraint: None, "connected", or "k3d-free:<d>" (no complete bipartite
-    3-by-d subgraph).
+    constraint: None, "connected", "k3d-free:<d>" (no complete bipartite
+    3-by-d subgraph) or "connected-k3d-free:<d>".
     """
+    prefix, colon, width = (constraint or "none").partition(":")
+    if constraint in (None, "none", "connected"):
+        d = None
+    elif colon and prefix in ("k3d-free", "connected-k3d-free"):
+        try:
+            d = int(width)
+        except ValueError:
+            d = 0
+        if d < 1:  # every graph on three vertices holds a 3-by-0 biclique
+            raise MalformedInput(f"biclique width {width!r} is not a positive integer")
+    else:
+        raise MalformedInput(f"unknown constraint {constraint!r}")
     rng = random.Random(seed)
     for _ in range(retries):
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < edge_prob])
-        if constraint is None or constraint == "none":
+        if prefix.startswith("connected") and not g.is_connected():
+            continue
+        if d is None or not contains_biclique(g, 3, d):
             return g
-        if constraint == "connected":
-            if g.is_connected():
-                return g
-        elif constraint.startswith("k3d-free:"):
-            d = int(constraint.split(":", 1)[1])
-            if not contains_biclique(g, 3, d):
-                return g
-        elif constraint.startswith("connected-k3d-free:"):
-            d = int(constraint.split(":", 1)[1])
-            if g.is_connected() and not contains_biclique(g, 3, d):
-                return g
-        else:
-            raise ValueError(f"unknown constraint {constraint!r}")
     raise RetryBudgetExceeded(f"no graph satisfying {constraint!r} in {retries} tries")
 
 
@@ -81,6 +82,8 @@ def gen_random_tape_instance(
     differ by at most one) and head configurations sitting on one shared
     number.
     """
+    if tapes < 1 or sigma < 0 or cells < (2 if sync else 1):
+        raise MalformedInput(f"need tapes >= 1, sigma >= 0 and cells >= {2 if sync else 1}")
     rng = random.Random(seed)
     for _ in range(retries):
         built = []
@@ -177,12 +180,7 @@ def gen_random_dsr_instance(
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.55])
         k = rng.randint(1, min(k_max, n - 1))
         rule_ = rule or rng.choice([SLIDE, JUMP])
-        probe = DsrInstance(g, k, frozenset(range(k)), frozenset(range(k)), rule_)
-        feas = [
-            frozenset(c)
-            for c in itertools.combinations(range(n), k)
-            if is_feasible(probe, frozenset(c))
-        ]
+        feas = dominating_sets_of_size(g, k)
         if len(feas) >= 2:
             src, tgt = rng.sample(feas, 2)
             return DsrInstance(g, k, src, tgt, rule_)
@@ -225,14 +223,10 @@ def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2,
         if not g.is_connected() or contains_biclique(g, 3, d):
             continue
         k = rng.randint(1, k_max)
-        doms = [
-            frozenset(c)
-            for c in itertools.combinations(range(n), k)
-            if dominates(g, c, range(n))
-        ]
+        doms = dominating_sets_of_size(g, k)
         if len(doms) < 2:
             continue
         src, tgt = rng.sample(doms, 2)
-        core = compute_core(g, k, src | tgt, d)
+        core = compute_core(g, k, src | tgt)
         return DcrInstance(g, k, src, tgt, d=d, family=family, core=core)
     raise RetryBudgetExceeded("no family-constrained instance within the retry budget")

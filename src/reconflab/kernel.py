@@ -9,21 +9,23 @@ answer-preserving; the acceptance suite certifies that by solving both sides.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Optional
 
-from .dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, has_dominating_set, solve
+from .dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult,
+                  enumerate_dominating_sets, has_dominating_set, solve)
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from .graphs import (
     ENUM_CAP,
     Graph,
     add_vertex,
+    closed_mask_of,
     delete_vertices,
     dominates,
     find_biclique,
     find_reducible_vertex,
+    mask_of,
     merge_vertices,
     neighborhood_classes,
     remove_edges,
@@ -108,19 +110,25 @@ def solve_dcr(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> Reconfig
 # domination cores
 
 def _is_core(g: Graph, k: int, x: frozenset[int], cap: int = ENUM_CAP) -> bool:
-    """Exact oracle: every set of at most k vertices dominating x dominates V."""
+    """Exact oracle: every set of at most k vertices dominating x dominates V.
+
+    The enumerator lists, size by size, the sets that dominate x.  The cap
+    still counts every subset of each size, so it trips on the same inputs
+    as a scan of all of them would.
+    """
     total = 0
+    target = mask_of(x)
     for size in range(0, k + 1):
         total += comb(g.n, size)
         if total > cap:
             raise SizeCapExceeded("core oracle over cap")
-        for combo in itertools.combinations(range(g.n), size):
-            if dominates(g, combo, x) and not dominates(g, combo, range(g.n)):
+        for d in enumerate_dominating_sets(g, size, target):
+            if closed_mask_of(g, d) != g.full_mask:
                 return False
     return True
 
 
-def compute_core(g: Graph, k: int, must_include: frozenset[int], d: int,
+def compute_core(g: Graph, k: int, must_include: frozenset[int],
                  cap: int = ENUM_CAP) -> frozenset[int]:
     """Greedy removal with the exact oracle, from X = V down to a fixpoint.
 
@@ -353,7 +361,7 @@ def kernelize(inst: DcrInstance, cap: int = ENUM_CAP) -> tuple[DcrInstance, Kern
     size_before = (inst.graph.n, inst.graph.m)
     applied = []
     if inst.core is None:
-        x = compute_core(inst.graph, inst.k, inst.source | inst.target, inst.d, cap)
+        x = compute_core(inst.graph, inst.k, inst.source | inst.target, cap)
         inst = replace(inst, core=x)
         applied.append("compute-core")
         validate_dcr(inst)

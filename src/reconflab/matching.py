@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
+from .errors import MalformedInput
+
 
 def max_bipartite_matching(
     left: Sequence[Hashable],
@@ -21,7 +23,7 @@ def max_bipartite_matching(
     seen = set()
     for u, v in edges:
         if u not in lindex or v not in rindex:
-            raise ValueError(f"edge ({u!r},{v!r}) not within the given sides")
+            raise MalformedInput(f"edge ({u!r},{v!r}) not within the given sides")
         key = (lindex[u], rindex[v])
         if key not in seen:
             seen.add(key)

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, has_dominating_set,
-                  minimum_dominating_sets, solve)
+from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, enumerate_dominating_sets,
+                  has_dominating_set, is_feasible, minimum_dominating_sets, solve)
 from .errors import MalformedInput
 from .graphs import Graph, add_vertex, complete_graph, mask_of
 from .tapes import (
@@ -372,13 +372,21 @@ def _glue(members: Sequence[Tape], sep_mask: int, duplicate: bool) -> Tape:
     return path_tape(contents, number=numbers if duplicate else None)
 
 
-def _with_letters(tape: Tape, everywhere: int, on_start: int = 0, on_end: int = 0) -> Tape:
-    content = list(tape.content)
-    for c in range(tape.cells.n):
-        content[c] |= everywhere
-    content[tape.start] |= on_start
-    content[tape.end] |= on_end
+def _mark(tape: Tape, sigma: int, k: int, t: int) -> Tape:
+    """Tuple t's letters after an alphabet of sigma: a on every cell, s on the
+    start and e on the end (letters sigma + t, sigma + k + t, sigma + 2k + t)."""
+    content = [c | 1 << (sigma + t) for c in tape.content]
+    content[tape.start] |= 1 << (sigma + k + t)
+    content[tape.end] |= 1 << (sigma + 2 * k + t)
     return Tape(tape.cells, tuple(content), tape.start, tape.end, tape.number)
+
+
+def _selector(sigma: int, k: int) -> Tape:
+    """The five-cell selector path over the a/s/e letters of k tuples: heads
+    enter a tuple only on its starts and leave it only from its ends."""
+    full = (1 << sigma) - 1
+    a, s, e = (mask_of(range(sigma + j * k, sigma + (j + 1) * k)) for j in range(3))
+    return path_tape((full | a | s | e, full | a | e, s | e, full | a | s, full | a | s | e))
 
 
 def select_from_tuples(inst: MultiTapeInstance) -> TapeInstance:
@@ -393,27 +401,9 @@ def select_from_tuples(inst: MultiTapeInstance) -> TapeInstance:
         raise MalformedInput("selector composition applies to unsynchronized instances")
     k = len(inst.tuples)
     sigma = inst.sigma
-    amask = mask_of(range(sigma, sigma + k))
-    smask = mask_of(range(sigma + k, sigma + 2 * k))
-    emask = mask_of(range(sigma + 2 * k, sigma + 3 * k))
-    glued = []
-    for t, members in enumerate(inst.tuples):
-        marked = [
-            _with_letters(m, 1 << (sigma + t), 1 << (sigma + k + t), 1 << (sigma + 2 * k + t))
-            for m in members
-        ]
-        glued.append(_glue(marked, sep_mask=0, duplicate=False))
-    full = (1 << sigma) - 1
-    selector = path_tape(
-        (
-            full | amask | smask | emask,
-            full | amask | emask,
-            smask | emask,
-            full | amask | smask,
-            full | amask | smask | emask,
-        )
-    )
-    tapes = tuple(glued) + (selector,)
+    glued = [_glue([_mark(m, sigma, k, t) for m in members], sep_mask=0, duplicate=False)
+             for t, members in enumerate(inst.tuples)]
+    tapes = tuple(glued) + (_selector(sigma, k),)
     return TapeInstance(
         sigma=sigma + 3 * k,
         tapes=tapes,
@@ -485,39 +475,18 @@ def or_compose(insts: Sequence[MultiTapeInstance]) -> MultiTapeInstance:
     p = len(insts)
     sigma = insts[0].sigma
     k = len(insts[0].tuples)
-    full = (1 << sigma) - 1
-    amask = mask_of(range(sigma, sigma + k))
-    smask = mask_of(range(sigma + k, sigma + 2 * k))
-    emask = mask_of(range(sigma + 2 * k, sigma + 3 * k))
     bases = [sigma + 3 * k + 3 * t for t in range(k)]
     tuples = []
     for t in range(k):
         members = []
         for m in range(len(insts[0].tuples[t])):
-            marked = [
-                _with_letters(
-                    q.tuples[t][m],
-                    1 << (sigma + t),
-                    1 << (sigma + k + t),
-                    1 << (sigma + 2 * k + t),
-                )
-                for q in insts
-            ]
+            marked = [_mark(q.tuples[t][m], sigma, k, t) for q in insts]
             members.append(_mod3_added(_glue(marked, sep_mask=0, duplicate=True), bases[t]))
         tuples.append(tuple(members))
-    selector = path_tape(
-        (
-            full | amask | smask | emask,
-            full | amask | emask,
-            smask | emask,
-            full | amask | smask,
-            full | amask | smask | emask,
-        )
-    )
     phase = _phase_path(4 * p - 1, _triple_groups(bases))
     return MultiTapeInstance(
         sigma=sigma + 6 * k,
-        tuples=tuple(tuples) + ((selector,), (phase,)),
+        tuples=tuple(tuples) + ((_selector(sigma, k),), (phase,)),
         sync=False,
         provenance={"construction": "or-compose", "arity": p},
     )
@@ -823,6 +792,26 @@ def check_min_ds_structure(inst: DsrInstance) -> bool:
             if len(d & span) != 1:
                 return False
     return True
+
+
+def check_guard_containment(inst: DsrInstance) -> bool:
+    """Certify the guard shape of a connected-jumping reduction output.
+
+    Every connected dominating set of the budget size must hold every guard
+    and exactly one of the hub and its leaf.  The negation is asked as
+    constrained enumerations: some guard banned, hub and leaf both forced,
+    hub and leaf both banned; any feasible set found is a violation.
+    """
+    prov = inst.provenance or {}
+    if prov.get("construction") != "tj-cdsr":
+        raise MalformedInput("guard check needs a tj-cdsr artifact")
+    ends = 1 << prov["hub"] | 1 << prov["leaf"]
+    queries = [(0, 1 << guard) for guard in prov["guards"]] + [(ends, 0), (0, ends)]
+    return not any(
+        is_feasible(inst, d)
+        for forced, banned in queries
+        for d in enumerate_dominating_sets(inst.graph, inst.k, forced=forced, banned=banned)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,7 @@ def solve_tape(inst: TapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> Reconf
     The instance is checked once, here, by ``validate_instance``: the search
     then meets only valid configurations and re-checks none of them.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise MalformedInput("; ".join(problems))
+    require_valid(inst)
     return _search(inst, state_cap)
 
 
@@ -169,9 +167,7 @@ def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> 
     The instance is checked once, by ``validate_multi``.  A selection whose
     start or end configuration is not valid is negative without a search.
     """
-    problems = validate_multi(inst)
-    if problems:
-        raise MalformedInput("; ".join(problems))
+    require_valid(inst)
     if not inst.tuples:
         # zero tuples: the empty configuration covers nothing
         return MultiResult(inst.sigma == 0, ())
@@ -365,6 +361,14 @@ def validate_multi(inst: MultiTapeInstance) -> list[str]:
     named = ((f"tuple {j} member {i}", t)
              for j, tup in enumerate(inst.tuples) for i, t in enumerate(tup))
     return problems + _numbering_problems(named, inst.sync, inst.r)
+
+
+def require_valid(inst: TapeInstance | MultiTapeInstance) -> None:
+    """Raise ``MalformedInput`` naming every problem of ``validate_instance``
+    (or ``validate_multi``, for a multi-tape instance)."""
+    problems = validate_multi(inst) if isinstance(inst, MultiTapeInstance) else validate_instance(inst)
+    if problems:
+        raise MalformedInput("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Reference certificate verifiers: subset enumeration and recursive generators.
 
-``graphs.min_feedback_vertex_set`` branches on short cycles and
-``dsr.enumerate_dominating_sets`` runs on one explicit stack; this module keeps
-the direct constructions they replaced as the oracles they are compared
-against, together with the union-find forest test the subset search uses.
+``graphs.min_feedback_vertex_set`` branches on short cycles,
+``dsr.enumerate_dominating_sets`` runs on one explicit stack and
+``kernel._is_core`` asks that enumerator; this module keeps the direct
+constructions they replaced as the oracles they are compared against,
+together with the union-find forest test the subset search uses.
 """
 from __future__ import annotations
 
 import itertools
+from math import comb
 
-from reconflab.graphs import Graph, bits, mask_of
+from reconflab.errors import SizeCapExceeded
+from reconflab.graphs import ENUM_CAP, Graph, bits, dominates, mask_of
 
 
 def is_forest(g: Graph, removed_mask: int = 0) -> bool:
@@ -73,3 +76,17 @@ def enumerate_dominating_sets(g: Graph, size: int):
                 yield from rec(d + (u,), dmask | 1 << u, covered, banned, u + 1)
 
     yield from rec((), 0, 0, 0, 0)
+
+
+def is_core(g: Graph, k: int, x, cap: int = ENUM_CAP) -> bool:
+    """Every set of at most k vertices that dominates x dominates V: a scan of
+    all subsets by size, under the same per-size subset cap."""
+    total = 0
+    for size in range(0, k + 1):
+        total += comb(g.n, size)
+        if total > cap:
+            raise SizeCapExceeded("core oracle over cap")
+        for combo in itertools.combinations(range(g.n), size):
+            if dominates(g, combo, x) and not dominates(g, combo, range(g.n)):
+                return False
+    return True

@@ -298,6 +298,14 @@ def test_solve_tape_rejects_modulus_zero(tmp_path, capsys):
     assert code == 2 and out is None
 
 
+@pytest.mark.parametrize("command", [["reduce", "--to", "tape"], ["reduce-tapes"]])
+def test_reduce_rejects_modulus_zero(tmp_path, capsys, command):
+    doc = _generated_sync_tape(capsys)
+    doc["r"] = 0
+    code, out = run(capsys, command[0], write(tmp_path, "t.json", doc), *command[1:])
+    assert code == 2 and out is None
+
+
 def _sync_multi_doc():
     from reconflab.reductions import ds_to_sync_multi
 
@@ -353,6 +361,23 @@ def test_badly_typed_field_exits_2(tmp_path, capsys, kind, path, value):
     command, *options = _COMMAND[kind]
     code, out = run(capsys, command, write(tmp_path, "bad.json", doc), *options)
     assert code == 2 and out is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--constraint", "bogus"],
+    ["graph", "--constraint", "k3d-free:x"],
+    ["graph", "--constraint", "k3d-free:0"],
+    ["tape", "--cells", "0"],
+    ["tape", "--sigma", "-1"],
+    ["tape", "--sync", "--tapes", "0"],
+], ids=["unknown-constraint", "width-not-an-integer", "width-zero", "no-cells",
+        "negative-sigma", "sync-without-tapes"])
+def test_gen_rejects_bad_parameters(capsys, argv):
+    """Exit 2 with one error line: main() no longer maps a bare ValueError,
+    so the generators raise MalformedInput on what they cannot build from."""
+    assert main(["gen", *argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -21,7 +21,8 @@ from reconflab.dsr import (
     verify_witness,
 )
 from reconflab.errors import InfeasibleInstance, MalformedInput, StateCapExceeded
-from reconflab.graphs import Graph, complete_graph, cycle_graph, dominates, path_graph
+from reconflab.graphs import (Graph, complete_graph, cycle_graph, dominates, mask_of, path_graph,
+                              set_of)
 from reconflab.reductions import tape_to_tj_cdsr
 
 
@@ -367,9 +368,35 @@ def enumerator_cases() -> list[tuple[Graph, int]]:
 
 
 def test_enumerator_matches_oracle():
+    """The default call against the recursive oracle, in order.  The
+    target/forced/banned modes against a filter on every size-subset, as
+    sorted lists, on the cases small enough to scan: masks drawn per case,
+    plus forced and banned overlapping and more forced vertices than slots."""
+    rng = random.Random(4403)
+    checked = 0
     for g, size in enumerator_cases():
         got = list(enumerate_dominating_sets(g, size))
         assert got == list(certificate_oracle.enumerate_dominating_sets(g, size)), (g, size)
+        if g.n > 9:
+            continue
+
+        def draw(p):
+            return mask_of(v for v in range(g.n) if rng.random() < p)
+
+        queries = [(draw(0.5), 0, 0), (None, draw(0.2), 0), (None, 0, draw(0.3)),
+                   (draw(0.6), draw(0.15), draw(0.2)), (None, draw(0.3), draw(0.3)),
+                   (g.full_mask, g.full_mask, 0), (0, 0, g.full_mask)]
+        for target, forced, banned in queries:
+            want = [
+                frozenset(c) for c in itertools.combinations(range(g.n), size)
+                if dominates(g, c, set_of(g.full_mask if target is None else target))
+                and forced & ~mask_of(c) == 0 and banned & mask_of(c) == 0
+            ]
+            got = list(enumerate_dominating_sets(g, size, target, forced, banned))
+            assert len(got) == len(set(got))
+            assert sorted(got, key=sorted) == want, (g, size, target, forced, banned)
+            checked += bool(want)
+    assert checked > 100
 
 
 def test_dominating_sets_of_size_matches_definition():

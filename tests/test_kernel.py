@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reconflab.errors import InfeasibleInstance, MalformedInput
+import certificate_oracle
+from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from reconflab.graphs import (
     Graph,
     contains_biclique,
@@ -51,7 +52,7 @@ def random_dcr(rng, n_max=7, k_max=2, d=2, family=K3D_FREE, with_core=True):
         if len(doms) < 2:
             continue
         src, tgt = rng.sample(doms, 2)
-        core = compute_core(g, k, src | tgt, d) if with_core else None
+        core = compute_core(g, k, src | tgt) if with_core else None
         return DcrInstance(g, k, src, tgt, d=d, family=family, core=core)
 
 
@@ -59,7 +60,7 @@ def random_dcr(rng, n_max=7, k_max=2, d=2, family=K3D_FREE, with_core=True):
 
 def test_core_of_star_certified_by_oracle():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    x = compute_core(g, 1, frozenset({0}), d=2)
+    x = compute_core(g, 1, frozenset({0}))
     # A single leaf dominates {center} without dominating the graph, so the
     # core must keep enough leaves to pin the center choice.
     assert 0 in x
@@ -83,16 +84,43 @@ def core_size_bound(k: int, d: int) -> int:
 
 def test_core_p5_within_bound():
     g = path_graph(5)
-    x = compute_core(g, 2, frozenset(), d=2)
+    x = compute_core(g, 2, frozenset())
     from reconflab.kernel import _is_core
 
     assert _is_core(g, 2, x)
     assert len(x) <= core_size_bound(2, 2)
 
 
+def test_core_oracle_matches_subset_scan():
+    """``_is_core`` against the scan of every subset, on the star, P5 and
+    seeded graphs, for every subset x of up to 6 vertices; with a cap between
+    the two sizes' subset counts both must raise together."""
+    from reconflab.kernel import _is_core
+
+    rng = random.Random(6106)
+    graphs = [Graph(4, [(0, 1), (0, 2), (0, 3)]), path_graph(5)]
+    graphs += [Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+               for n, p in ((rng.randint(1, 7), rng.choice((0.2, 0.4, 0.6))) for _ in range(25))]
+    cores = 0
+    for g in graphs:
+        for k in range(g.n + 1):
+            for size in range(min(g.n, 6) + 1):
+                for x in itertools.combinations(range(g.n), size):
+                    got = _is_core(g, k, frozenset(x))
+                    assert got == certificate_oracle.is_core(g, k, frozenset(x)), (g, k, x)
+                    cores += got
+        cap = 1 + g.n  # passes size 1, trips at size 2 (n >= 2); V is a core
+        if g.n >= 2:
+            with pytest.raises(SizeCapExceeded):
+                _is_core(g, 2, frozenset(range(g.n)), cap)
+            with pytest.raises(SizeCapExceeded):
+                certificate_oracle.is_core(g, 2, frozenset(range(g.n)), cap)
+    assert cores  # some x is a core, so both answers occur
+
+
 def test_core_requires_feasible_instance():
     with pytest.raises(InfeasibleInstance):
-        compute_core(Graph(4, []), 1, frozenset(), d=2)
+        compute_core(Graph(4, []), 1, frozenset())
 
 
 # ------------------------------------------------------------- single rules

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feed
 from reconflab.reductions import (
     NormalizedFormula,
     and_compose,
+    check_guard_containment,
     check_min_ds_structure,
     desynchronize_path,
     desynchronize_triangle,
@@ -651,21 +653,45 @@ def test_check_min_ds_structure_fails_with_universal_vertex():
     assert not check_min_ds_structure(mutated)
 
 
-def test_tj_cdsr_equivalence_and_guard_containment():
-    from reconflab.dsr import _induces_connected, enumerate_dominating_sets
-    from reconflab.graphs import mask_of
+def guards_contained(cd: DsrInstance) -> bool:
+    """Oracle for ``check_guard_containment``: enumerate every dominating set
+    of the budget size and filter for the connected ones."""
+    from reconflab.dsr import enumerate_dominating_sets
 
+    guards = set(cd.provenance["guards"])
+    ends = {cd.provenance["hub"], cd.provenance["leaf"]}
+    return all(guards <= d and len(d & ends) == 1
+               for d in enumerate_dominating_sets(cd.graph, cd.k) if is_feasible(cd, d))
+
+
+def test_tj_cdsr_equivalence_and_guard_containment():
     for art in small_irreducible_instances(4, seed=13, max_tapes=1, max_cells=3):
         cd = tape_to_tj_cdsr(art)
         assert solve(cd).reachable == solve_tape(art).reachable
-        k = len(art.tapes)
-        guards = set(cd.provenance["guards"])
-        hub, leaf = cd.provenance["hub"], cd.provenance["leaf"]
+        assert cd.k == 3 * len(art.tapes) + 1
         # subdivided vertices have degree 3: two cells plus the guard
         for v, lab in cd.graph.labels.items():
             if lab.startswith("mid:"):
                 assert cd.graph.degree(v) == 3
-        for d in enumerate_dominating_sets(cd.graph, 3 * k + 1):
-            if _induces_connected(cd.graph, mask_of(d)):
-                assert guards <= d
-                assert len(d & {hub, leaf}) == 1
+        assert guards_contained(cd)
+        assert check_guard_containment(cd)
+    # Joining the hub to every subdivided vertex lets hub + leaf + cells form
+    # a connected dominating set without the guard: both checks must see it.
+    labels = cd.graph.labels
+    prov = cd.provenance
+    mids = [v for v, lab in labels.items() if lab.startswith("mid:")]
+    g = Graph(cd.graph.n, list(cd.graph.edges) + [(prov["hub"], v) for v in mids], labels)
+    mutated = [replace(cd, graph=g)]
+    # Relabelled provenance, each caught by one query alone: a cell named as a
+    # guard (guard banned), a guard named as the leaf (hub and leaf forced),
+    # two letters named as hub and leaf (both banned).
+    cell = min(v for v, lab in labels.items() if lab.startswith("cell:"))
+    letters = sorted(v for v, lab in labels.items() if lab.startswith("letter:"))
+    for change in ({"guards": (prov["guards"][0], cell)}, {"leaf": prov["guards"][0]},
+                   {"hub": letters[0], "leaf": letters[1]}):
+        mutated.append(replace(cd, provenance={**prov, **change}))
+    for bad in mutated:
+        assert not guards_contained(bad)
+        assert not check_guard_containment(bad)
+    with pytest.raises(MalformedInput):
+        check_guard_containment(tape_to_ts_dsr(art))
