@@ -11,7 +11,7 @@ from typing import Optional
 
 from .dsr import JUMP, SLIDE, DsrInstance, dominating_sets_of_size
 from .errors import MalformedInput, RetryBudgetExceeded
-from .graphs import Graph, contains_biclique, dominates
+from .graphs import Graph, contains_biclique
 from .kernel import DcrInstance, K3D_FREE, compute_core
 from .tapes import (
     MultiTapeInstance,
@@ -185,33 +185,6 @@ def gen_random_dsr_instance(
             src, tgt = rng.sample(feas, 2)
             return DsrInstance(g, k, src, tgt, rule_)
     raise RetryBudgetExceeded("no feasible instance within the retry budget")
-
-
-def gen_partitioned_instance(seed: int, n_max: int = 5, k_max: int = 2,
-                             retries: int = RETRY_BUDGET) -> DsrInstance:
-    rng = random.Random(seed)
-    for _ in range(retries):
-        n = rng.randint(2, n_max)
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6])
-        if not g.is_connected():
-            continue
-        k = rng.randint(1, min(k_max, n))
-        verts = list(range(n))
-        rng.shuffle(verts)
-        cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
-        parts, prev = [], 0
-        for c in cuts + [n]:
-            parts.append(frozenset(verts[prev:c]))
-            prev = c
-        feas = [
-            frozenset(c)
-            for c in itertools.product(*[sorted(p) for p in parts])
-            if dominates(g, set(c), range(n))
-        ]
-        if len(feas) >= 2:
-            src, tgt = rng.sample(feas, 2)
-            return DsrInstance(g, k, src, tgt, JUMP, partition=tuple(parts))
-    raise RetryBudgetExceeded("no partitioned instance within the retry budget")
 
 
 def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2,

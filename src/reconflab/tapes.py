@@ -8,8 +8,9 @@ additionally keep all head numbers within one step of each other modulo r.
 Input is checked once, where it enters: ``solve_tape`` rejects an instance
 that ``validate_instance`` finds a problem with, and ``solve_multi`` one that
 ``validate_multi`` does.  The search, on ``dsr.bfs``, then meets only valid
-configurations, so it raises nothing and re-checks nothing per state, and a
-moved head is tested only for what the move can break.
+configurations and re-checks none.  It holds a configuration as one
+mixed-radix int and tests a moved head with one AND of a table mask against
+the letters no other head covers and the window of the heads' numbers.
 """
 from __future__ import annotations
 
@@ -117,32 +118,63 @@ def is_valid_configuration(inst: TapeInstance, config: tuple[int, ...]) -> bool:
     return all(_mod_close(a, b, inst.r) for a, b in itertools.combinations(nums, 2))
 
 
-def tape_successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Move exactly one head along a tape edge; keep only valid results.
+def _kernel(inst: TapeInstance):
+    """The search's integer encoding: ``(encode, decode, successors)``.
 
-    ``config`` must be valid in an instance ``validate_instance`` passes, so a
-    moved head is tested only for what its move can break: the letters no
-    other head covers and, when synchronized, the heads' number window.  The
-    window keeps the moved head's old number, which is harmless: adjacent
-    cells differ by at most one modulo r.
+    A configuration is one mixed-radix int: the cell of tape i times the
+    product of the earlier tapes' sizes.  A cell's row holds its letters and,
+    above bit σ, its number's bit (numbers are ranked, so a huge r costs
+    nothing), and per neighbour, in ``cells.neighbors`` order, the int delta
+    and what the neighbour lacks: the letters it does not hold and the numbers
+    not mod-close to its own.  A move is legal iff that mask misses the letters
+    of Σ under no other head and the heads' number window.  The window keeps
+    the moved head's old number: adjacent cells differ by at most one mod r.
     """
-    held = [t.content[c] for t, c in zip(inst.tapes, config)]
-    window = {t.number[c] for t, c in zip(inst.tapes, config)} if inst.sync else ()
-    seen = twice = 0
-    for m in held:
-        twice |= seen & m
-        seen |= m
-    once = inst.full_mask & ~twice  # letters of Σ under exactly one head
-    out = []
-    for i, tape in enumerate(inst.tapes):
-        need = held[i] & once
-        for nb in tape.cells.neighbors(config[i]):
-            if need & ~tape.content[nb]:
-                continue
-            if window and not all(_mod_close(tape.number[nb], y, inst.r) for y in window):
-                continue
-            out.append(config[:i] + (nb,) + config[i + 1 :])
-    return out
+    r, full = inst.r, inst.full_mask
+    used = sorted({x for t in inst.tapes for x in t.number}) if inst.sync else []
+    bit = {x: 1 << (inst.sigma + i) for i, x in enumerate(used)}
+    layout, place = [], 1
+    for t in inst.tapes:
+        if used:
+            own = [m | bit[y] for m, y in zip(t.content, t.number)]
+            lacks = [~(m | bit[y] | bit.get(y % r + 1, 0) | bit.get((y - 2) % r + 1, 0))
+                     for m, y in zip(t.content, t.number)]
+        else:
+            own, lacks = t.content, [~m for m in t.content]
+        rows = [(own[c], [((nb - c) * place, lacks[nb]) for nb in t.cells.neighbors(c)])
+                for c in range(t.cells.n)]
+        layout.append((place, t.cells.n, rows))
+        place *= t.cells.n
+
+    def encode(config: Iterable[int]) -> int:
+        return sum(c * place for c, (place, _, _) in zip(config, layout))
+
+    def decode(cur: int) -> tuple[int, ...]:
+        return tuple(cur // place % size for place, size, _ in layout)
+
+    def successors(cur: int, visited: dict) -> list[int]:
+        held = []
+        seen = twice = 0
+        for place, size, rows in layout:
+            row = rows[cur // place % size]
+            held.append(row)
+            m = row[0]
+            twice |= seen & m
+            seen |= m
+        window = seen & ~full
+        once = full & ~twice  # letters of Σ under exactly one head
+        out = []
+        for m, moves in held:
+            need = m & once | window
+            for delta, lacks in moves:
+                if need & lacks:
+                    continue
+                nxt = cur + delta
+                if nxt not in visited:
+                    out.append(nxt)
+        return out
+
+    return encode, decode, successors
 
 
 def solve_tape(inst: TapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
@@ -156,9 +188,10 @@ def solve_tape(inst: TapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> Reconf
 
 
 def _search(inst: TapeInstance, state_cap: int) -> ReconfigResult:
-    path, explored = bfs(tuple(inst.cs), tuple(inst.ct),
-                         lambda config, _: tape_successors(inst, config), state_cap)
-    return ReconfigResult(path is not None, path, explored)
+    encode, decode, successors = _kernel(inst)
+    path, explored = bfs(encode(inst.cs), encode(inst.ct), successors, state_cap)
+    witness = None if path is None else tuple(map(decode, path))
+    return ReconfigResult(path is not None, witness, explored)
 
 
 def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> MultiResult:
@@ -279,14 +312,6 @@ def tape_is_path(tape: Tape) -> bool:
         return False
     endpoints = {v for v in range(g.n) if degs[v] == 1}
     return endpoints == {tape.start, tape.end}
-
-
-def tape_is_subdivided_star(tape: Tape) -> bool:
-    """A tree with at most one vertex of degree three or more."""
-    g = tape.cells
-    if not g.is_connected() or g.m != g.n - 1:
-        return False
-    return sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
 
 
 def _numbering_problems(named_tapes: Iterable[tuple[str, Tape]], sync: bool, r: Optional[int]) -> list[str]:

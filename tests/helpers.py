@@ -1,0 +1,61 @@
+"""Instance builders and shape predicates that only tests use.
+
+``partitioned_instance`` draws the partitioned jumping instances that feed the
+subdivided-stars encoding, and ``tape_is_subdivided_star`` is the shape that
+encoding promises; nothing in ``reconflab`` needs either.  ``successors``
+lists the tape search's moves from one configuration as tuples, in the order
+the search discovers them.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+
+from reconflab import tapes
+from reconflab.dsr import JUMP, DsrInstance
+from reconflab.errors import RetryBudgetExceeded
+from reconflab.generators import RETRY_BUDGET
+from reconflab.graphs import Graph, dominates
+from reconflab.tapes import Tape, TapeInstance
+
+
+def partitioned_instance(seed: int, n_max: int = 5, k_max: int = 2,
+                         retries: int = RETRY_BUDGET) -> DsrInstance:
+    """A seeded jumping instance with one source and one target vertex per part."""
+    rng = random.Random(seed)
+    for _ in range(retries):
+        n = rng.randint(2, n_max)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6])
+        if not g.is_connected():
+            continue
+        k = rng.randint(1, min(k_max, n))
+        verts = list(range(n))
+        rng.shuffle(verts)
+        cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+        parts, prev = [], 0
+        for c in cuts + [n]:
+            parts.append(frozenset(verts[prev:c]))
+            prev = c
+        feas = [
+            frozenset(c)
+            for c in itertools.product(*[sorted(p) for p in parts])
+            if dominates(g, set(c), range(n))
+        ]
+        if len(feas) >= 2:
+            src, tgt = rng.sample(feas, 2)
+            return DsrInstance(g, k, src, tgt, JUMP, partition=tuple(parts))
+    raise RetryBudgetExceeded("no partitioned instance within the retry budget")
+
+
+def tape_is_subdivided_star(tape: Tape) -> bool:
+    """A tree with at most one vertex of degree three or more."""
+    g = tape.cells
+    if not g.is_connected() or g.m != g.n - 1:
+        return False
+    return sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
+
+
+def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The search kernel's successors of ``config``, decoded to tuples."""
+    encode, decode, step = tapes._kernel(inst)
+    return [decode(nxt) for nxt in step(encode(config), {})]

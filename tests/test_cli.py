@@ -152,8 +152,8 @@ def test_verify_reduction_wrong_input_kind_exits_2(tmp_path, capsys, constructio
 # One case per construction: the input, the `reduce --to` kind of the output,
 # the transformer that `reduce` applies, and the k it needs, if any.
 def _pinned_constructions():
+    from helpers import partitioned_instance
     from reconflab.generators import (
-        gen_partitioned_instance,
         gen_random_multi,
         gen_random_tape_instance,
         gen_sync_path_instance,
@@ -174,7 +174,7 @@ def _pinned_constructions():
                                         ("or", (("var", 1), ("var", 2))))))
     return {
         "dominating-set": (cycle_graph(5), "sync-multi", ds_to_sync_multi, 2),
-        "sync-stars": (gen_partitioned_instance(4), "sync-stars",
+        "sync-stars": (partitioned_instance(4), "sync-stars",
                        partitioned_dsr_to_sync_stars, None),
         "triangle": (gen_random_tape_instance(5, 2, 3, 2, sync=True), "tape",
                      desynchronize_triangle, None),

@@ -1,9 +1,9 @@
 import pytest
 
+from helpers import partitioned_instance
 from reconflab.errors import RetryBudgetExceeded
 from reconflab.generators import (
     gen_dcr_instance,
-    gen_partitioned_instance,
     gen_random_dsr_instance,
     gen_random_graph,
     gen_random_multi,
@@ -74,7 +74,7 @@ def test_dsr_generator_feasible():
 def test_partitioned_generator_valid():
     from reconflab.dsr import validate_instance as validate_dsr
 
-    inst = gen_partitioned_instance(13)
+    inst = partitioned_instance(13)
     assert inst.partition is not None
     validate_dsr(inst)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import tape_is_subdivided_star
 from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
 from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feedback_vertex_set
@@ -214,7 +215,6 @@ def test_stars_shape_and_validity():
     rng = random.Random(3)
     inst = random_partitioned_instance(rng)
     out = partitioned_dsr_to_sync_stars(inst)
-    from reconflab.tapes import tape_is_subdivided_star
 
     assert validate_instance(out) == []
     assert all(tape_is_subdivided_star(t) for t in out.tapes)

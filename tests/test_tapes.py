@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tape_oracle
+from helpers import partitioned_instance, successors, tape_is_subdivided_star
 from reconflab import tapes
 from reconflab.dsr import DEFAULT_STATE_CAP
 from reconflab.errors import MalformedInput, StateCapExceeded
-from reconflab.generators import (
-    gen_partitioned_instance,
-    gen_random_multi,
-    gen_random_tape_instance,
-)
-from reconflab.graphs import Graph, complete_graph
+from reconflab.generators import gen_random_multi, gen_random_tape_instance
+from reconflab.graphs import Graph, complete_graph, cycle_graph
 from reconflab.reductions import ds_to_sync_multi, partitioned_dsr_to_sync_stars
 from reconflab.tapes import (
     MultiResult,
@@ -29,8 +26,6 @@ from reconflab.tapes import (
     solve_multi,
     solve_tape,
     tape_is_path,
-    tape_is_subdivided_star,
-    tape_successors,
     validate_instance,
     validate_multi,
 )
@@ -101,7 +96,7 @@ def test_validity_sync_window():
 def test_successors_middle_of_path():
     t = single_letter_path(3)
     inst = instance([t], [0], [2])
-    assert tape_successors(inst, (1,)) == [(0,), (2,)]
+    assert successors(inst, (1,)) == [(0,), (2,)]
 
 
 def test_successors_pinned_head():
@@ -109,14 +104,14 @@ def test_successors_pinned_head():
     t1 = path_tape([2, 1])
     t2 = path_tape([1, 1])
     inst = instance([t1, t2], [0, 0], [0, 1], sigma=2)
-    assert tape_successors(inst, (0, 0)) == [(0, 1)]
+    assert successors(inst, (0, 0)) == [(0, 1)]
 
 
 def test_successors_sync_filter():
     t = single_letter_path(4, number=[1, 2, 3, 4])
     inst = instance([t, t], [0, 0], [3, 3], sync=True, r=4)
     # numbers (1,3) would differ by 2 mod 4, so head 2 cannot advance to cell 2
-    assert tape_successors(inst, (0, 1)) == [(1, 1), (0, 0)]
+    assert successors(inst, (0, 1)) == [(1, 1), (0, 0)]
 
 
 def test_solve_tape_rejects_an_invalid_cs():
@@ -192,7 +187,7 @@ def test_solve_tape_matches_oracle():
     cases = [gen_random_tape_instance(seed, 2 + seed % 3, 4, sigma, sync=seed % 2 == 0,
                                       content_prob=prob)
              for sigma, prob in ((2, 0.55), (4, 0.35)) for seed in range(60)]
-    cases += [partitioned_dsr_to_sync_stars(gen_partitioned_instance(seed)) for seed in range(20)]
+    cases += [partitioned_dsr_to_sync_stars(partitioned_instance(seed)) for seed in range(20)]
     cases += [replace(inst, ct=inst.cs) for inst in cases[:4]]
     for inst in cases:
         assert solve_tape(inst) == tape_oracle.solve_tape(inst, DEFAULT_STATE_CAP)
@@ -218,6 +213,62 @@ def test_solve_tape_matches_oracle():
             except MalformedInput:  # solve_multi skips the selection unsearched
                 continue
             assert tapes._search(sel, DEFAULT_STATE_CAP) == want
+
+
+def wrapping_sync_instance(rng, same_ends=False):
+    """A synchronized instance with r in 4..7, so that the number window bites.
+
+    Tapes are r-cycles numbered around the modulus, paths numbered by a walk
+    of steps -1, 0, +1 modulo r, or single cells; cs and ct each plant every
+    head on one shared number, and ``same_ends`` makes them equal.
+    """
+    while True:
+        r, sigma, p = rng.randint(4, 7), rng.randint(1, 3), rng.randint(2, 4)
+        tape_list = []
+        for _ in range(p):
+            shape = rng.choice(("cycle", "cycle", "walk", "cell"))
+            if shape == "cycle":
+                m, g, first = r, cycle_graph(r), rng.randint(1, r)
+                number = [(first - 1 + i) % r + 1 for i in range(r)]
+            else:
+                m = 1 if shape == "cell" else rng.randint(2, r + 2)
+                g, number = Graph(m, [(i, i + 1) for i in range(m - 1)]), [rng.randint(1, r)]
+                for _ in range(m - 1):
+                    number.append((number[-1] - 1 + rng.choice((-1, 0, 1))) % r + 1)
+            content = [sum(1 << l for l in range(sigma) if rng.random() < 0.5) for _ in range(m)]
+            tape_list.append(Tape(g, tuple(content), 0, m - 1, tuple(number)))
+        probe = instance(tape_list, [0] * p, [0] * p, sigma=sigma, sync=True, r=r)
+        planted = [c for x in range(1, r + 1)
+                   for c in itertools.product(*([i for i, y in enumerate(t.number) if y == x]
+                                                for t in tape_list))
+                   if is_valid_configuration(probe, c)]
+        if len(planted) >= 2:
+            cs, ct = rng.sample(planted, 2)
+            return instance(tape_list, cs, cs if same_ends else ct, sigma=sigma, sync=True, r=r)
+
+
+def test_solve_tape_matches_oracle_on_wrapping_windows():
+    rng = random.Random("wrapping-windows")
+    cases = [wrapping_sync_instance(rng, same_ends=i < 3) for i in range(60)]
+    huge = 10**12  # the window masks hold one bit per number in use, not r bits
+    wrap = single_letter_path(3, number=[huge - 1, huge, 1])
+    cases.append(instance([wrap, wrap], [0, 0], [2, 2], sync=True, r=huge))
+    bites = capped = wraps = 0
+    for inst in cases:
+        assert validate_instance(inst) == []
+        want = tape_oracle.solve_tape(inst, DEFAULT_STATE_CAP)
+        assert solve_tape(inst) == want
+        for cap in range(1, 9):
+            got = _outcome(solve_tape, inst, cap)
+            assert got == _outcome(tape_oracle.solve_tape, inst, cap)
+            capped += got == "cap"
+        bites += tape_oracle.solve_tape(replace(inst, sync=False), DEFAULT_STATE_CAP) != want
+        wraps += any({t.number[u], t.number[v]} == {1, inst.r}
+                     for t in inst.tapes for u, v in t.cells.edges)
+    assert capped and bites and wraps
+    assert any(t.cells.n == 1 for inst in cases for t in inst.tapes)
+    assert any(inst.cs != inst.ct for inst in cases) and any(inst.cs == inst.ct for inst in cases)
+    assert {solve_tape(inst).reachable for inst in cases} == {True, False}
 
 
 # ----------------------------------------------------------------- solve_multi
