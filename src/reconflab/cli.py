@@ -11,18 +11,8 @@ import sys
 
 from . import serialize
 from .dsr import DEFAULT_STATE_CAP, DsrInstance, solve, validate_instance, verify_witness
-from .errors import (
-    MalformedInput,
-    RetryBudgetExceeded,
-    SizeCapExceeded,
-    StateCapExceeded,
-    WorkbenchError,
-)
-from .generators import gen_random_graph, gen_random_tape_instance
-from .kernel import DcrInstance, kernelize as run_kernelize, solve_dcr
-from .reductions import CONSTRUCTIONS, Construction
-from .tapes import MultiTapeInstance, TapeInstance, require_valid, solve_multi, solve_tape
-from .tape_reduce import reduce_tapes_fully
+from .errors import (MalformedInput, RetryBudgetExceeded, SizeCapExceeded, StateCapExceeded,
+                     WorkbenchError)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -30,15 +20,18 @@ EXIT_MALFORMED = 2
 EXIT_CAP = 3
 
 
-def _load(path: str):
+def _read(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
-    return serialize.decode(doc)
+
+
+def _load(path: str):
+    return serialize.decode(_read(path))
 
 
 def _emit(payload: dict) -> None:
@@ -61,17 +54,19 @@ def _reach_result(res, witness: bool, config_json) -> dict:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    if isinstance(inst, DcrInstance):
-        res = solve_dcr(inst, args.state_cap)
-    elif isinstance(inst, DsrInstance):
+    if isinstance(inst, DsrInstance):
         res = solve(inst, args.state_cap)
     else:
-        raise MalformedInput("solve expects a dsr-instance or dcr-instance")
+        from .kernel import DcrInstance, solve_dcr
+        if not isinstance(inst, DcrInstance):
+            raise MalformedInput("solve expects a dsr-instance or dcr-instance")
+        res = solve_dcr(inst, args.state_cap)
     _emit(_reach_result(res, args.witness, sorted))
     return EXIT_OK
 
 
 def _cmd_solve_tape(args) -> int:
+    from .tapes import MultiTapeInstance, TapeInstance, solve_multi, solve_tape
     inst = _load(args.instance)
     if isinstance(inst, TapeInstance):
         out = _reach_result(solve_tape(inst, args.state_cap), args.witness, list)
@@ -86,7 +81,8 @@ def _cmd_solve_tape(args) -> int:
     return EXIT_OK
 
 
-def _check_input(con: Construction, inst, k, what: str) -> None:
+def _check_input(con, inst, k, what: str) -> None:
+    from .tapes import MultiTapeInstance, TapeInstance, require_valid
     if not isinstance(inst, con.source):
         raise MalformedInput(f"{what} expects a {con.source.__name__}, "
                              f"not a {type(inst).__name__}")
@@ -99,14 +95,17 @@ def _check_input(con: Construction, inst, k, what: str) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    inst = _load(args.instance)
-    kind = serialize.encode(inst)["kind"]
+    from .reductions import CONSTRUCTIONS
+    doc = _read(args.instance)
+    inst, kind = serialize.decode(doc), doc["kind"]
     if args.src is not None and args.src != kind:
         raise MalformedInput(f"input is a {kind}, not a {args.src}")
     con = next((c for c in CONSTRUCTIONS.values()
                 if c.to == args.dst and isinstance(inst, c.source)), None)
     if con is None:
-        raise MalformedInput(f"no reduction from {kind} to {args.dst}")
+        kinds = dict.fromkeys(c.to for c in CONSTRUCTIONS.values())
+        raise MalformedInput(f"no reduction from {kind} to {args.dst}" if args.dst in kinds
+                             else f"unknown target kind {args.dst!r} (valid: {' | '.join(kinds)})")
     _check_input(con, inst, args.k, "this reduction")
     out = con.build(inst, args.k)
     doc = serialize.encode(out)
@@ -120,6 +119,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_reduce_tapes(args) -> int:
+    from .tape_reduce import reduce_tapes_fully
+    from .tapes import TapeInstance, require_valid
     inst = _load(args.instance)
     if not isinstance(inst, TapeInstance):
         raise MalformedInput("reduce-tapes expects a tape instance")
@@ -132,10 +133,11 @@ def _cmd_reduce_tapes(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
+    from .kernel import DcrInstance, kernelize
     inst = _load(args.instance)
     if not isinstance(inst, DcrInstance):
         raise MalformedInput("kernelize expects a dcr-instance")
-    kernel, report = run_kernelize(inst)
+    kernel, report = kernelize(inst)
     doc = serialize.encode(kernel)
     doc["certificate"] = {
         "coreSize": report.core_size,
@@ -152,20 +154,25 @@ def _cmd_kernelize(args) -> int:
 def _cmd_verify_witness(args) -> int:
     inst = _load(args.instance)
     configs = _load(args.witness)
-    if isinstance(inst, DcrInstance):
-        from .kernel import as_dsr
-
-        inst = as_dsr(inst)
     if not isinstance(inst, DsrInstance):
-        raise MalformedInput("verify-witness expects a dsr or dcr instance")
+        from .kernel import DcrInstance, as_dsr
+        if not isinstance(inst, DcrInstance):
+            raise MalformedInput("verify-witness expects a dsr or dcr instance")
+        inst = as_dsr(inst)
+    if not isinstance(configs, list):
+        raise MalformedInput("verify-witness expects a witness document as its second file")
     ok = verify_witness(inst, configs)
     _emit({"kind": "verification", "version": 1, "valid": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_verify_reduction(args) -> int:
+    from .reductions import CONSTRUCTIONS
+    con = CONSTRUCTIONS.get(args.construction)
+    if con is None:
+        raise MalformedInput(f"unknown construction {args.construction!r} (valid: "
+                             + " | ".join(CONSTRUCTIONS) + ")")
     inst = _load(args.instance)
-    con = CONSTRUCTIONS[args.construction]
     _check_input(con, inst, args.k, f"{args.construction} verification")
     _, agree = con.replay(inst, args.k, args.state_cap)
     _emit({"kind": "verification", "version": 1, "agree": agree})
@@ -173,6 +180,7 @@ def _cmd_verify_reduction(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import gen_random_graph, gen_random_tape_instance
     if args.what == "graph":
         g = gen_random_graph(args.seed, args.n, args.edge_prob, args.constraint)
         _emit(serialize.graph_to_json(g))
@@ -186,7 +194,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     from .acceptance import run_all
-
     results = run_all(quick=args.quick, log=sys.stderr, trials=args.trials)
     _emit({
         "kind": "acceptance-report",
@@ -230,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="apply an instance transformation")
     p.add_argument("instance")
     p.add_argument("--from", dest="src", default=None, help="expected input kind")
-    p.add_argument("--to", dest="dst", required=True, help="target kind: " + " | ".join(
-        dict.fromkeys(c.to for c in CONSTRUCTIONS.values())))
+    p.add_argument("--to", dest="dst", required=True, help="target kind")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_reduce)
 
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-reduction", help="solve both sides of a construction")
     p.add_argument("instance")
-    p.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
+    p.add_argument("--construction", required=True, help="construction name")
     p.add_argument("--k", type=int, default=None)
     add_cap(p)
     p.set_defaults(func=_cmd_verify_reduction)

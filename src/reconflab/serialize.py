@@ -7,14 +7,16 @@ edges) so identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .dsr import DsrInstance
 from .errors import MalformedInput
 from .graphs import Graph
-from .kernel import DcrInstance
-from .reductions import NormalizedFormula
-from .tapes import MultiTapeInstance, Tape, TapeInstance
+
+if TYPE_CHECKING:
+    from .kernel import DcrInstance
+    from .reductions import NormalizedFormula
+    from .tapes import MultiTapeInstance, Tape, TapeInstance
 
 VERSION = 1
 
@@ -112,20 +114,17 @@ def formula_to_json(phi: NormalizedFormula) -> dict:
     return _envelope("formula", {"vars": phi.nvars, "tree": node(phi.root)})
 
 
+# keyed by type name, so that encoding imports no module
+ENCODERS = {"Graph": graph_to_json, "TapeInstance": tape_instance_to_json,
+            "MultiTapeInstance": multi_to_json, "DsrInstance": dsr_to_json,
+            "DcrInstance": dcr_to_json, "NormalizedFormula": formula_to_json}
+
+
 def encode(obj: Any) -> dict:
-    if isinstance(obj, Graph):
-        return graph_to_json(obj)
-    if isinstance(obj, TapeInstance):
-        return tape_instance_to_json(obj)
-    if isinstance(obj, MultiTapeInstance):
-        return multi_to_json(obj)
-    if isinstance(obj, DsrInstance):
-        return dsr_to_json(obj)
-    if isinstance(obj, DcrInstance):
-        return dcr_to_json(obj)
-    if isinstance(obj, NormalizedFormula):
-        return formula_to_json(obj)
-    raise MalformedInput(f"cannot encode {type(obj).__name__}")
+    encoder = ENCODERS.get(type(obj).__name__)
+    if encoder is None:
+        raise MalformedInput(f"cannot encode {type(obj).__name__}")
+    return encoder(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def graph_from_json(payload: dict) -> Graph:
     return Graph(n, edges, labels)
 
 
-def tape_from_json(payload: dict, sigma: int) -> Tape:
+def tape_from_json(payload: dict, sigma: int, tape_cls: type[Tape]) -> Tape:
     cells = graph_from_json(_need(payload, "cells"))
     if not cells.is_connected():
         raise MalformedInput("tape cell graph is disconnected")
@@ -167,7 +166,7 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
         if missing:
             raise MalformedInput(f"tape numbering misses cells {missing}")
         number = tuple(int(raw[str(c)]) for c in range(cells.n))
-    return Tape(
+    return tape_cls(
         cells=cells,
         content=tuple(content),
         start=int(_need(payload, "start")),
@@ -177,10 +176,11 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
 
 
 def tape_instance_from_json(payload: dict) -> TapeInstance:
+    from .tapes import Tape, TapeInstance
     sigma = int(_need(payload, "sigma"))
     return TapeInstance(
         sigma=sigma,
-        tapes=tuple(tape_from_json(t, sigma) for t in _need(payload, "tapes")),
+        tapes=tuple(tape_from_json(t, sigma, Tape) for t in _need(payload, "tapes")),
         cs=tuple(int(c) for c in _need(payload, "cs")),
         ct=tuple(int(c) for c in _need(payload, "ct")),
         sync=bool(payload.get("sync", False)),
@@ -189,11 +189,12 @@ def tape_instance_from_json(payload: dict) -> TapeInstance:
 
 
 def multi_from_json(payload: dict) -> MultiTapeInstance:
+    from .tapes import MultiTapeInstance, Tape
     sigma = int(_need(payload, "sigma"))
     return MultiTapeInstance(
         sigma=sigma,
         tuples=tuple(
-            tuple(tape_from_json(t, sigma) for t in tup) for tup in _need(payload, "tuples")
+            tuple(tape_from_json(t, sigma, Tape) for t in tup) for tup in _need(payload, "tuples")
         ),
         sync=bool(payload.get("sync", False)),
         r=int(payload["r"]) if payload.get("r") is not None else None,
@@ -216,6 +217,7 @@ def dsr_from_json(payload: dict) -> DsrInstance:
 
 
 def dcr_from_json(payload: dict) -> DcrInstance:
+    from .kernel import DcrInstance
     return DcrInstance(
         graph=graph_from_json(_need(payload, "graph")),
         k=int(_need(payload, "k")),
@@ -228,6 +230,8 @@ def dcr_from_json(payload: dict) -> DcrInstance:
 
 
 def formula_from_json(payload: dict) -> NormalizedFormula:
+    from .reductions import NormalizedFormula
+
     def node(raw):
         if raw[0] == "var":
             return ("var", int(raw[1]))

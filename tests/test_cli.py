@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,45 @@ def test_verify_witness_exit_codes(tmp_path, capsys):
     assert code == 1 and doc["valid"] is False
 
 
+def test_verify_witness_rejects_a_second_file_of_another_kind(tmp_path, capsys):
+    inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
+    ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
+    code = main(["verify-witness", ipath, ipath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "witness document" in captured.err
+
+
+def test_unknown_construction_lists_every_construction(tmp_path, capsys):
+    from reconflab.reductions import CONSTRUCTIONS
+
+    path = write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5)))
+    code = main(["verify-reduction", path, "--construction", "nope"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'nope'" in captured.err and len(CONSTRUCTIONS) == 8
+    assert all(name in captured.err for name in CONSTRUCTIONS)
+
+
+def test_unknown_target_kind_lists_every_target(tmp_path, capsys):
+    from reconflab.reductions import CONSTRUCTIONS
+
+    path = write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5)))
+    code = main(["reduce", path, "--to", "nope", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'nope'" in captured.err
+    assert all(con.to in captured.err for con in CONSTRUCTIONS.values())
+
+
+def test_reduce_names_a_witness_input_by_its_kind(tmp_path, capsys):
+    path = write(tmp_path, "w.json", witness_doc([[0, 1], [1, 2]]))
+    code = main(["reduce", path, "--to", "tape"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no reduction from witness to tape\n"
+
+
 def test_gen_graph_deterministic(tmp_path, capsys):
     code1, doc1 = run(capsys, "gen", "graph", "--seed", "11", "--n", "6",
                       "--constraint", "connected")
@@ -398,6 +441,58 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+# --------------------------------------------------------------- modules a cold call loads
+
+# Runs main() in a fresh interpreter and reports, on stderr's last line, the
+# reconflab modules left in sys.modules.
+_CHILD = ("import sys\n"
+          "from reconflab.cli import main\n"
+          "code = main(sys.argv[1:])\n"
+          "print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+          "                      if m.startswith('reconflab.'))), file=sys.stderr)\n"
+          "sys.exit(code)\n")
+
+
+def _cold_modules(argv) -> set[str]:
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    """One fresh call per subcommand that the cli-calls benchmark times: a
+    new top-level import in ``cli`` or ``serialize`` shows up here."""
+    dsr = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
+    dsr_path = write(tmp_path, "dsr.json", serialize.dsr_to_json(dsr))
+    tape = TapeInstance(2, (path_tape([1, 3, 2]), path_tape([2, 1])), (0, 0), (2, 1))
+    tape_path = write(tmp_path, "tape.json", serialize.tape_instance_to_json(tape))
+    sync = TapeInstance(2, (path_tape([3, 1], number=[1, 2]), path_tape([0, 2], number=[1, 2])),
+                        (0, 0), (1, 1), sync=True, r=2)
+    dcr = DcrInstance(path_graph(5), 2, frozenset({1, 3}), frozenset({1, 3}), d=2)
+    base = {"cli", "serialize", "dsr", "graphs", "errors"}
+    cases = {
+        "solve": (["solve", dsr_path], base),
+        "verify-witness": (["verify-witness", dsr_path,
+                            write(tmp_path, "w.json", witness_doc(solve(dsr).witness))], base),
+        "solve-tape": (["solve-tape", tape_path], base | {"tapes"}),
+        "kernelize": (["kernelize", write(tmp_path, "dcr.json", serialize.dcr_to_json(dcr))],
+                      base | {"kernel"}),
+        "reduce": (["reduce", write(tmp_path, "sync.json", serialize.tape_instance_to_json(sync)),
+                    "--to", "tape"], base | {"tapes", "reductions"}),
+        "verify-reduction": (["verify-reduction",
+                              write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5))),
+                              "--construction", "dominating-set", "--k", "2"],
+                             base | {"tapes", "reductions"}),
+        "reduce-tapes": (["reduce-tapes", tape_path], base | {"tapes", "tape_reduce"}),
+        "gen": (["gen", "graph", "--seed", "5", "--n", "6", "--constraint", "connected"],
+                base | {"generators", "kernel", "tapes"}),
+    }
+    loaded = {name: _cold_modules(argv) for name, (argv, _) in cases.items()}
+    assert loaded == {name: expected for name, (_, expected) in cases.items()}
+
+
 # --------------------------------------------------------------- round-trip properties
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -454,13 +549,8 @@ def _field_paths(node, prefix=()):
 _MISSING = object()
 
 
-@given(st.data())
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-def test_decode_of_a_mutated_envelope_returns_or_rejects(data):
-    from reconflab.dsr import validate_instance as validate_dsr
-    from reconflab.tapes import validate_instance, validate_multi
-
-    doc = data.draw(st.sampled_from(_envelopes()))
+def _mutate(data, doc) -> None:
+    """Set one drawn field of ``doc`` to a drawn value, or delete it."""
     path = data.draw(st.sampled_from(list(_field_paths(doc))))
     value = data.draw(st.sampled_from([None, 0, 7, -1, "x", [], [0], {}, _MISSING]))
     node = doc
@@ -470,6 +560,16 @@ def test_decode_of_a_mutated_envelope_returns_or_rejects(data):
         del node[path[-1]]
     else:
         node[path[-1]] = value
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_decode_of_a_mutated_envelope_returns_or_rejects(data):
+    from reconflab.dsr import validate_instance as validate_dsr
+    from reconflab.tapes import validate_instance, validate_multi
+
+    doc = data.draw(st.sampled_from(_envelopes()))
+    _mutate(data, doc)
     try:
         obj = serialize.decode(doc)
     except MalformedInput:
@@ -484,3 +584,87 @@ def test_decode_of_a_mutated_envelope_returns_or_rejects(data):
             validate_dsr(obj)
         except MalformedInput:
             pass
+
+
+# --------------------------------------------------------------- CLI-level properties
+
+# The document kinds each subcommand reads, one per input file, and the options
+# it always gets.  ``acceptance`` reads no file and runs the whole suite, so it
+# is left out; ``reduce`` and ``verify-reduction`` read their construction's
+# source kind.
+_CLI_INPUTS = {
+    "solve": (["dsr-instance"], ["--witness", "--state-cap", "300"]),
+    "solve-tape": (["tape-instance"], ["--witness", "--state-cap", "300"]),
+    "reduce-tapes": (["tape-instance"], []),
+    "kernelize": (["dcr-instance"], []),
+    "verify-witness": (["dsr-instance", "witness"], []),
+}
+
+
+def _construction_case(data, command):
+    """Input kinds and options of one ``reduce`` or ``verify-reduction`` call."""
+    from reconflab.reductions import CONSTRUCTIONS
+
+    kind_of = {type(serialize.decode(doc)).__name__: doc["kind"] for doc in _envelopes()}
+    name = data.draw(st.sampled_from([*CONSTRUCTIONS, "nope"]))
+    con = CONSTRUCTIONS.get(name, CONSTRUCTIONS["dominating-set"])
+    if command == "reduce":
+        options = ["--to", con.to if name in CONSTRUCTIONS else name]
+    else:
+        options = ["--construction", name, "--state-cap", "300"]
+    k = data.draw(st.sampled_from(["1", "2", "0", "-1", None]))
+    return [kind_of[con.source.__name__]], options + ([] if k is None else ["--k", k])
+
+
+def _gen_argv(data):
+    seed = str(data.draw(st.integers(0, 50)))
+    if data.draw(st.booleans()):
+        return ["gen", "graph", "--seed", seed, "--n", str(data.draw(st.integers(-1, 6))),
+                "--constraint", data.draw(st.sampled_from(
+                    ["none", "connected", "k3d-free:2", "connected-k3d-free:1", "bogus"]))]
+    argv = ["gen", "tape", "--seed", seed]
+    for option in ("--tapes", "--cells", "--sigma"):
+        argv += [option, str(data.draw(st.integers(-1, 3)))]
+    return argv + (["--sync"] if data.draw(st.booleans()) else [])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_cli_on_mutated_inputs_exits_cleanly(data):
+    """Every subcommand, on one of its natural inputs or on a document of
+    another kind, possibly with one field mutated, ends in a documented exit
+    code without a traceback; only the verifiers report a negative answer."""
+    import contextlib
+    import io
+    import tempfile
+
+    command = data.draw(st.sampled_from(
+        [*_CLI_INPUTS, "reduce", "verify-reduction", "gen"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "gen":
+            argv = _gen_argv(data)
+        else:
+            kinds, options = (_CLI_INPUTS[command] if command in _CLI_INPUTS
+                              else _construction_case(data, command))
+            envelopes = {doc["kind"]: doc for doc in _envelopes()}
+            argv = [command]
+            for i, kind in enumerate(kinds):
+                if data.draw(st.booleans()):  # a document of any kind in this slot
+                    kind = data.draw(st.sampled_from(sorted(envelopes)))
+                doc = envelopes[kind]
+                if data.draw(st.booleans()):
+                    _mutate(data, doc)
+                argv.append(os.path.join(tmp, f"in{i}.json"))
+                with open(argv[-1], "w") as fh:
+                    json.dump(doc, fh)
+            argv += options
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        assert command in ("verify-witness", "verify-reduction"), argv
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["kind"]
+    else:
+        assert out.getvalue() == "" and err.getvalue(), argv
