@@ -8,8 +8,9 @@ destinations of the token on u come out as one mask: with ``priv(u)`` the
 core vertices that u alone dominates (one pass over the tokens finds the
 vertices dominated twice, O(k) per state), they are
 ``AND_{x in priv(u)} N[x] & ~D``, further masked by N(u) for sliding and by
-u's part for partitioned instances; only connected instances test each
-candidate.  Successors are still expanded in lexicographic order of their
+u's part for partitioned instances.  For connected instances that mask is
+ANDed with the vertices adjacent to every component of D - u, found once per
+token.  Successors are still expanded in lexicographic order of their
 sorted vertex lists, so witnesses are reproducible byte for byte.
 """
 from __future__ import annotations
@@ -123,6 +124,28 @@ def _induces_connected(g: Graph, dmask: int) -> bool:
     return seen == dmask
 
 
+def _joins_every_component(g: Graph, rest: int) -> int:
+    """The vertices adjacent to every component of G[rest], as a mask (all of
+    them, -1, when rest is empty): exactly the v outside rest for which
+    rest + v induces a connected graph."""
+    nbr = g.nbr_mask
+    common = -1
+    while rest and common:
+        seen = todo = rest & -rest
+        reach = 0  # open neighbourhood of the component of seen's first vertex
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            adj = nbr[low.bit_length() - 1]
+            reach |= adj
+            new = adj & rest & ~seen
+            seen |= new
+            todo |= new
+        common &= reach
+        rest &= ~seen
+    return common
+
+
 def _core_mask(inst: DsrInstance) -> int:
     return inst.graph.full_mask if inst.core is None else mask_of(inst.core)
 
@@ -132,9 +155,14 @@ def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
     if len(d) != inst.k:
         return False
     g = inst.graph
-    if _core_mask(inst) & ~closed_mask_of(g, d):
+    closed = g.closed_mask
+    dmask = covered = 0
+    for v in d:
+        dmask |= 1 << v
+        covered |= closed[v]
+    if _core_mask(inst) & ~covered:
         return False
-    if inst.connected and not _induces_connected(g, mask_of(d)):
+    if inst.connected and not _induces_connected(g, dmask):
         return False
     if inst.partition is not None:
         for part in inst.partition:
@@ -199,12 +227,14 @@ def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
                 dest &= closed[low.bit_length() - 1]
                 priv ^= low
             rest = cur ^ (1 << u)
+            if connected and dest:
+                dest &= _joins_every_component(g, rest)
             ru = rank[u]
             while dest:
                 low = dest & -dest
                 dest ^= low
                 nxt = rest | low
-                if nxt in visited or (connected and not _induces_connected(g, nxt)):
+                if nxt in visited:
                     continue
                 fresh.append((ru - rank[low.bit_length() - 1], nxt))
         fresh.sort()
@@ -284,6 +314,10 @@ def is_legal_move(inst: DsrInstance, a: frozenset[int], b: frozenset[int]) -> bo
 
 
 def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
+    """Replay ``seq``; a vertex outside the graph is malformed input, not a bad move."""
+    bad = [v for d in seq for v in d if not 0 <= v < inst.graph.n]
+    if bad:
+        raise MalformedInput(f"witness vertex {bad[0]} out of range")
     if not seq:
         return False
     if frozenset(seq[0]) != inst.source or frozenset(seq[-1]) != inst.target:
@@ -306,8 +340,9 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     Branches on the smallest undominated target vertex's closed neighborhood;
     the vertices earlier siblings took are banned from later ones, which keeps
     each set to one branch.  A child is pushed only if its remaining slots
-    could still cover what is undominated, and once the target is dominated
-    the remaining slots are filled by one ``itertools.combinations`` over the
+    could still cover what is undominated, and the last slot takes the AND of
+    N[x] over the undominated x as one mask.  Once the target is dominated the
+    remaining slots are filled by one ``itertools.combinations`` over the
     vertices neither chosen nor banned.  One explicit stack, children pushed
     in reverse, so the sets come out in depth-first order.  The three masks
     only seed the stack's first entry; the loop is the same for every query.
@@ -330,6 +365,15 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
         if not missing:
             free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
             yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
+            continue
+        if len(d) + 1 == size:  # the last vertex must dominate all that is missing
+            last = ~(dmask | banned)
+            while missing and last:
+                low = missing & -missing
+                last &= closed[low.bit_length() - 1]
+                missing ^= low
+            chosen = frozenset(d)
+            yield from (chosen | {u} for u in bits(last))
             continue
         room = (size - len(d) - 1) * maxcov
         v = (missing & -missing).bit_length() - 1

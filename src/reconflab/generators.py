@@ -7,19 +7,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .dsr import JUMP, SLIDE, DsrInstance, dominating_sets_of_size
 from .errors import MalformedInput, RetryBudgetExceeded
 from .graphs import Graph, contains_biclique
-from .kernel import DcrInstance, K3D_FREE, compute_core
-from .tapes import (
-    MultiTapeInstance,
-    Tape,
-    TapeInstance,
-    is_valid_configuration,
-    path_tape,
-)
+
+if TYPE_CHECKING:  # imported where used, so `gen graph` loads neither module
+    from .kernel import DcrInstance
+    from .tapes import MultiTapeInstance, TapeInstance
 
 RETRY_BUDGET = 5000
 
@@ -82,6 +78,7 @@ def gen_random_tape_instance(
     differ by at most one) and head configurations sitting on one shared
     number.
     """
+    from .tapes import Tape, TapeInstance, is_valid_configuration
     if tapes < 1 or sigma < 0 or cells < (2 if sync else 1):
         raise MalformedInput(f"need tapes >= 1, sigma >= 0 and cells >= {2 if sync else 1}")
     rng = random.Random(seed)
@@ -131,6 +128,7 @@ def gen_random_tape_instance(
 def gen_sync_path_instance(seed: int, tapes: int, cells: int, sigma: int,
                            retries: int = RETRY_BUDGET) -> TapeInstance:
     """Equal-length position-numbered path tapes with shared-number endpoints."""
+    from .tapes import TapeInstance, is_valid_configuration, path_tape
     rng = random.Random(seed)
     for _ in range(retries):
         m = rng.randint(2, cells)
@@ -152,6 +150,7 @@ def gen_sync_path_instance(seed: int, tapes: int, cells: int, sigma: int,
 
 def gen_random_multi(seed: int, tuples: int, members: int, cells: int,
                      sigma: int = 1) -> MultiTapeInstance:
+    from .tapes import MultiTapeInstance, path_tape
     rng = random.Random(seed)
     shape = []
     for _ in range(rng.randint(1, tuples)):
@@ -188,7 +187,8 @@ def gen_random_dsr_instance(
 
 
 def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2,
-                     family: str = K3D_FREE, retries: int = RETRY_BUDGET) -> DcrInstance:
+                     family: Optional[str] = None, retries: int = RETRY_BUDGET) -> DcrInstance:
+    from .kernel import K3D_FREE, DcrInstance, compute_core
     rng = random.Random(seed)
     for _ in range(retries):
         n = rng.randint(3, n_max)
@@ -201,5 +201,5 @@ def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2,
             continue
         src, tgt = rng.sample(doms, 2)
         core = compute_core(g, k, src | tgt)
-        return DcrInstance(g, k, src, tgt, d=d, family=family, core=core)
+        return DcrInstance(g, k, src, tgt, d=d, family=family or K3D_FREE, core=core)
     raise RetryBudgetExceeded("no family-constrained instance within the retry budget")

@@ -8,7 +8,7 @@ import pytest
 
 from reconflab import serialize
 from reconflab.cli import main
-from reconflab.dsr import SLIDE, DsrInstance, solve
+from reconflab.dsr import JUMP, SLIDE, DsrInstance, solve
 from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, cycle_graph, path_graph
 from reconflab.kernel import DcrInstance
@@ -230,6 +230,17 @@ def test_verify_witness_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "b.json", witness_doc([[0, 1], [1, 2]]))
     code, doc = run(capsys, "verify-witness", ipath, bad)
     assert code == 1 and doc["valid"] is False
+
+
+@pytest.mark.parametrize("bad", [[0, -1], [0, 3]], ids=["negative", "past-n"])
+def test_verify_witness_rejects_vertices_outside_the_graph(tmp_path, capsys, bad):
+    inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({0, 2}), JUMP)
+    ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
+    wpath = write(tmp_path, "w.json", witness_doc([[0, 1], bad, [0, 2]]))
+    code = main(["verify-witness", ipath, wpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "out of range" in captured.err
 
 
 def test_verify_witness_rejects_a_second_file_of_another_kind(tmp_path, capsys):
@@ -487,7 +498,7 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
                              base | {"tapes", "reductions"}),
         "reduce-tapes": (["reduce-tapes", tape_path], base | {"tapes", "tape_reduce"}),
         "gen": (["gen", "graph", "--seed", "5", "--n", "6", "--constraint", "connected"],
-                base | {"generators", "kernel", "tapes"}),
+                base | {"generators"}),
     }
     loaded = {name: _cold_modules(argv) for name, (argv, _) in cases.items()}
     assert loaded == {name: expected for name, (_, expected) in cases.items()}

@@ -247,12 +247,19 @@ def kernel_case(rng, kind):
             return DsrInstance(g, k, src, tgt, rule, probe.connected, core, partition)
 
 
+def tj_cdsr_case(rng):
+    """A ``tape_to_tj_cdsr`` output with its own source and target: 45+
+    vertices, where D - u often splits into several components."""
+    _, art = _small_irreducible(rng, cells=2, sigma=2)
+    return tape_to_tj_cdsr(art)
+
+
 @pytest.mark.parametrize("kind", ["slide", "jump", "core", "connected-slide", "connected-jump",
-                                  "partitioned", "disconnected"])
+                                  "partitioned", "disconnected", "tj-cdsr"])
 def test_kernel_matches_oracle_search(kind):
     rng = random.Random(f"kernel-{kind}")
     for _ in range(100):
-        inst = kernel_case(rng, kind)
+        inst = tj_cdsr_case(rng) if kind == "tj-cdsr" else kernel_case(rng, kind)
         assert solve(inst) == solve_with_oracle(inst)
 
 
