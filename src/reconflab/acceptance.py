@@ -8,7 +8,6 @@ constants checked into the repository; reruns are byte-stable.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .reductions import (
     check_guard_containment,
     check_min_ds_structure,
 )
-from .tape_reduce import solve_bounded_alphabet
+from .tape_reduce import reduce_tapes_fully, solve_bounded_alphabet
 from .tapes import (
     extended_graph,
     is_irreducible,
@@ -270,8 +269,6 @@ def _c08_tape_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
         res = solve_bounded_alphabet(inst)
         if res.reachable != solve_tape(inst).reachable:
             return False, f"bounded-alphabet answer changed on instance {i}"
-        from .tape_reduce import reduce_tapes_fully
-
         reduced, _ = reduce_tapes_fully(inst)
         if len(reduced.tapes) > 2 * reduced.sigma:
             return False, f"instance {i} not reduced below twice the alphabet"
@@ -324,7 +321,6 @@ def _dfs_reachability_oracle(inst: DsrInstance) -> bool:
         return True
 
     nodes = list(enumerate_dominating_sets(g, inst.k, core))
-    sys.setrecursionlimit(10000)
     seen = set()
 
     def dfs(cur):

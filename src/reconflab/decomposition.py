@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import MalformedInput
-from .graphs import Graph
+from .graphs import Graph, component_of
 
 
 @dataclass(frozen=True)
@@ -43,24 +43,9 @@ class DecompositionReport:
 
 
 def _tree_ok(nbags: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    if nbags == 0:
-        return False
-    if len(edges) != nbags - 1:
-        return False
-    parent = list(range(nbags))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
+    """n - 1 edges, no loop (``Graph`` rejects one), and every bag reached."""
+    return (nbags > 0 and len(edges) == nbags - 1 and all(i != j for i, j in edges)
+            and Graph(nbags, edges).is_connected())
 
 
 def verify_decomposition(g: Graph, td: TreeDecomposition, s: Optional[int] = None) -> DecompositionReport:
@@ -69,10 +54,12 @@ def verify_decomposition(g: Graph, td: TreeDecomposition, s: Optional[int] = Non
     structured is True iff every bag touches at most ``s`` tapes according to
     ``td.tape_of`` (trivially True when s is None).
     """
-    for bag in td.bags:
+    held = [0] * g.n  # per vertex, the mask of the bags that hold it
+    for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 raise MalformedInput(f"bag vertex {v} out of range")
+            held[v] |= 1 << i
     for i, j in td.tree:
         if not (0 <= i < len(td.bags) and 0 <= j < len(td.bags)):
             raise MalformedInput(f"tree edge ({i},{j}) out of bag range")
@@ -81,33 +68,19 @@ def verify_decomposition(g: Graph, td: TreeDecomposition, s: Optional[int] = Non
     if not _tree_ok(len(td.bags), td.tree):
         reasons.append("bag graph is not a tree")
 
-    covered = set().union(*td.bags) if td.bags else set()
-    if covered != set(range(g.n)):
+    if not all(held):
         reasons.append("some vertex appears in no bag")
 
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if not held[u] & held[v]:
             reasons.append(f"edge ({u},{v}) inside no bag")
             break
 
     # Connectivity of each vertex's bag set in the decomposition tree.
     if not reasons:
-        nbr = [[] for _ in td.bags]
-        for i, j in td.tree:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        for v in range(g.n):
-            holders = [i for i, bag in enumerate(td.bags) if v in bag]
-            seen = {holders[0]}
-            stack = [holders[0]]
-            holder_set = set(holders)
-            while stack:
-                i = stack.pop()
-                for j in nbr[i]:
-                    if j in holder_set and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if seen != holder_set:
+        tree = Graph(len(td.bags), td.tree)
+        for v, bags in enumerate(held):
+            if component_of(tree, bags) != bags:
                 reasons.append(f"bags holding vertex {v} are disconnected")
                 break
 

@@ -10,8 +10,9 @@ vertices dominated twice, O(k) per state), they are
 ``AND_{x in priv(u)} N[x] & ~D``, further masked by N(u) for sliding and by
 u's part for partitioned instances.  For connected instances that mask is
 ANDed with the vertices adjacent to every component of D - u, found once per
-token.  Successors are still expanded in lexicographic order of their
-sorted vertex lists, so witnesses are reproducible byte for byte.
+token with ``graphs.component_of``, the one connectivity primitive.
+Successors are still expanded in lexicographic order of their sorted vertex
+lists, so witnesses are reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InfeasibleInstance, MalformedInput, StateCapExceeded
-from .graphs import Graph, bits, closed_mask_of, delete_vertices, mask_of, set_of
+from .graphs import Graph, bits, closed_mask_of, component_of, delete_vertices, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -112,37 +113,14 @@ def validate_instance(inst: DsrInstance) -> None:
             raise MalformedInput(f"{name} is not a feasible configuration")
 
 
-def _induces_connected(g: Graph, dmask: int) -> bool:
-    nbr = g.nbr_mask
-    seen = todo = dmask & -dmask
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = nbr[low.bit_length() - 1] & dmask & ~seen
-        seen |= new
-        todo |= new
-    return seen == dmask
-
-
 def _joins_every_component(g: Graph, rest: int) -> int:
-    """The vertices adjacent to every component of G[rest], as a mask (all of
-    them, -1, when rest is empty): exactly the v outside rest for which
+    """The vertices in or next to every component of G[rest], as a mask (-1
+    when rest is empty); outside rest they are exactly the v for which
     rest + v induces a connected graph."""
-    nbr = g.nbr_mask
     common = -1
-    while rest and common:
-        seen = todo = rest & -rest
-        reach = 0  # open neighbourhood of the component of seen's first vertex
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            adj = nbr[low.bit_length() - 1]
-            reach |= adj
-            new = adj & rest & ~seen
-            seen |= new
-            todo |= new
-        common &= reach
-        rest &= ~seen
+    while common and (comp := component_of(g, rest)):
+        rest ^= comp
+        common &= closed_mask_of(g, bits(comp))
     return common
 
 
@@ -162,7 +140,7 @@ def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
         covered |= closed[v]
     if _core_mask(inst) & ~covered:
         return False
-    if inst.connected and not _induces_connected(g, dmask):
+    if inst.connected and component_of(g, dmask) != dmask:
         return False
     if inst.partition is not None:
         for part in inst.partition:

@@ -99,21 +99,10 @@ class Graph:
         return range(self.n)
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+        comps, rest = [], self.full_mask
+        while comp := component_of(self, rest):
+            comps.append(list(bits(comp)))
+            rest ^= comp
         return comps
 
     def distances(self, source: int) -> list[float]:
@@ -130,7 +119,7 @@ class Graph:
         return dist
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return component_of(self, self.full_mask) == self.full_mask
 
     def __eq__(self, other):
         return (
@@ -145,6 +134,21 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self._edges)})"
+
+
+def component_of(g: Graph, within: int) -> int:
+    """The component of G[within] that holds within's lowest vertex, as a
+    vertex mask; 0 when within is empty.  The package's one connectivity
+    primitive: peel components off a mask by calling it until none is left."""
+    nbr = g.nbr_mask
+    seen = todo = within & -within
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = nbr[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        todo |= new
+    return seen
 
 
 def path_graph(n: int) -> Graph:

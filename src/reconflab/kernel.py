@@ -20,7 +20,9 @@ from .graphs import (
     ENUM_CAP,
     Graph,
     add_vertex,
+    bits,
     closed_mask_of,
+    component_of,
     delete_vertices,
     dominates,
     find_biclique,
@@ -174,36 +176,25 @@ def reduce_twins(inst: DcrInstance) -> DcrInstance:
         x = inst.core_set()
 
 
+def _class_component(inst: DcrInstance) -> int:
+    """The first component of more than one vertex inside a class, as a
+    mask (classes in sorted key order, components by lowest vertex); 0 if none."""
+    classes = neighborhood_classes(inst.graph, inst.core_set())
+    for key in sorted(classes, key=sorted):
+        rest = mask_of(classes[key])
+        while comp := component_of(inst.graph, rest):
+            if comp & (comp - 1):
+                return comp
+            rest ^= comp
+    return 0
+
+
 def contract_class_components(inst: DcrInstance) -> DcrInstance:
     """Contract connected components inside each class to single vertices."""
-    while True:
-        classes = neighborhood_classes(inst.graph, inst.core_set())
-        target = None
-        for key in sorted(classes, key=sorted):
-            members = classes[key]
-            sub = sorted(members)
-            seen: set[int] = set()
-            for s in sub:
-                if s in seen:
-                    continue
-                comp = {s}
-                stack = [s]
-                while stack:
-                    u = stack.pop()
-                    for w in inst.graph.adj[u]:
-                        if w in members and w not in comp:
-                            comp.add(w)
-                            stack.append(w)
-                seen |= comp
-                if len(comp) > 1:
-                    target = comp
-                    break
-            if target:
-                break
-        if not target:
-            return inst
-        g, remap = merge_vertices(inst.graph, target)
+    while comp := _class_component(inst):
+        g, remap = merge_vertices(inst.graph, bits(comp))
         inst = _remap_instance(inst, g, remap)
+    return inst
 
 
 def zero_class_of(inst: DcrInstance) -> frozenset[int]:

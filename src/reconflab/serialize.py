@@ -136,11 +136,24 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _int(x) -> int:
+    """A JSON integer field (not ``true``); string object keys go through ``int``."""
+    if type(x) is not int:
+        raise MalformedInput(f"expected an integer, got {x!r}")
+    return x
+
+
+def _bool(x) -> bool:
+    if type(x) is not bool:
+        raise MalformedInput(f"expected true or false, got {x!r}")
+    return x
+
+
 def graph_from_json(payload: dict) -> Graph:
     if payload.get("kind", "graph") != "graph":
         raise MalformedInput("expected a graph document")
-    n = int(_need(payload, "n"))
-    edges = [(int(u), int(v)) for u, v in _need(payload, "edges")]
+    n = _int(_need(payload, "n"))
+    edges = [(_int(u), _int(v)) for u, v in _need(payload, "edges")]
     labels = {int(v): str(lab) for v, lab in payload.get("labels", {}).items()}
     return Graph(n, edges, labels)
 
@@ -154,8 +167,7 @@ def tape_from_json(payload: dict, sigma: int, tape_cls: type[Tape]) -> Tape:
         c = int(cell)
         if not (0 <= c < cells.n):
             raise MalformedInput(f"content on unknown cell {c}")
-        for raw in letters:
-            letter = int(raw)
+        for letter in map(_int, letters):
             if not (0 <= letter < sigma):
                 raise MalformedInput(f"letter {letter} on cell {c} outside alphabet of {sigma}")
             content[c] |= 1 << letter
@@ -165,52 +177,52 @@ def tape_from_json(payload: dict, sigma: int, tape_cls: type[Tape]) -> Tape:
         missing = [c for c in range(cells.n) if str(c) not in raw]
         if missing:
             raise MalformedInput(f"tape numbering misses cells {missing}")
-        number = tuple(int(raw[str(c)]) for c in range(cells.n))
+        number = tuple(_int(raw[str(c)]) for c in range(cells.n))
     return tape_cls(
         cells=cells,
         content=tuple(content),
-        start=int(_need(payload, "start")),
-        end=int(_need(payload, "end")),
+        start=_int(_need(payload, "start")),
+        end=_int(_need(payload, "end")),
         number=number,
     )
 
 
 def tape_instance_from_json(payload: dict) -> TapeInstance:
     from .tapes import Tape, TapeInstance
-    sigma = int(_need(payload, "sigma"))
+    sigma = _int(_need(payload, "sigma"))
     return TapeInstance(
         sigma=sigma,
         tapes=tuple(tape_from_json(t, sigma, Tape) for t in _need(payload, "tapes")),
-        cs=tuple(int(c) for c in _need(payload, "cs")),
-        ct=tuple(int(c) for c in _need(payload, "ct")),
-        sync=bool(payload.get("sync", False)),
-        r=int(payload["r"]) if payload.get("r") is not None else None,
+        cs=tuple(_int(c) for c in _need(payload, "cs")),
+        ct=tuple(_int(c) for c in _need(payload, "ct")),
+        sync=_bool(payload.get("sync", False)),
+        r=_int(payload["r"]) if payload.get("r") is not None else None,
     )
 
 
 def multi_from_json(payload: dict) -> MultiTapeInstance:
     from .tapes import MultiTapeInstance, Tape
-    sigma = int(_need(payload, "sigma"))
+    sigma = _int(_need(payload, "sigma"))
     return MultiTapeInstance(
         sigma=sigma,
         tuples=tuple(
             tuple(tape_from_json(t, sigma, Tape) for t in tup) for tup in _need(payload, "tuples")
         ),
-        sync=bool(payload.get("sync", False)),
-        r=int(payload["r"]) if payload.get("r") is not None else None,
+        sync=_bool(payload.get("sync", False)),
+        r=_int(payload["r"]) if payload.get("r") is not None else None,
     )
 
 
 def dsr_from_json(payload: dict) -> DsrInstance:
     return DsrInstance(
         graph=graph_from_json(_need(payload, "graph")),
-        k=int(_need(payload, "k")),
-        source=frozenset(int(v) for v in _need(payload, "source")),
-        target=frozenset(int(v) for v in _need(payload, "target")),
+        k=_int(_need(payload, "k")),
+        source=frozenset(_int(v) for v in _need(payload, "source")),
+        target=frozenset(_int(v) for v in _need(payload, "target")),
         rule=str(payload.get("rule", "slide")),
-        connected=bool(payload.get("connected", False)),
-        core=frozenset(int(v) for v in payload["core"]) if "core" in payload else None,
-        partition=tuple(frozenset(int(v) for v in p) for p in payload["partition"])
+        connected=_bool(payload.get("connected", False)),
+        core=frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
+        partition=tuple(frozenset(_int(v) for v in p) for p in payload["partition"])
         if "partition" in payload
         else None,
     )
@@ -220,12 +232,12 @@ def dcr_from_json(payload: dict) -> DcrInstance:
     from .kernel import DcrInstance
     return DcrInstance(
         graph=graph_from_json(_need(payload, "graph")),
-        k=int(_need(payload, "k")),
-        source=frozenset(int(v) for v in _need(payload, "source")),
-        target=frozenset(int(v) for v in _need(payload, "target")),
-        d=int(_need(payload, "d")),
+        k=_int(_need(payload, "k")),
+        source=frozenset(_int(v) for v in _need(payload, "source")),
+        target=frozenset(_int(v) for v in _need(payload, "target")),
+        d=_int(_need(payload, "d")),
         family=str(payload.get("family", "k3d-free")),
-        core=frozenset(int(v) for v in payload["core"]) if "core" in payload else None,
+        core=frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
     )
 
 
@@ -234,16 +246,16 @@ def formula_from_json(payload: dict) -> NormalizedFormula:
 
     def node(raw):
         if raw[0] == "var":
-            return ("var", int(raw[1]))
+            return ("var", _int(raw[1]))
         if raw[0] in ("and", "or"):
             return (raw[0], tuple(node(c) for c in raw[1]))
         raise MalformedInput(f"unknown formula node {raw[0]!r}")
 
-    return NormalizedFormula(int(_need(payload, "vars")), node(_need(payload, "tree")))
+    return NormalizedFormula(_int(_need(payload, "vars")), node(_need(payload, "tree")))
 
 
 def witness_from_json(payload: dict) -> list[frozenset[int]]:
-    return [frozenset(int(v) for v in c) for c in _need(payload, "configs")]
+    return [frozenset(_int(v) for v in c) for c in _need(payload, "configs")]
 
 
 DECODERS = {
@@ -258,8 +270,8 @@ DECODERS = {
 
 
 def decode(doc: dict):
-    """Decode any envelope.  The decoders assume well-typed fields; the errors
-    a badly typed field raises become ``MalformedInput`` here, and only here."""
+    """Decode any envelope.  The decoders check integer and boolean fields; the
+    errors any other badly typed field raises become ``MalformedInput`` here."""
     if not isinstance(doc, dict):
         raise MalformedInput("expected a JSON object")
     kind = doc.get("kind")

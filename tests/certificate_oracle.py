@@ -1,8 +1,10 @@
-"""Reference certificate verifiers: subset enumeration and recursive generators.
+"""Reference certificate verifiers: subset enumeration, recursive generators
+and list traversals.
 
 ``graphs.min_feedback_vertex_set`` branches on short cycles,
-``dsr.enumerate_dominating_sets`` runs on one explicit stack and
-``kernel._is_core`` asks that enumerator; this module keeps the direct
+``dsr.enumerate_dominating_sets`` runs on one explicit stack,
+``kernel._is_core`` asks that enumerator, and every connectivity question
+goes through ``graphs.component_of``; this module keeps the direct
 constructions they replaced as the oracles they are compared against,
 together with the union-find forest test the subset search uses.
 """
@@ -32,6 +34,48 @@ def is_forest(g: Graph, removed_mask: int = 0) -> bool:
         if ru == rv:
             return False
         parent[ru] = rv
+    return True
+
+
+def components(g: Graph, within: int) -> list[list[int]]:
+    """Components of G[within], each sorted, in order of their lowest vertex:
+    a depth-first search over adjacency lists."""
+    seen = [not within >> v & 1 for v in range(g.n)]
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def is_tree(nbags: int, edges) -> bool:
+    """Union-find: at least one node, n - 1 edges, and none closes a cycle
+    (a loop or a repeated edge closes one)."""
+    if nbags == 0 or len(edges) != nbags - 1:
+        return False
+    parent = list(range(nbags))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
     return True
 
 

@@ -243,6 +243,25 @@ def test_verify_witness_rejects_vertices_outside_the_graph(tmp_path, capsys, bad
     assert "out of range" in captured.err
 
 
+@pytest.mark.parametrize("configs,connected", [
+    ([[0, 1], [0, 2.9]], False),
+    ([[0, True], [0, 2]], False),
+    ([[0, 1], [0, "2"]], False),
+    ([[0, 1], [0, 2]], "false"),
+], ids=["float-vertex", "boolean-vertex", "string-vertex", "string-connected"])
+def test_verify_witness_rejects_values_that_are_not_json_integers_or_booleans(
+        tmp_path, capsys, configs, connected):
+    """int() and bool() would read these as 2, 1, 2 and True."""
+    doc = serialize.dsr_to_json(
+        DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({0, 2}), JUMP))
+    doc["connected"] = connected
+    ipath = write(tmp_path, "i.json", doc)
+    wpath = write(tmp_path, "w.json", {"kind": "witness", "version": 1, "configs": configs})
+    code = main(["verify-witness", ipath, wpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+
+
 def test_verify_witness_rejects_a_second_file_of_another_kind(tmp_path, capsys):
     inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
     ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from reconflab.decomposition import TreeDecomposition, verify_decomposition
+import certificate_oracle
+from reconflab.decomposition import TreeDecomposition, _tree_ok, verify_decomposition
 from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, path_graph
 
@@ -46,11 +49,27 @@ def test_disconnected_holder_bags_rejected():
     assert not rep.valid and any("disconnected" in r for r in rep.reasons)
 
 
-def test_non_tree_rejected():
+@pytest.mark.parametrize("tree", [((0, 1), (1, 2), (2, 0)), ((0, 1), (0, 0)), ((0, 1), (1, 0))],
+                         ids=["cycle", "loop", "repeated-edge"])
+def test_non_tree_rejected(tree):
     g = path_graph(3)
     bags = (frozenset({0, 1}), frozenset({1, 2}), frozenset({1}))
-    td = TreeDecomposition(bags=bags, tree=((0, 1), (1, 2), (2, 0)))
-    assert not verify_decomposition(g, td).valid
+    rep = verify_decomposition(g, TreeDecomposition(bags=bags, tree=tree))
+    assert not rep.valid and "bag graph is not a tree" in rep.reasons
+
+
+def test_tree_check_matches_union_find():
+    """Random edge lists, loops and repeated edges included, on up to six bags."""
+    rng = random.Random(5151)
+    seen = set()
+    for _ in range(3000):
+        nbags = rng.randint(0, 6)
+        m = max(0, nbags - 1 + rng.choice((-1, 0, 0, 0, 1))) if nbags else 0
+        edges = tuple((rng.randrange(nbags), rng.randrange(nbags)) for _ in range(m))
+        want = certificate_oracle.is_tree(nbags, edges)
+        assert _tree_ok(nbags, edges) == want, (nbags, edges)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_structuredness_counts_only_mapped_vertices():

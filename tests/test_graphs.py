@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 from reconflab.acceptance import _small_irreducible
+from reconflab.dsr import _joins_every_component
 from reconflab.errors import MalformedInput, SizeCapExceeded
 from reconflab.graphs import (
     Graph,
+    bits,
     complete_graph,
+    component_of,
     contains_biclique,
     find_biclique,
     cycle_graph,
@@ -73,6 +76,41 @@ def test_components_and_connectivity():
     assert g.components() == [[0, 1], [2, 3], [4]]
     assert not g.is_connected()
     assert path_graph(4).is_connected()
+
+
+def _random_within(rng):
+    n = rng.randint(0, 10)
+    return random_graph(rng, n, rng.random()), rng.randrange(1 << n)
+
+
+def test_component_of_peels_the_oracle_components():
+    rng = random.Random(4242)
+    for _ in range(3000):
+        g, within = _random_within(rng)
+        peeled, rest = [], within
+        while rest:
+            comp = component_of(g, rest)
+            assert comp and comp & ~rest == 0, (g.edges, rest)
+            peeled.append(list(bits(comp)))
+            rest ^= comp
+        assert component_of(g, 0) == 0
+        assert peeled == certificate_oracle.components(g, within), (g.edges, within)
+        oracle = certificate_oracle.components(g, g.full_mask)
+        assert g.components() == oracle and g.is_connected() == (len(oracle) <= 1)
+
+
+def test_joins_every_component_matches_the_oracle():
+    """Outside rest, the mask holds exactly the v for which rest + v is connected."""
+    rng = random.Random(4343)
+    for _ in range(3000):
+        g, rest = _random_within(rng)
+        got = _joins_every_component(g, rest)
+        if not rest:
+            assert got == -1
+            continue
+        want = mask_of(v for v in range(g.n) if not rest >> v & 1
+                       and len(certificate_oracle.components(g, rest | 1 << v)) == 1)
+        assert got & ~rest == want, (g.edges, rest)
 
 
 def test_delete_and_merge_helpers():
