@@ -78,9 +78,10 @@ def gen_random_tape_instance(
     differ by at most one) and head configurations sitting on one shared
     number.
     """
-    from .tapes import Tape, TapeInstance, is_valid_configuration
-    if tapes < 1 or sigma < 0 or cells < (2 if sync else 1):
-        raise MalformedInput(f"need tapes >= 1, sigma >= 0 and cells >= {2 if sync else 1}")
+    from .tapes import Tape, TapeInstance, check_alphabet, is_valid_configuration
+    check_alphabet(sigma)
+    if tapes < 1 or cells < (2 if sync else 1):
+        raise MalformedInput(f"need tapes >= 1 and cells >= {2 if sync else 1}")
     rng = random.Random(seed)
     for _ in range(retries):
         built = []

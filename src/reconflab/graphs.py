@@ -16,6 +16,9 @@ from .errors import MalformedInput, SizeCapExceeded
 # Caps for the exponential verifiers.  They exist only for desk-scale
 # acceptance runs; anything bigger is a misuse, not a workload.
 ENUM_CAP = 5_000_000
+# A graph holds one n-bit mask per vertex, so n is checked against this
+# before anything is allocated.  No construction here builds 300 vertices.
+VERTEX_CAP = 10_000
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -49,6 +52,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Optional[dict[int, str]] = None):
         if n < 0:
             raise MalformedInput(f"negative vertex count {n}")
+        if n > VERTEX_CAP:
+            raise SizeCapExceeded(f"{n} vertices exceed the cap of {VERTEX_CAP}")
         nbr = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

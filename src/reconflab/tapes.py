@@ -22,6 +22,17 @@ from .dsr import DEFAULT_STATE_CAP, ReconfigResult, bfs
 from .errors import MalformedInput, SizeCapExceeded
 from .graphs import Graph, bits, set_of
 
+# Letter sets are sigma-bit masks, so sigma is checked against this where an
+# instance is built.  No construction here names 100 letters.
+ALPHABET_CAP = 10_000
+
+
+def check_alphabet(sigma: int) -> None:
+    if sigma < 0:
+        raise MalformedInput(f"negative alphabet size {sigma}")
+    if sigma > ALPHABET_CAP:
+        raise SizeCapExceeded(f"alphabet of {sigma} letters exceeds the cap of {ALPHABET_CAP}")
+
 
 @dataclass(frozen=True)
 class Tape:
@@ -60,6 +71,9 @@ class TapeInstance:
     r: Optional[int] = None
     provenance: Optional[dict] = field(default=None, compare=False)
 
+    def __post_init__(self):
+        check_alphabet(self.sigma)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.sigma) - 1
@@ -72,6 +86,9 @@ class MultiTapeInstance:
     sync: bool = False
     r: Optional[int] = None
     provenance: Optional[dict] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        check_alphabet(self.sigma)
 
     @property
     def full_mask(self) -> int:

@@ -118,7 +118,8 @@ def test_kernelize_emits_certificate(tmp_path, capsys):
     assert code == 0
     cert = doc["certificate"]
     assert cert["certified"] is True
-    assert cert["sizeAfter"][0] <= cert["sizeBefore"][0] + 1  # hub may be added
+    assert cert["sizeAfter"][0] <= cert["sizeBefore"][0]
+    assert cert["sizeAfter"][1] <= cert["sizeBefore"][1]
 
 
 def test_verify_reduction_dominating_set(tmp_path, capsys):
@@ -469,6 +470,54 @@ def test_state_cap_exits_3(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# --------------------------------------------------------------- size fields bounded at entry
+
+_HUGE = 10**11
+
+
+def _huge_graph(doc):
+    doc["graph"]["n"] = _HUGE
+    return doc
+
+
+def _huge_cells(doc):
+    doc["tapes"][0]["cells"]["n"] = _HUGE
+    return doc
+
+
+_TAPE = TapeInstance(2, (path_tape([1, 3, 2]), path_tape([2, 1])), (0, 0), (2, 1))
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["solve-tape"], {**serialize.tape_instance_to_json(_TAPE), "sigma": _HUGE}),
+    (["solve"], _huge_graph(serialize.dsr_to_json(
+        DsrInstance(path_graph(3), 1, frozenset({1}), frozenset({1}))))),
+    (["kernelize"], _huge_graph(serialize.dcr_to_json(
+        DcrInstance(path_graph(3), 1, frozenset({1}), frozenset({1}), d=2)))),
+    (["verify-reduction", "--construction", "dominating-set", "--k", "2"],
+     {**serialize.graph_to_json(cycle_graph(5)), "n": _HUGE}),
+    (["solve-tape"], _huge_cells(serialize.tape_instance_to_json(_TAPE))),
+], ids=["solve-tape-sigma", "solve-graph-n", "kernelize-graph-n",
+        "verify-reduction-graph-n", "solve-tape-cells-n"])
+def test_huge_size_field_exits_3_before_allocating(tmp_path, command, doc):
+    """A size field of 10**11 hits the vertex or alphabet cap before any
+    allocation; the child's 1.5 GB address-space limit makes an allocation
+    of that size fail at once instead of taking the machine's memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    path = write(tmp_path, "huge.json", doc)
+    argv = [command[0], path, *command[1:]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "reconflab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("cap exceeded: ")
 
 
 # --------------------------------------------------------------- modules a cold call loads
