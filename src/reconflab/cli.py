@@ -43,7 +43,7 @@ def _emit(payload: dict) -> None:
 
 def _reach_result(res, witness: bool, config_json) -> dict:
     """The solve-result document of one search; ``config_json`` lists a configuration."""
-    out = {"kind": "solve-result", "version": 1, "reachable": res.reachable,
+    out = {"kind": "solve-result", "version": serialize.VERSION, "reachable": res.reachable,
            "explored": res.explored}
     if res.witness is not None:
         out["witnessLength"] = len(res.witness) - 1
@@ -72,7 +72,7 @@ def _cmd_solve_tape(args) -> int:
         out = _reach_result(solve_tape(inst, args.state_cap), args.witness, list)
     elif isinstance(inst, MultiTapeInstance):
         res = solve_multi(inst, args.state_cap)
-        out = {"kind": "solve-result", "version": 1, "positive": res.positive}
+        out = {"kind": "solve-result", "version": serialize.VERSION, "positive": res.positive}
         if res.selection is not None:
             out["selection"] = list(res.selection)
     else:
@@ -120,11 +120,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_reduce_tapes(args) -> int:
     from .tape_reduce import reduce_tapes_fully
-    from .tapes import TapeInstance, require_valid
+    from .tapes import TapeInstance
     inst = _load(args.instance)
     if not isinstance(inst, TapeInstance):
         raise MalformedInput("reduce-tapes expects a tape instance")
-    require_valid(inst)
     reduced, log = reduce_tapes_fully(inst)
     doc = serialize.encode(reduced)
     doc["reductionLog"] = log
@@ -162,7 +161,7 @@ def _cmd_verify_witness(args) -> int:
     if not isinstance(configs, list):
         raise MalformedInput("verify-witness expects a witness document as its second file")
     ok = verify_witness(inst, configs)
-    _emit({"kind": "verification", "version": 1, "valid": ok})
+    _emit({"kind": "verification", "version": serialize.VERSION, "valid": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -175,7 +174,7 @@ def _cmd_verify_reduction(args) -> int:
     inst = _load(args.instance)
     _check_input(con, inst, args.k, f"{args.construction} verification")
     _, agree = con.replay(inst, args.k, args.state_cap)
-    _emit({"kind": "verification", "version": 1, "agree": agree})
+    _emit({"kind": "verification", "version": serialize.VERSION, "agree": agree})
     return EXIT_OK if agree else EXIT_NEGATIVE
 
 
@@ -197,7 +196,7 @@ def _cmd_acceptance(args) -> int:
     results = run_all(quick=args.quick, log=sys.stderr, trials=args.trials)
     _emit({
         "kind": "acceptance-report",
-        "version": 1,
+        "version": serialize.VERSION,
         "results": [
             {"criterion": r.ident, "title": r.title, "passed": r.passed,
              "details": r.details}

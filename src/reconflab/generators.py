@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .dsr import JUMP, SLIDE, DsrInstance, dominating_sets_of_size
 from .errors import MalformedInput, RetryBudgetExceeded
-from .graphs import Graph, contains_biclique
+from .graphs import Graph, check_vertex_count, contains_biclique
 
 if TYPE_CHECKING:  # imported where used, so `gen graph` loads neither module
     from .kernel import DcrInstance
@@ -20,18 +20,14 @@ if TYPE_CHECKING:  # imported where used, so `gen graph` loads neither module
 RETRY_BUDGET = 5000
 
 
-def gen_random_graph(
-    seed: int,
-    n: int,
-    edge_prob: float,
-    constraint: Optional[str] = None,
-    retries: int = RETRY_BUDGET,
-) -> Graph:
+def gen_random_graph(seed: int, n: int, edge_prob: float,
+                     constraint: Optional[str] = None) -> Graph:
     """Erdos-Renyi style sampling, rejected until the constraint holds.
 
     constraint: None, "connected", "k3d-free:<d>" (no complete bipartite
     3-by-d subgraph) or "connected-k3d-free:<d>".
     """
+    check_vertex_count(n)
     prefix, colon, width = (constraint or "none").partition(":")
     if constraint in (None, "none", "connected"):
         d = None
@@ -45,20 +41,20 @@ def gen_random_graph(
     else:
         raise MalformedInput(f"unknown constraint {constraint!r}")
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RETRY_BUDGET):
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < edge_prob])
         if prefix.startswith("connected") and not g.is_connected():
             continue
         if d is None or not contains_biclique(g, 3, d):
             return g
-    raise RetryBudgetExceeded(f"no graph satisfying {constraint!r} in {retries} tries")
+    raise RetryBudgetExceeded(f"no graph satisfying {constraint!r} in {RETRY_BUDGET} tries")
 
 
-def random_connected_cells(rng: random.Random, m: int, extra_prob: float = 0.2) -> Graph:
+def random_connected_cells(rng: random.Random, m: int) -> Graph:
     """Random tree plus a few extra edges: connected by construction."""
     edges = [(i, rng.randrange(i)) for i in range(1, m)]
     for u, v in itertools.combinations(range(m), 2):
-        if rng.random() < extra_prob:
+        if rng.random() < 0.2:
             edges.append((u, v))
     return Graph(m, edges)
 
@@ -70,7 +66,6 @@ def gen_random_tape_instance(
     sigma: int,
     sync: bool = False,
     content_prob: float = 0.55,
-    retries: int = RETRY_BUDGET,
 ) -> TapeInstance:
     """Random connected cell graphs with random contents and valid endpoints.
 
@@ -82,8 +77,9 @@ def gen_random_tape_instance(
     check_alphabet(sigma)
     if tapes < 1 or cells < (2 if sync else 1):
         raise MalformedInput(f"need tapes >= 1 and cells >= {2 if sync else 1}")
+    check_vertex_count(tapes * cells)  # the cells of every tape's cell graph together
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RETRY_BUDGET):
         built = []
         for _ in range(tapes):
             m = rng.randint(1 if not sync else 2, cells)
@@ -126,12 +122,11 @@ def gen_random_tape_instance(
     raise RetryBudgetExceeded("no valid tape instance within the retry budget")
 
 
-def gen_sync_path_instance(seed: int, tapes: int, cells: int, sigma: int,
-                           retries: int = RETRY_BUDGET) -> TapeInstance:
+def gen_sync_path_instance(seed: int, tapes: int, cells: int, sigma: int) -> TapeInstance:
     """Equal-length position-numbered path tapes with shared-number endpoints."""
     from .tapes import TapeInstance, is_valid_configuration, path_tape
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RETRY_BUDGET):
         m = rng.randint(2, cells)
         p = rng.randint(1, tapes)
         built = [
@@ -167,31 +162,24 @@ def gen_random_multi(seed: int, tuples: int, members: int, cells: int,
     return MultiTapeInstance(sigma=sigma, tuples=tuple(shape))
 
 
-def gen_random_dsr_instance(
-    seed: int,
-    n_max: int = 6,
-    k_max: int = 3,
-    rule: Optional[str] = None,
-    retries: int = RETRY_BUDGET,
-) -> DsrInstance:
+def gen_random_dsr_instance(seed: int, n_max: int = 6, k_max: int = 3) -> DsrInstance:
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RETRY_BUDGET):
         n = rng.randint(2, n_max)
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.55])
         k = rng.randint(1, min(k_max, n - 1))
-        rule_ = rule or rng.choice([SLIDE, JUMP])
+        rule = rng.choice([SLIDE, JUMP])
         feas = dominating_sets_of_size(g, k)
         if len(feas) >= 2:
             src, tgt = rng.sample(feas, 2)
-            return DsrInstance(g, k, src, tgt, rule_)
+            return DsrInstance(g, k, src, tgt, rule)
     raise RetryBudgetExceeded("no feasible instance within the retry budget")
 
 
-def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2,
-                     family: Optional[str] = None, retries: int = RETRY_BUDGET) -> DcrInstance:
+def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2) -> DcrInstance:
     from .kernel import K3D_FREE, DcrInstance, compute_core
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RETRY_BUDGET):
         n = rng.randint(3, n_max)
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.45])
         if not g.is_connected() or contains_biclique(g, 3, d):
@@ -202,5 +190,5 @@ def gen_dcr_instance(seed: int, n_max: int = 8, k_max: int = 2, d: int = 2,
             continue
         src, tgt = rng.sample(doms, 2)
         core = compute_core(g, k, src | tgt)
-        return DcrInstance(g, k, src, tgt, d=d, family=family or K3D_FREE, core=core)
+        return DcrInstance(g, k, src, tgt, d=d, family=K3D_FREE, core=core)
     raise RetryBudgetExceeded("no family-constrained instance within the retry budget")

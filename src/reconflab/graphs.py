@@ -21,6 +21,13 @@ ENUM_CAP = 5_000_000
 VERTEX_CAP = 10_000
 
 
+def check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise MalformedInput(f"negative vertex count {n}")
+    if n > VERTEX_CAP:
+        raise SizeCapExceeded(f"{n} vertices exceed the cap of {VERTEX_CAP}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -50,10 +57,7 @@ class Graph:
     __slots__ = ("n", "adj", "labels", "nbr_mask", "closed_mask", "_edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Optional[dict[int, str]] = None):
-        if n < 0:
-            raise MalformedInput(f"negative vertex count {n}")
-        if n > VERTEX_CAP:
-            raise SizeCapExceeded(f"{n} vertices exceed the cap of {VERTEX_CAP}")
+        check_vertex_count(n)
         nbr = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from .dsr import DsrInstance
+from .dsr import SLIDE, DsrInstance
 from .errors import MalformedInput
 from .graphs import Graph
 
@@ -219,7 +219,7 @@ def dsr_from_json(payload: dict) -> DsrInstance:
         k=_int(_need(payload, "k")),
         source=frozenset(_int(v) for v in _need(payload, "source")),
         target=frozenset(_int(v) for v in _need(payload, "target")),
-        rule=str(payload.get("rule", "slide")),
+        rule=str(payload.get("rule", SLIDE)),
         connected=_bool(payload.get("connected", False)),
         core=frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
         partition=tuple(frozenset(_int(v) for v in p) for p in payload["partition"])
@@ -229,14 +229,14 @@ def dsr_from_json(payload: dict) -> DsrInstance:
 
 
 def dcr_from_json(payload: dict) -> DcrInstance:
-    from .kernel import DcrInstance
+    from .kernel import K3D_FREE, DcrInstance
     return DcrInstance(
         graph=graph_from_json(_need(payload, "graph")),
         k=_int(_need(payload, "k")),
         source=frozenset(_int(v) for v in _need(payload, "source")),
         target=frozenset(_int(v) for v in _need(payload, "target")),
         d=_int(_need(payload, "d")),
-        family=str(payload.get("family", "k3d-free")),
+        family=str(payload.get("family", K3D_FREE)),
         core=frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
     )
 

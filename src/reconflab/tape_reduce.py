@@ -1,119 +1,47 @@
 """Polynomial tape-count reduction for bounded alphabets.
 
-Instances with more tapes than twice the alphabet size always contain a
-redundant tape group: a minimal set of tapes whose joint alphabet is smaller
-than the group, each of whose letters can be parked on a distinct tape.
-Deleting the group (and erasing its letters everywhere) preserves the answer.
+``reduce_tapes_fully`` checks its instance once with ``tapes.require_valid``,
+then shrinks it until at most 2 * sigma tapes remain.  Each step deletes the
+tapes with no letters or, failing that, the first redundant group (by size,
+then lexicographically) outside a reserve that covers the alphabet at ct: a
+group whose joint alphabet is smaller than the group, whose letters are then
+erased everywhere.  The proof parks each erased letter on a distinct member
+tape at a distance-minimal cell; the tests check that such a parking exists
+and gives an acyclic walk order on every group deleted.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .dsr import DEFAULT_STATE_CAP, ReconfigResult
 from .errors import MalformedInput
 from .graphs import bits
-from .tapes import Tape, TapeInstance, solve_tape
-
-INF = float("inf")
+from .tapes import Tape, TapeInstance, require_valid, solve_tape
 
 
-@dataclass(frozen=True)
-class EmptyTape:
-    """A tape with no letters anywhere; it can be deleted outright."""
+def _redundant_group(tapes: Sequence[Tape]) -> tuple[tuple[int, ...], int]:
+    """The first group of ``tapes``, by size and then in lexicographic order,
+    whose joint alphabet is smaller than the group, with that alphabet's mask.
 
-    index: int
+    Every letter of the group L returned can be parked on a distinct member
+    tape.  Each smaller group S was scanned first, so |A(S)| >= |S|.  If a
+    set X of L's letters sat on a set N of fewer than |X| member tapes, then
+    S = L - N would be a smaller group with
+    |A(S)| <= |A(L)| - |X| < |L| - |N| = |S|.  So Hall's condition holds.
 
-
-@dataclass(frozen=True)
-class ReducibleSubset:
-    indices: tuple[int, ...]  # the tape group L, as indices into the input list
-    letters: tuple[int, ...]  # its joint alphabet
-    assignment: dict[int, tuple[int, int]]  # letter -> (tape index, cell)
-
-
-def extract_reducible_subset(
-    tapes: Sequence[Tape], heads: Optional[Sequence[int]] = None
-) -> EmptyTape | ReducibleSubset:
-    """Find a deletable tape group among ``tapes``.
-
-    Scans subsets by increasing size, so the first hit is inclusion-minimal;
-    by pigeonhole a hit exists whenever there are more tapes than letters in
-    use.  Letters are assigned to cells of distinct member tapes minimizing
-    the total head-to-cell distance over all injective assignments (ties
-    broken lexicographically), which is what keeps the follow-up walk order
-    acyclic.
+    The caller passes more tapes than letters in use, so the whole list is a
+    redundant group and the scan always ends in a hit.
     """
-    if heads is None:
-        heads = [t.start for t in tapes]
     alph = [t.alphabet_mask() for t in tapes]
-    for i, m in enumerate(alph):
-        if m == 0:
-            return EmptyTape(i)
-    total_letters = 0
-    for m in alph:
-        total_letters |= m
-    if len(tapes) <= total_letters.bit_count():
-        raise MalformedInput(
-            f"need more tapes ({len(tapes)}) than letters in use ({total_letters.bit_count()})"
-        )
-
-    for size in range(2, len(tapes) + 1):
-        for combo in itertools.combinations(range(len(tapes)), size):
+    for size in range(1, len(tapes) + 1):
+        for group in itertools.combinations(range(len(tapes)), size):
             m = 0
-            for i in combo:
+            for i in group:
                 m |= alph[i]
-            if m.bit_count() >= size:
-                continue
-            letters = tuple(bits(m))
-            assignment = _best_assignment(tapes, heads, combo, letters)
-            if assignment is None:
-                # Hall's condition holds for a minimal group, so this branch
-                # would mean the group is not minimal; keep scanning.
-                continue
-            return ReducibleSubset(indices=combo, letters=letters, assignment=assignment)
-    raise MalformedInput("no reducible tape group found")  # unreachable given the pigeonhole check
-
-
-def _best_assignment(
-    tapes: Sequence[Tape],
-    heads: Sequence[int],
-    group: tuple[int, ...],
-    letters: tuple[int, ...],
-) -> Optional[dict[int, tuple[int, int]]]:
-    """Min-total-distance injective letter -> (tape, cell) assignment within the group."""
-    # nearest[(letter, tape)] = (distance, cell) for the closest cell holding the letter
-    nearest: dict[tuple[int, int], tuple[float, int]] = {}
-    for i in group:
-        dist = tapes[i].cells.distances(heads[i])
-        for letter in letters:
-            best = (INF, -1)
-            for cell in range(tapes[i].cells.n):
-                if tapes[i].content[cell] >> letter & 1 and dist[cell] < best[0]:
-                    best = (dist[cell], cell)
-            if best[1] >= 0:
-                nearest[(letter, i)] = best
-
-    best_key, best_pick = None, None
-    for perm in itertools.permutations(group, len(letters)):
-        cost, pick = 0.0, []
-        ok = True
-        for letter, i in zip(letters, perm):
-            hit = nearest.get((letter, i))
-            if hit is None:
-                ok = False
-                break
-            cost += hit[0]
-            pick.append((letter, (i, hit[1])))
-        if not ok:
-            continue
-        key = (cost, pick)
-        if best_key is None or key < best_key:
-            best_key, best_pick = key, pick
-    if best_pick is None:
-        return None
-    return dict(best_pick)
+            if m.bit_count() < size:
+                return group, m
+    raise AssertionError("no redundant tape group among more tapes than letters")
 
 
 def _strip_letters(tape: Tape, keep_map: dict[int, int]) -> Tape:
@@ -130,9 +58,10 @@ def _strip_letters(tape: Tape, keep_map: dict[int, int]) -> Tape:
 def tape_reduce_once(inst: TapeInstance) -> TapeInstance:
     """Return an equivalent instance with strictly fewer tapes.
 
-    Requires an unsynchronized instance with more than 2 * sigma tapes.  The
-    provenance of the result records which tapes were deleted and which
-    letters were erased (by their ids in the input instance).
+    Requires a valid (``tapes.require_valid``) unsynchronized instance with
+    more than 2 * sigma tapes.  The provenance of the result records which
+    tapes were deleted and which letters were erased (by their ids in the
+    input instance).
     """
     if inst.sync:
         raise MalformedInput("tape reduction applies to unsynchronized instances")
@@ -164,12 +93,8 @@ def tape_reduce_once(inst: TapeInstance) -> TapeInstance:
         covered |= inst.tapes[pick].content[inst.ct[pick]]
 
     rest = [i for i in range(len(inst.tapes)) if i not in reserve]
-    sub = extract_reducible_subset(
-        [inst.tapes[i] for i in rest], heads=[inst.cs[i] for i in rest]
-    )
-    assert isinstance(sub, ReducibleSubset)
-    dropped = [rest[i] for i in sub.indices]
-    return _drop(inst, dropped=dropped, erased=list(sub.letters))
+    group, letters = _redundant_group([inst.tapes[i] for i in rest])
+    return _drop(inst, dropped=[rest[i] for i in group], erased=list(bits(letters)))
 
 
 def _drop(inst: TapeInstance, dropped: list[int], erased: list[int]) -> TapeInstance:
@@ -199,7 +124,9 @@ def _drop(inst: TapeInstance, dropped: list[int], erased: list[int]) -> TapeInst
 
 
 def reduce_tapes_fully(inst: TapeInstance) -> tuple[TapeInstance, list[dict]]:
-    """Apply single reductions until at most 2 * sigma tapes remain."""
+    """Check ``inst``, then apply single reductions until at most 2 * sigma
+    tapes remain."""
+    require_valid(inst)
     log: list[dict] = []
     while not inst.sync and len(inst.tapes) > 2 * inst.sigma:
         inst = tape_reduce_once(inst)

@@ -1,19 +1,24 @@
-"""Reference tape search: every configuration checked in full, at every step.
+"""Reference tape search, and the parking claim of the tape-count reduction.
 
 ``tapes.solve_tape`` checks the instance once on entry and then tests a moved
 head only for coverage and the number window; this module keeps the direct
 loop it replaced, which validates each expanded configuration and each
 successor with ``is_valid_configuration``, as the oracle the search is
 compared against.
+
+``tape_reduce`` deletes a tape group without building the parking its proof
+uses; ``parking`` and ``walk_order`` build it and check it on the group the
+reduction deletes.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from reconflab.dsr import ReconfigResult
 from reconflab.errors import MalformedInput, StateCapExceeded
-from reconflab.tapes import TapeInstance, is_valid_configuration
+from reconflab.tapes import Tape, TapeInstance, is_valid_configuration
 
 
 def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -55,3 +60,72 @@ def solve_tape(inst: TapeInstance, state_cap: int) -> ReconfigResult:
                 raise StateCapExceeded(f"tape search passed {state_cap} configurations")
             queue.append(nxt)
     return ReconfigResult(False, None, len(parents))
+
+
+# ---------------------------------------------------------------------------
+# parking of a deleted tape group
+
+
+def parking(
+    tapes: Sequence[Tape], heads: Sequence[int], group: Sequence[int], letters: Sequence[int]
+) -> Optional[dict[int, tuple[int, int]]]:
+    """Min-total-distance injective letter -> (tape, cell) map within ``group``.
+
+    Each letter goes to a distinct member tape, on a cell that holds it,
+    minimizing the total head-to-cell distance over every injective map (ties
+    broken lexicographically); None when no injective map exists.
+    """
+    # nearest[(letter, tape)] = (distance, cell) for the closest cell holding the letter
+    nearest: dict[tuple[int, int], tuple[int, int]] = {}
+    for i in group:
+        dist = tapes[i].cells.distances(heads[i])
+        for letter in letters:
+            hits = [(dist[c], c) for c in range(tapes[i].cells.n)
+                    if tapes[i].content[c] >> letter & 1]
+            if hits:
+                nearest[(letter, i)] = min(hits)
+    best = None
+    for perm in itertools.permutations(group, len(letters)):
+        pairs = list(zip(letters, perm))
+        if not all(pair in nearest for pair in pairs):
+            continue
+        key = (sum(nearest[pair][0] for pair in pairs),
+               [(letter, (i, nearest[(letter, i)][1])) for letter, i in pairs])
+        if best is None or key < best:
+            best = key
+    return None if best is None else dict(best[1])
+
+
+def walk_order(tapes: Sequence[Tape], heads: Sequence[int],
+               assignment: dict[int, tuple[int, int]]) -> list[int]:
+    """Topological order of the letters' park-in walks; cycles are a bug.
+
+    Arc a -> b when letter a occurs on letter b's tape strictly closer to its
+    head than b's parking cell; minimal-distance parking makes this acyclic.
+    """
+    letters = list(assignment)
+    arcs: dict[int, set[int]] = {a: set() for a in letters}
+    for b in letters:
+        tape_b, cell_b = assignment[b]
+        dist = tapes[tape_b].cells.distances(heads[tape_b])
+        for a in letters:
+            if a != b and any(tapes[tape_b].content[cell] >> a & 1 and dist[cell] < dist[cell_b]
+                              for cell in range(tapes[tape_b].cells.n)):
+                arcs[a].add(b)
+    order, seen, onstack = [], set(), set()
+
+    def visit(a):
+        assert a not in onstack, "cyclic walk order: parking cells were not distance-minimal"
+        if a in seen:
+            return
+        onstack.add(a)
+        for b in arcs[a]:
+            visit(b)
+        onstack.discard(a)
+        seen.add(a)
+        order.append(a)
+
+    for a in letters:
+        visit(a)
+    order.reverse()
+    return order

@@ -499,19 +499,24 @@ _TAPE = TapeInstance(2, (path_tape([1, 3, 2]), path_tape([2, 1])), (0, 0), (2, 1
     (["verify-reduction", "--construction", "dominating-set", "--k", "2"],
      {**serialize.graph_to_json(cycle_graph(5)), "n": _HUGE}),
     (["solve-tape"], _huge_cells(serialize.tape_instance_to_json(_TAPE))),
+    (["gen", "graph", "--seed", "1", "--n", str(_HUGE)], None),
+    (["gen", "tape", "--seed", "1", "--cells", str(_HUGE)], None),
+    (["gen", "tape", "--seed", "1", "--tapes", str(_HUGE), "--cells", "2"], None),
 ], ids=["solve-tape-sigma", "solve-graph-n", "kernelize-graph-n",
-        "verify-reduction-graph-n", "solve-tape-cells-n"])
+        "verify-reduction-graph-n", "solve-tape-cells-n", "gen-graph-n", "gen-tape-cells",
+        "gen-tape-tapes"])
 def test_huge_size_field_exits_3_before_allocating(tmp_path, command, doc):
-    """A size field of 10**11 hits the vertex or alphabet cap before any
-    allocation; the child's 1.5 GB address-space limit makes an allocation
-    of that size fail at once instead of taking the machine's memory."""
+    """A size field of 10**11, in a document or a ``gen`` parameter, hits the
+    vertex or alphabet cap before any allocation; the child's 1.5 GB
+    address-space limit makes an allocation of that size fail at once instead
+    of taking the machine's memory."""
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
-    path = write(tmp_path, "huge.json", doc)
-    argv = [command[0], path, *command[1:]]
+    argv = command if doc is None else [command[0], write(tmp_path, "huge.json", doc),
+                                         *command[1:]]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "reconflab.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)},

@@ -33,7 +33,7 @@ def test_graph_generator_biclique_constraint():
 def test_graph_generator_retry_budget():
     # a connected graph on 5 vertices with edge probability 0 does not exist
     with pytest.raises(RetryBudgetExceeded):
-        gen_random_graph(0, 5, 0.0, "connected", retries=50)
+        gen_random_graph(0, 5, 0.0, "connected")
 
 
 def test_tape_generator_valid_and_deterministic():

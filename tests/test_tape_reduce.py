@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, bits
 from reconflab.tape_reduce import (
-    EmptyTape,
-    ReducibleSubset,
-    extract_reducible_subset,
+    _redundant_group,
     reduce_tapes_fully,
     solve_bounded_alphabet,
     tape_reduce_once,
 )
 from reconflab.tapes import Tape, TapeInstance, is_valid_configuration, path_tape, solve_tape
+from tape_oracle import parking, walk_order
 
 
 def random_instance(rng, sigma=None, extra_tapes=2, max_cells=3):
@@ -39,60 +38,25 @@ def random_instance(rng, sigma=None, extra_tapes=2, max_cells=3):
             return TapeInstance(sigma, tuple(tapes), cs, ct)
 
 
-def walk_order(tapes, heads, sub: ReducibleSubset) -> list[int]:
-    """Topological order of the letters' park-in walks; cycles are a bug.
-
-    Arc a -> b when letter a occurs on letter b's tape strictly closer to its
-    head than b's parking cell; minimal-distance parking makes this acyclic.
-    """
-    letters = list(sub.assignment)
-    arcs: dict[int, set[int]] = {a: set() for a in letters}
-    for b in letters:
-        tape_b, cell_b = sub.assignment[b]
-        dist = tapes[tape_b].cells.distances(heads[tape_b])
-        for a in letters:
-            if a != b and any(tapes[tape_b].content[cell] >> a & 1 and dist[cell] < dist[cell_b]
-                              for cell in range(tapes[tape_b].cells.n)):
-                arcs[a].add(b)
-    order, seen, onstack = [], set(), set()
-
-    def visit(a):
-        assert a not in onstack, "cyclic walk order: parking cells were not distance-minimal"
-        if a in seen:
-            return
-        onstack.add(a)
-        for b in arcs[a]:
-            visit(b)
-        onstack.discard(a)
-        seen.add(a)
-        order.append(a)
-
-    for a in letters:
-        visit(a)
-    order.reverse()
-    return order
+def check_parking(tapes, heads, group, letters):
+    """The proof's parking of ``letters`` on distinct tapes of ``group`` exists
+    and its park-in walks have an acyclic order."""
+    assignment = parking(tapes, heads, group, letters)
+    assert assignment is not None, "Hall's condition failed on a deleted group"
+    used = [tape for tape, _ in assignment.values()]
+    assert len(set(used)) == len(used)  # one cell per distinct tape
+    for letter, (tape, cell) in assignment.items():
+        assert tape in group
+        assert tapes[tape].content[cell] >> letter & 1
+    assert sorted(walk_order(tapes, heads, assignment)) == sorted(letters)
 
 
-# ------------------------------------------------------- extract subset
+# ------------------------------------------------------- redundant group
 
 def test_extract_all_same_letter():
     tapes = [path_tape([1, 1]) for _ in range(2)]  # sigma=1, sigma+1 tapes
-    sub = extract_reducible_subset(tapes)
-    assert isinstance(sub, ReducibleSubset)
-    assert len(sub.indices) == 2 and sub.letters == (0,)
-    letter, (tape, cell) = next(iter(sub.assignment.items()))
-    assert tapes[tape].content[cell] >> letter & 1
-
-
-def test_extract_reports_empty_tape():
-    tapes = [path_tape([1]), path_tape([2]), path_tape([0, 0])]
-    sub = extract_reducible_subset(tapes)
-    assert sub == EmptyTape(2)
-
-
-def test_extract_requires_pigeonhole_room():
-    with pytest.raises(MalformedInput):
-        extract_reducible_subset([path_tape([1]), path_tape([2])])  # 2 tapes, 2 letters
+    assert _redundant_group(tapes) == ((0, 1), 1)
+    check_parking(tapes, [t.start for t in tapes], (0, 1), [0])
 
 
 @given(st.integers(0, 2**15 - 1))
@@ -105,25 +69,18 @@ def test_extract_postconditions_vs_subset_scan(seed):
         m = rng.randint(1, 3)
         content = [sum(1 << l for l in range(sigma) if rng.random() < 0.5) for _ in range(m)]
         tapes.append(path_tape(content))
-    sub = extract_reducible_subset(tapes)
-    if isinstance(sub, EmptyTape):
-        assert tapes[sub.index].alphabet_mask() == 0
-        return
+    group, letters = _redundant_group(tapes)
     # postconditions
     alph = 0
-    for i in sub.indices:
+    for i in group:
         alph |= tapes[i].alphabet_mask()
-    assert set(bits(alph)) == set(sub.letters)
-    assert 1 <= len(sub.letters) <= len(sub.indices) - 1
-    used_tapes = [t for t, _ in sub.assignment.values()]
-    assert len(set(used_tapes)) == len(used_tapes)  # one cell per distinct tape
-    for letter, (tape, cell) in sub.assignment.items():
-        assert tape in sub.indices
-        assert tapes[tape].content[cell] >> letter & 1
-    assert sorted(walk_order(tapes, [t.start for t in tapes], sub)) == list(sub.letters)
-    # minimality vs exhaustive scan: no smaller group has alphabet < size
-    for size in range(1, len(sub.indices)):
+    assert alph == letters and letters.bit_count() < len(group)
+    check_parking(tapes, [t.start for t in tapes], group, list(bits(letters)))
+    # first by size, then lexicographically, vs exhaustive scan
+    for size in range(1, len(group) + 1):
         for combo in itertools.combinations(range(len(tapes)), size):
+            if combo == group:
+                return
             m = 0
             for i in combo:
                 m |= tapes[i].alphabet_mask()
@@ -162,11 +119,10 @@ def test_reduce_once_rejects_sync_and_small():
 def test_reduce_once_preserves_answer(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
-    sub = extract_reducible_subset(inst.tapes, heads=inst.cs)
-    if isinstance(sub, ReducibleSubset):
-        assert sorted(walk_order(inst.tapes, inst.cs, sub)) == list(sub.letters)
     out = tape_reduce_once(inst)
     assert len(out.tapes) < len(inst.tapes)
+    check_parking(inst.tapes, inst.cs, out.provenance["deleted_tapes"],
+                  out.provenance["erased_letters"])
     assert solve_tape(out).reachable == solve_tape(inst).reachable
 
 
@@ -199,3 +155,15 @@ def test_solve_bounded_alphabet_agrees(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
     assert solve_bounded_alphabet(inst).reachable == solve_tape(inst).reachable
+
+
+@pytest.mark.parametrize("tape1", [
+    Tape(Graph(2, []), (1, 1), 0, 1),  # disconnected cells
+    path_tape([3, 1]),  # letter 1 outside an alphabet of one letter
+], ids=["disconnected-tape", "letter-outside-alphabet"])
+def test_bounded_alphabet_rejects_what_solve_tape_rejects(tape1):
+    tapes = (path_tape([1, 1]), tape1, path_tape([1, 1]), path_tape([1, 1]))
+    inst = TapeInstance(1, tapes, (0, 0, 0, 0), (1, 1, 1, 1))
+    for solver in (solve_tape, solve_bounded_alphabet, reduce_tapes_fully):
+        with pytest.raises(MalformedInput):
+            solver(inst)
