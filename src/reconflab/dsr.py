@@ -292,7 +292,9 @@ def is_legal_move(inst: DsrInstance, a: frozenset[int], b: frozenset[int]) -> bo
 
 
 def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
-    """Replay ``seq``; a vertex outside the graph is malformed input, not a bad move."""
+    """Replay ``seq``; an invalid instance or a vertex outside the graph is
+    malformed input, not a bad move."""
+    validate_instance(inst)
     bad = [v for d in seq for v in d if not 0 <= v < inst.graph.n]
     if bad:
         raise MalformedInput(f"witness vertex {bad[0]} out of range")

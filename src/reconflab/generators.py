@@ -6,12 +6,13 @@ suite and the CLI rely on that for reproducibility.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import TYPE_CHECKING, Optional
 
 from .dsr import JUMP, SLIDE, DsrInstance, dominating_sets_of_size
-from .errors import MalformedInput, RetryBudgetExceeded
-from .graphs import Graph, check_vertex_count, contains_biclique
+from .errors import MalformedInput, RetryBudgetExceeded, SizeCapExceeded
+from .graphs import ENUM_CAP, Graph, check_vertex_count, contains_biclique
 
 if TYPE_CHECKING:  # imported where used, so `gen graph` loads neither module
     from .kernel import DcrInstance
@@ -71,7 +72,9 @@ def gen_random_tape_instance(
 
     Synchronized instances get breadth-first layer numbering (adjacent cells
     differ by at most one) and head configurations sitting on one shared
-    number.
+    number.  The two heads are drawn from a list of every valid
+    configuration, so more than ``ENUM_CAP`` candidates raise
+    ``SizeCapExceeded`` before any is listed.
     """
     from .tapes import Tape, TapeInstance, check_alphabet, is_valid_configuration
     check_alphabet(sigma)
@@ -90,35 +93,24 @@ def gen_random_tape_instance(
             )
             number = tuple(d + 1 for d in g.distances(0)) if sync else None
             built.append(Tape(g, content, 0, m - 1, number))
+        # head pools to combine, one group per shared number when synchronized
         if sync:
             r = max(max(t.number) for t in built)
             if r < 2:
                 continue
-            probe = TapeInstance(sigma, tuple(built), (0,) * tapes, (0,) * tapes,
-                                 sync=True, r=r)
-            configs = []
-            top = min(max(t.number) for t in built)
-            for number in range(1, top + 1):
-                pools = [
-                    [c for c in range(t.cells.n) if t.number[c] == number]
-                    for t in built
-                ]
-                for combo in itertools.product(*pools):
-                    if is_valid_configuration(probe, combo):
-                        configs.append(combo)
-            if len(configs) >= 2:
-                cs, ct = rng.sample(configs, 2)
-                return TapeInstance(sigma, tuple(built), cs, ct, sync=True, r=r)
+            groups = [[[c for c in range(t.cells.n) if t.number[c] == number] for t in built]
+                      for number in range(1, min(max(t.number) for t in built) + 1)]
         else:
-            probe = TapeInstance(sigma, tuple(built), (0,) * tapes, (0,) * tapes)
-            valid = [
-                c
-                for c in itertools.product(*(range(t.cells.n) for t in built))
-                if is_valid_configuration(probe, c)
-            ]
-            if len(valid) >= 2:
-                cs, ct = rng.sample(valid, 2)
-                return TapeInstance(sigma, tuple(built), cs, ct)
+            r = None
+            groups = [[range(t.cells.n) for t in built]]
+        if sum(math.prod(map(len, pools)) for pools in groups) > ENUM_CAP:
+            raise SizeCapExceeded(f"more than {ENUM_CAP} head configurations to choose from")
+        probe = TapeInstance(sigma, tuple(built), (0,) * tapes, (0,) * tapes, sync=sync, r=r)
+        configs = [combo for pools in groups for combo in itertools.product(*pools)
+                   if is_valid_configuration(probe, combo)]
+        if len(configs) >= 2:
+            cs, ct = rng.sample(configs, 2)
+            return TapeInstance(sigma, tuple(built), cs, ct, sync=sync, r=r)
     raise RetryBudgetExceeded("no valid tape instance within the retry budget")
 
 

@@ -104,9 +104,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def components(self) -> list[list[int]]:
         comps, rest = [], self.full_mask
         while comp := component_of(self, rest):

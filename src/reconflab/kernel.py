@@ -134,8 +134,7 @@ def _is_core(g: Graph, k: int, x: frozenset[int], cap: int = ENUM_CAP) -> bool:
     return True
 
 
-def compute_core(g: Graph, k: int, must_include: frozenset[int],
-                 cap: int = ENUM_CAP) -> frozenset[int]:
+def compute_core(g: Graph, k: int, must_include: frozenset[int]) -> frozenset[int]:
     """Greedy removal with the exact oracle, from X = V down to a fixpoint.
 
     The closed-form size bound (2d+1) * k^(d+1) is a certificate the caller
@@ -149,7 +148,7 @@ def compute_core(g: Graph, k: int, must_include: frozenset[int],
         changed = False
         for v in sorted(x - must_include):
             smaller = frozenset(x - {v})
-            if _is_core(g, k, smaller, cap):
+            if _is_core(g, k, smaller):
                 x.discard(v)
                 changed = True
     return frozenset(x)
@@ -278,7 +277,7 @@ def prune_three_classes(inst: DcrInstance) -> DcrInstance:
 # ---------------------------------------------------------------------------
 # the pipeline
 
-def kernelize(inst: DcrInstance, cap: int = ENUM_CAP) -> tuple[DcrInstance, KernelReport]:
+def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
     """Run every rule to a global fixpoint and certify the kernel's shape."""
     validate_dcr(inst)
     q = 3 if inst.family == K3D_FREE else 4
@@ -301,7 +300,7 @@ def kernelize(inst: DcrInstance, cap: int = ENUM_CAP) -> tuple[DcrInstance, Kern
     size_before = (inst.graph.n, inst.graph.m)
     applied = []
     if inst.core is None:
-        x = compute_core(inst.graph, inst.k, inst.source | inst.target, cap)
+        x = compute_core(inst.graph, inst.k, inst.source | inst.target)
         inst = replace(inst, core=x)
         applied.append("compute-core")
         validate_dcr(inst)

@@ -415,7 +415,7 @@ def select_from_tuples(inst: MultiTapeInstance) -> TapeInstance:
     )
 
 
-def _check_composable(insts: Sequence[MultiTapeInstance], need_equal_tuple_sizes: bool) -> None:
+def _check_composable(insts: Sequence[MultiTapeInstance]) -> None:
     if not insts:
         raise MalformedInput("nothing to compose")
     first = insts[0]
@@ -424,9 +424,8 @@ def _check_composable(insts: Sequence[MultiTapeInstance], need_equal_tuple_sizes
             raise MalformedInput("composed instances must share one alphabet")
         if len(other.tuples) != len(first.tuples):
             raise MalformedInput("composed instances must have the same number of tuples")
-        if need_equal_tuple_sizes:
-            if [len(t) for t in other.tuples] != [len(t) for t in first.tuples]:
-                raise MalformedInput("conjunction needs matching tuple sizes")
+        if [len(t) for t in other.tuples] != [len(t) for t in first.tuples]:
+            raise MalformedInput("composed instances must have matching tuple sizes")
     for inst in insts:
         if inst.sync:
             raise MalformedInput("composition applies to unsynchronized instances")
@@ -439,7 +438,7 @@ def and_compose(insts: Sequence[MultiTapeInstance]) -> MultiTapeInstance:
     separators, kept in lockstep by per-tuple phase letters and one phase
     tape, forces every input's run to happen under the same tuple choice.
     """
-    _check_composable(insts, need_equal_tuple_sizes=True)
+    _check_composable(insts)
     p = len(insts)
     sigma = insts[0].sigma
     k = len(insts[0].tuples)
@@ -471,7 +470,7 @@ def or_compose(insts: Sequence[MultiTapeInstance]) -> MultiTapeInstance:
     run to a single input's block, and per-tuple phase letters with a phase
     tape keep all blocks aligned.  Adds six fresh letters per tuple.
     """
-    _check_composable(insts, need_equal_tuple_sizes=True)
+    _check_composable(insts)
     p = len(insts)
     sigma = insts[0].sigma
     k = len(insts[0].tuples)

@@ -158,7 +158,8 @@ def graph_from_json(payload: dict) -> Graph:
     return Graph(n, edges, labels)
 
 
-def tape_from_json(payload: dict, sigma: int, tape_cls: type[Tape]) -> Tape:
+def tape_from_json(payload: dict, sigma: int) -> Tape:
+    from .tapes import Tape
     cells = graph_from_json(_need(payload, "cells"))
     if not cells.is_connected():
         raise MalformedInput("tape cell graph is disconnected")
@@ -178,7 +179,7 @@ def tape_from_json(payload: dict, sigma: int, tape_cls: type[Tape]) -> Tape:
         if missing:
             raise MalformedInput(f"tape numbering misses cells {missing}")
         number = tuple(_int(raw[str(c)]) for c in range(cells.n))
-    return tape_cls(
+    return Tape(
         cells=cells,
         content=tuple(content),
         start=_int(_need(payload, "start")),
@@ -188,11 +189,11 @@ def tape_from_json(payload: dict, sigma: int, tape_cls: type[Tape]) -> Tape:
 
 
 def tape_instance_from_json(payload: dict) -> TapeInstance:
-    from .tapes import Tape, TapeInstance
+    from .tapes import TapeInstance
     sigma = _int(_need(payload, "sigma"))
     return TapeInstance(
         sigma=sigma,
-        tapes=tuple(tape_from_json(t, sigma, Tape) for t in _need(payload, "tapes")),
+        tapes=tuple(tape_from_json(t, sigma) for t in _need(payload, "tapes")),
         cs=tuple(_int(c) for c in _need(payload, "cs")),
         ct=tuple(_int(c) for c in _need(payload, "ct")),
         sync=_bool(payload.get("sync", False)),
@@ -201,12 +202,12 @@ def tape_instance_from_json(payload: dict) -> TapeInstance:
 
 
 def multi_from_json(payload: dict) -> MultiTapeInstance:
-    from .tapes import MultiTapeInstance, Tape
+    from .tapes import MultiTapeInstance
     sigma = _int(_need(payload, "sigma"))
     return MultiTapeInstance(
         sigma=sigma,
         tuples=tuple(
-            tuple(tape_from_json(t, sigma, Tape) for t in tup) for tup in _need(payload, "tuples")
+            tuple(tape_from_json(t, sigma) for t in tup) for tup in _need(payload, "tuples")
         ),
         sync=_bool(payload.get("sync", False)),
         r=_int(payload["r"]) if payload.get("r") is not None else None,

@@ -25,6 +25,8 @@ from .graphs import Graph, bits, set_of
 # Letter sets are sigma-bit masks, so sigma is checked against this where an
 # instance is built.  No construction here names 100 letters.
 ALPHABET_CAP = 10_000
+# is_irreducible keeps one entry per alphabet mask, so it refuses more masks.
+IRREDUCIBILITY_CAP = 1 << 20
 
 
 def check_alphabet(sigma: int) -> None:
@@ -232,7 +234,7 @@ def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> 
 # ---------------------------------------------------------------------------
 # irreducibility & extended graph
 
-def is_irreducible(inst: TapeInstance | MultiTapeInstance, cap: int = 1 << 20) -> bool:
+def is_irreducible(inst: TapeInstance | MultiTapeInstance) -> bool:
     """No selection of fewer cells than tapes, one cell per tape, covers Σ.
 
     The per-tape restriction matters: tokens of the downstream reconfiguration
@@ -241,7 +243,7 @@ def is_irreducible(inst: TapeInstance | MultiTapeInstance, cap: int = 1 << 20) -
     submasks, exponential in the alphabet only.
     """
     tapes = _all_tapes(inst)
-    if 1 << inst.sigma > cap:
+    if 1 << inst.sigma > IRREDUCIBILITY_CAP:
         raise SizeCapExceeded(f"alphabet of {inst.sigma} letters exceeds irreducibility cap")
     full = (1 << inst.sigma) - 1
     INF = len(tapes) + 1

@@ -2,9 +2,14 @@
 
 Every constructor records provenance; this module replays it to build the
 decomposition the construction promises, bag by bag, instead of trying to
-compute widths (which would be NP-hard).  Bags are assembled over symbolic
-handles and materialized against the artifact's actual vertex numbering at
-the end:
+compute widths (which would be NP-hard).  The subdivided stars get their
+bags straight from the stars' layout: an edge bag per branch edge, chained
+along the branch, with the token's letter and the check letter in every bag.
+The triangle and sliding constructions widen their source's bags.  Bags are
+assembled over symbolic handles and mapped to vertex ids at the end, through
+the extended graph of the tape instance at the chain's tape end (a sliding
+artifact numbers cells and letters as its source's extended graph does and
+appends guards, hub and leaf):
 
     ("c", tape, cell)   a tape cell
     ("l", letter)       an alphabet vertex
@@ -12,123 +17,71 @@ the end:
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .decomposition import TreeDecomposition
 from .dsr import DsrInstance
 from .errors import MalformedInput
 from .tapes import TapeInstance, build_extended
 
-Handle = tuple
 Bags = list[frozenset]
 Edges = list[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# generic helpers
-
-def _td_of_tree(adj, root, extra: frozenset) -> tuple[Bags, Edges]:
-    """Decomposition of a tree: one bag per edge plus a root bag."""
-    bags: Bags = [frozenset({root}) | extra]
-    edges: Edges = []
-    parent = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adj(u):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    bag_of = {root: 0}
-    for u in order[1:]:
-        bags.append(frozenset({u, parent[u]}) | extra)
-        idx = len(bags) - 1
-        edges.append((idx, bag_of[parent[u]]))
-        bag_of[u] = idx
-    return bags, edges
-
-
-def _chain(bags: Bags) -> Edges:
-    return [(i, i + 1) for i in range(len(bags) - 1)]
-
-
-# ---------------------------------------------------------------------------
 # explicit decomposition of the subdivided-stars artifact
 
+def _hang(bags: Bags, edges: Edges, parent: int, walk: list, extra: frozenset) -> None:
+    """Append one bag per edge of ``walk``, chained in order under bag ``parent``."""
+    for a, b in zip(walk, walk[1:]):
+        edges.append((parent, len(bags)))
+        parent = len(bags)
+        bags.append(frozenset({a, b}) | extra)
+
+
 def _stars_handles(prov: dict, kind: str) -> tuple[Bags, Edges]:
+    """Token i's star and the arbiter's branch i hold only letters i and k
+    (the check letter), and every branch has 2n+1 >= 5 cells (n >= 2 after
+    padding), so each bag below is one branch edge plus those two letters.
+
+    tree: the spine bag {arbiter center, check}; under it, per token, the
+    arbiter branch as a chain of edge bags, the star's root bag {center}
+    under that chain's first bag, and each star branch as a chain under the
+    root.  Width 3, one tape per bag.
+
+    path: per token, the star's branch edges with the center pinned, then the
+    arbiter branch's edges; the arbiter center rides along everywhere.
+    Width 5, two tapes per bag.
+    """
     from .reductions import _star_layout
 
     k, n = prov["k"], prov["n"]
-    branch_counts = prov["branch_counts"]
-    check = ("l", k)
-    arb = k  # arbiter tape index
+    counts = prov["branch_counts"]
+    check, arb = ("l", k), k
     c_arb = ("c", arb, 0)
-
-    if kind == "path":
-        # One segment per token letter: the tape's star walked branch by
-        # branch with its center pinned in every bag, then the arbiter's
-        # matching branch; the arbiter center and the check letter ride along
-        # everywhere.
-        bags: Bags = []
-        _, _, arb_branches = _star_layout(n, branch_counts[k])
-        for i in range(k):
-            letter = ("l", i)
-            extra = frozenset({letter, c_arb, check})
-            _, _, branch_cells = _star_layout(n, branch_counts[i])
-            center = ("c", i, 0)
-            for ids in branch_cells:
-                vs = [("c", i, v) for v in ids]
-                if len(vs) == 1:
-                    bags.append(frozenset({center, vs[0]}) | extra)
-                for a, b in zip(vs, vs[1:]):
-                    bags.append(frozenset({center, a, b}) | extra)
-            awalk = [("c", arb, v) for v in arb_branches[i]]
-            for a, b in zip(awalk, awalk[1:]):
-                bags.append(frozenset({a, b}) | extra)
-        return bags, _chain(bags)
-
-    bags = []
+    arb_branches = _star_layout(n, counts[arb])[2]
+    bags: Bags = []
     edges: Edges = []
-    spine = 0
-    bags.append(frozenset({c_arb, check}))  # shared arbiter-center bag
-    _, _, arb_branches = _star_layout(n, branch_counts[k])
+    if kind == "tree":
+        bags.append(frozenset({c_arb, check}))
     for i in range(k):
-        letter = ("l", i)
-        extra = frozenset({letter, check})
-        glue = len(bags)
-        bags.append(frozenset({letter, check}))
-        # the tape's own star, rooted at its center
-        _, _, branch_cells = _star_layout(n, branch_counts[i])
-        adjacency: dict[Handle, list[Handle]] = {("c", i, 0): []}
-        for ids in branch_cells:
-            walk = [("c", i, 0)] + [("c", i, v) for v in ids]
-            for a, b in zip(walk, walk[1:]):
-                adjacency.setdefault(a, []).append(b)
-                adjacency.setdefault(b, []).append(a)
-        tb, te = _td_of_tree(lambda u: adjacency.get(u, ()), ("c", i, 0), extra)
-        off = len(bags)
-        bags.extend(tb)
-        edges.extend((a + off, b + off) for a, b in te)
-        edges.append((glue, off))  # glue bag to the star's root bag
-        # the arbiter branch serving this token, rooted at the arbiter center
-        awalk = [c_arb] + [("c", arb, v) for v in arb_branches[i]]
-        prev: Optional[int] = None
-        first = None
-        for a, b in zip(awalk, awalk[1:]):
-            bags.append(frozenset({a, b}) | extra)
-            idx = len(bags) - 1
-            if prev is None:
-                first = idx
-            else:
-                edges.append((prev, idx))
-            prev = idx
-        if first is not None:
-            edges.append((spine, first))
-            edges.append((glue, first))
-        else:  # token with an empty arbiter branch cannot happen, but stay total
-            edges.append((spine, glue))
+        center = ("c", i, 0)
+        branches = [[("c", i, v) for v in ids] for ids in _star_layout(n, counts[i])[2]]
+        awalk = [("c", arb, v) for v in arb_branches[i]]
+        if kind == "path":
+            extra = frozenset({("l", i), c_arb, check})
+            bags += [frozenset({center, a, b}) | extra
+                     for walk in branches for a, b in zip(walk, walk[1:])]
+            bags += [frozenset({a, b}) | extra for a, b in zip(awalk, awalk[1:])]
+            continue
+        extra = frozenset({("l", i), check})
+        first = len(bags)
+        _hang(bags, edges, 0, [c_arb] + awalk, extra)
+        root = len(bags)
+        edges.append((first, root))
+        bags.append(frozenset({center}) | extra)
+        for walk in branches:
+            _hang(bags, edges, root, [center] + walk, extra)
+    if kind == "path":
+        edges = [(j, j + 1) for j in range(len(bags) - 1)]
     return bags, edges
 
 
@@ -147,8 +100,7 @@ def _triangle_handles(source_bags: Bags, source_edges: Edges, source: TapeInstan
     return out, list(source_edges)
 
 
-def _tsdsr_handles(source_bags: Bags, source_edges: Edges, source: TapeInstance,
-                   kind: str) -> tuple[Bags, Edges]:
+def _tsdsr_handles(source_bags: Bags, source_edges: Edges, kind: str) -> tuple[Bags, Edges]:
     out: Bags = []
     for bag in source_bags:
         tapes_here = {h[1] for h in bag if h[0] == "c"}
@@ -175,9 +127,7 @@ def _tape_handle_decomposition(inst: TapeInstance, kind: str) -> tuple[Bags, Edg
         sb, se = _tape_handle_decomposition(src, kind)
         return _triangle_handles(sb, se, src, prov["triple_bases"])
     # fallback: one bag holding the whole extended graph
-    bag = set()
-    for i, t in enumerate(inst.tapes):
-        bag.update(("c", i, c) for c in range(t.cells.n))
+    bag = {("c", i, c) for i, t in enumerate(inst.tapes) for c in range(t.cells.n)}
     bag.update(("l", l) for l in range(inst.sigma))
     return [frozenset(bag)], []
 
@@ -193,50 +143,26 @@ def derive_decomposition(artifact, kind: str = "tree") -> TreeDecomposition:
     """
     if kind not in ("tree", "path"):
         raise MalformedInput(f"unknown decomposition kind {kind!r}")
+    ids = {}
     if isinstance(artifact, DsrInstance):
         prov = artifact.provenance or {}
         if prov.get("construction") != "ts-dsr":
             raise MalformedInput("no decomposition recipe for this artifact")
-        src: TapeInstance = prov["source"]
-        bags, edges = _tape_handle_decomposition(src, kind)
-        bags, edges = _tsdsr_handles(bags, edges, src, kind)
-        ids = _dsr_handle_ids(prov, src)
-        tape_of = {
-            prov["cell_base"][i] + c: i
-            for i, t in enumerate(src.tapes)
-            for c in range(t.cells.n)
-        }
-        return TreeDecomposition(
-            bags=tuple(frozenset(ids[h] for h in bag) for bag in bags),
-            tree=tuple(edges),
-            tape_of=tape_of,
-        )
-    if isinstance(artifact, TapeInstance):
-        bags, edges = _tape_handle_decomposition(artifact, kind)
-        ext = build_extended(artifact)
-        ids = {}
-        for i, t in enumerate(artifact.tapes):
-            for c in range(t.cells.n):
-                ids[("c", i, c)] = ext.cell_id(i, c)
-        for l in range(artifact.sigma):
-            ids[("l", l)] = ext.letter_id(l)
-        return TreeDecomposition(
-            bags=tuple(frozenset(ids[h] for h in bag) for bag in bags),
-            tree=tuple(edges),
-            tape_of=dict(ext.tape_of),
-        )
-    raise MalformedInput("unknown artifact type")
-
-
-def _dsr_handle_ids(prov: dict, src: TapeInstance) -> dict:
-    ids = {}
-    for i, t in enumerate(src.tapes):
-        for c in range(t.cells.n):
-            ids[("c", i, c)] = prov["cell_base"][i] + c
-    for l in range(src.sigma):
-        ids[("l", l)] = prov["letter_base"] + l
-    for i, g in enumerate(prov["guards"]):
-        ids[("x", i)] = g
-    ids[("y",)] = prov["hub"]
-    ids[("z",)] = prov["leaf"]
-    return ids
+        inst: TapeInstance = prov["source"]
+        bags, edges = _tsdsr_handles(*_tape_handle_decomposition(inst, kind), kind)
+        ids.update((("x", i), g) for i, g in enumerate(prov["guards"]))
+        ids[("y",)], ids[("z",)] = prov["hub"], prov["leaf"]
+    elif isinstance(artifact, TapeInstance):
+        inst = artifact
+        bags, edges = _tape_handle_decomposition(inst, kind)
+    else:
+        raise MalformedInput("unknown artifact type")
+    ext = build_extended(inst)
+    ids.update((("c", i, c), ext.cell_id(i, c))
+               for i, t in enumerate(inst.tapes) for c in range(t.cells.n))
+    ids.update((("l", l), ext.letter_id(l)) for l in range(inst.sigma))
+    return TreeDecomposition(
+        bags=tuple(frozenset(ids[h] for h in bag) for bag in bags),
+        tree=tuple(edges),
+        tape_of=dict(ext.tape_of),
+    )

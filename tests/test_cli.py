@@ -263,6 +263,21 @@ def test_verify_witness_rejects_values_that_are_not_json_integers_or_booleans(
     assert code == 2 and captured.out == ""
 
 
+@pytest.mark.parametrize("field,value", [("rule", "teleport"), ("k", 1)],
+                         ids=["unknown-rule", "k-below-source-size"])
+def test_verify_witness_rejects_an_instance_that_solve_rejects(tmp_path, capsys, field, value):
+    """The instance is checked before the witness is replayed, as ``solve`` checks it."""
+    doc = serialize.dsr_to_json(
+        DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({0, 2}), JUMP))
+    doc[field] = value
+    ipath = write(tmp_path, "i.json", doc)
+    wpath = write(tmp_path, "w.json", witness_doc([[0, 1], [0, 2]]))
+    for argv in (["solve", ipath], ["verify-witness", ipath, wpath]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+
+
 def test_verify_witness_rejects_a_second_file_of_another_kind(tmp_path, capsys):
     inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
     ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
@@ -502,14 +517,16 @@ _TAPE = TapeInstance(2, (path_tape([1, 3, 2]), path_tape([2, 1])), (0, 0), (2, 1
     (["gen", "graph", "--seed", "1", "--n", str(_HUGE)], None),
     (["gen", "tape", "--seed", "1", "--cells", str(_HUGE)], None),
     (["gen", "tape", "--seed", "1", "--tapes", str(_HUGE), "--cells", "2"], None),
+    (["gen", "tape", "--seed", "1", "--tapes", "60", "--cells", "3"], None),
 ], ids=["solve-tape-sigma", "solve-graph-n", "kernelize-graph-n",
         "verify-reduction-graph-n", "solve-tape-cells-n", "gen-graph-n", "gen-tape-cells",
-        "gen-tape-tapes"])
+        "gen-tape-tapes", "gen-tape-head-configurations"])
 def test_huge_size_field_exits_3_before_allocating(tmp_path, command, doc):
     """A size field of 10**11, in a document or a ``gen`` parameter, hits the
-    vertex or alphabet cap before any allocation; the child's 1.5 GB
-    address-space limit makes an allocation of that size fail at once instead
-    of taking the machine's memory."""
+    vertex or alphabet cap before any allocation, and ``gen tape`` with more
+    head configurations than ``graphs.ENUM_CAP`` hits that cap before listing
+    them; the child's 1.5 GB address-space limit makes an allocation of that
+    size fail at once instead of taking the machine's memory."""
     import resource
 
     def limit():

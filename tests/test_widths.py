@@ -23,6 +23,14 @@ def stars_artifact(seed=3, n_max=5, k_max=2):
     return partitioned_dsr_to_sync_stars(inst)
 
 
+def _max_degree(td) -> int:
+    deg = [0] * len(td.bags)
+    for i, j in td.tree:
+        deg[i] += 1
+        deg[j] += 1
+    return max(deg)
+
+
 def test_stars_tree_decomposition_width_three():
     art = stars_artifact()
     td = derive_decomposition(art, "tree")
@@ -36,11 +44,7 @@ def test_stars_path_decomposition_width_five():
     rep = verify_decomposition(extended_graph(art), td, s=2)
     assert rep.valid and rep.structured and rep.width <= 5
     # path decompositions are paths: no bag has three neighbors
-    deg = [0] * len(td.bags)
-    for i, j in td.tree:
-        deg[i] += 1
-        deg[j] += 1
-    assert max(deg) <= 2
+    assert _max_degree(td) <= 2
 
 
 def test_trivial_fallback_decomposition():
@@ -88,11 +92,27 @@ def test_pipeline_hits_explicit_width_constants():
         rep_path = verify_decomposition(dsr.graph, path)
         assert rep_tree.valid and rep_tree.width <= 12
         assert rep_path.valid and rep_path.width <= 18
-        deg = [0] * len(path.bags)
-        for i, j in path.tree:
-            deg[i] += 1
-            deg[j] += 1
-        assert max(deg) <= 2
+        assert _max_degree(path) <= 2
+
+
+def test_explicit_width_constants_on_a_seeded_sweep():
+    """Tree width 3 and path width 5 on 300 stars artifacts, tree width 12 and
+    path width 18 on 60 full chains; every path decomposition is a path."""
+    for seed in range(300):
+        art = stars_artifact(seed=seed)
+        g = extended_graph(art)
+        for kind, s, bound in (("tree", 1, 3), ("path", 2, 5)):
+            td = derive_decomposition(art, kind)
+            rep = verify_decomposition(g, td, s=s)
+            assert rep.valid and rep.structured and rep.width <= bound, (seed, kind)
+            assert kind == "tree" or _max_degree(td) <= 2, seed
+    for seed in range(60):
+        dsr = tape_to_ts_dsr(desynchronize_triangle(stars_artifact(seed=1000 + seed, n_max=4)))
+        for kind, bound in (("tree", 12), ("path", 18)):
+            td = derive_decomposition(dsr, kind)
+            rep = verify_decomposition(dsr.graph, td)
+            assert rep.valid and rep.width <= bound, (seed, kind)
+            assert kind == "tree" or _max_degree(td) <= 2, seed
 
 
 def test_trivial_chain_for_random_sync_instances():
