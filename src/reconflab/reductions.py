@@ -638,16 +638,17 @@ def tape_to_ts_dsr(inst: TapeInstance, connected: bool = False) -> DsrInstance:
         raise MalformedInput("reduction requires an irreducible instance")
     ext = build_extended(inst)
     k = len(inst.tapes)
-    g = ext.graph
-    xs = []
+    n = ext.graph.n
+    xs, y, z = tuple(range(n, n + k)), n + k, n + k + 1
+    edges = list(ext.graph.edges)
+    labels = dict(ext.graph.labels)
     for i, t in enumerate(inst.tapes):
-        g = add_vertex(g, [ext.cell_id(i, c) for c in range(t.cells.n)], f"guard:{i}")
-        xs.append(g.n - 1)
-    all_cells = [ext.cell_id(i, c) for i, t in enumerate(inst.tapes) for c in range(t.cells.n)]
-    g = add_vertex(g, all_cells, "hub")
-    y = g.n - 1
-    g = add_vertex(g, [y], "hub-leaf")
-    z = g.n - 1
+        edges.extend((ext.cell_id(i, c), xs[i]) for c in range(t.cells.n))
+        labels[xs[i]] = f"guard:{i}"
+    edges.extend((c, y) for c in range(ext.letter_base))  # every cell id is below the letters
+    edges.append((y, z))
+    labels[y], labels[z] = "hub", "hub-leaf"
+    g = Graph(n + k + 2, edges, labels)
     source = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.cs)) | {y}
     target = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.ct)) | {y}
     return DsrInstance(
@@ -660,7 +661,7 @@ def tape_to_ts_dsr(inst: TapeInstance, connected: bool = False) -> DsrInstance:
         provenance={
             "construction": "ts-dsr",
             "source": inst,
-            "guards": tuple(xs),
+            "guards": xs,
             "hub": y,
             "leaf": z,
             "cell_base": ext.cell_base,
@@ -691,13 +692,9 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
     # alone already costs 4 tokens.
     padded = []
     for t in inst.tapes:
-        cells, content = t.cells, list(t.content)
-        attach = t.end
-        for _ in range(7):
-            cells = add_vertex(cells, [attach])
-            attach = cells.n - 1
-            content.append(0)
-        padded.append(Tape(cells, tuple(content), t.start, t.end))
+        tail = [t.end, *range(t.cells.n, t.cells.n + 7)]
+        cells = Graph(t.cells.n + 7, [*t.cells.edges, *zip(tail, tail[1:])], t.cells.labels)
+        padded.append(Tape(cells, (*t.content, *(0,) * 7), t.start, t.end))
     inst2 = TapeInstance(inst.sigma, tuple(padded), inst.cs, inst.ct)
     ext = build_extended(inst2)
     edges = []

@@ -25,7 +25,8 @@ from .graphs import Graph, bits, set_of
 # Letter sets are sigma-bit masks, so sigma is checked against this where an
 # instance is built.  No construction here names 100 letters.
 ALPHABET_CAP = 10_000
-# is_irreducible keeps one entry per alphabet mask, so it refuses more masks.
+# is_irreducible keeps one entry per letter mask its cells reach; it refuses an
+# alphabet with more masks than this before any search, whatever it would reach.
 IRREDUCIBILITY_CAP = 1 << 20
 
 
@@ -239,30 +240,30 @@ def is_irreducible(inst: TapeInstance | MultiTapeInstance) -> bool:
 
     The per-tape restriction matters: tokens of the downstream reconfiguration
     encodings occupy at most one cell per tape, and that is the coverage the
-    notion has to rule out.  Exact cover by dynamic programming over alphabet
-    submasks, exponential in the alphabet only.
+    notion has to rule out.  A sparse search over the letter masks reachable
+    so far, each with its fewest cells, adding one tape at a time; with k
+    tapes, a mask already built from k - 1 cells cannot grow into a smaller
+    cover.
     """
     tapes = _all_tapes(inst)
     if 1 << inst.sigma > IRREDUCIBILITY_CAP:
         raise SizeCapExceeded(f"alphabet of {inst.sigma} letters exceeds irreducibility cap")
-    full = (1 << inst.sigma) - 1
-    INF = len(tapes) + 1
-    dist = [INF] * (full + 1)
-    dist[0] = 0
+    full, k = (1 << inst.sigma) - 1, len(tapes)
+    if not full:
+        return k == 0  # zero cells cover the empty alphabet
+    fewest = {0: 0}
     for t in tapes:  # each tape contributes at most one cell
-        masks = sorted({c & full for c in t.content if c & full})
-        if not masks:
-            continue
-        nxt = list(dist)
-        for m in range(full + 1):
-            if dist[m] >= INF:
+        masks = {c & full for c in t.content} - {0}
+        for m, d in list(fewest.items()):  # masks this tape reaches are not extended by it
+            if d + 1 >= k:
                 continue
             for cm in masks:
                 nm = m | cm
-                if nxt[nm] > dist[m] + 1:
-                    nxt[nm] = dist[m] + 1
-        dist = nxt
-    return dist[full] >= len(tapes)
+                if nm == full:
+                    return False
+                if fewest.get(nm, k) > d + 1:
+                    fewest[nm] = d + 1
+    return True
 
 
 def _all_tapes(inst: TapeInstance | MultiTapeInstance) -> tuple[Tape, ...]:

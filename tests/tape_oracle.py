@@ -6,6 +6,10 @@ loop it replaced, which validates each expanded configuration and each
 successor with ``is_valid_configuration``, as the oracle the search is
 compared against.
 
+``tapes.is_irreducible`` searches only the letter masks its cells reach;
+``is_irreducible`` here keeps the dense dynamic programme over every alphabet
+mask that it replaced.
+
 ``tape_reduce`` deletes a tape group without building the parking its proof
 uses; ``parking`` and ``walk_order`` build it and check it on the group the
 reduction deletes.
@@ -18,7 +22,13 @@ from typing import Optional, Sequence
 
 from reconflab.dsr import ReconfigResult
 from reconflab.errors import MalformedInput, StateCapExceeded
-from reconflab.tapes import Tape, TapeInstance, is_valid_configuration
+from reconflab.tapes import (
+    MultiTapeInstance,
+    Tape,
+    TapeInstance,
+    _all_tapes,
+    is_valid_configuration,
+)
 
 
 def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -60,6 +70,33 @@ def solve_tape(inst: TapeInstance, state_cap: int) -> ReconfigResult:
                 raise StateCapExceeded(f"tape search passed {state_cap} configurations")
             queue.append(nxt)
     return ReconfigResult(False, None, len(parents))
+
+
+# ---------------------------------------------------------------------------
+# irreducibility
+
+
+def is_irreducible(inst: TapeInstance | MultiTapeInstance) -> bool:
+    """Fewest cells, at most one per tape, covering each of the 2^σ masks."""
+    tapes = _all_tapes(inst)
+    full = (1 << inst.sigma) - 1
+    INF = len(tapes) + 1
+    dist = [INF] * (full + 1)
+    dist[0] = 0
+    for t in tapes:
+        masks = sorted({c & full for c in t.content if c & full})
+        if not masks:
+            continue
+        nxt = list(dist)
+        for m in range(full + 1):
+            if dist[m] >= INF:
+                continue
+            for cm in masks:
+                nm = m | cm
+                if nxt[nm] > dist[m] + 1:
+                    nxt[nm] = dist[m] + 1
+        dist = nxt
+    return dist[full] >= len(tapes)
 
 
 # ---------------------------------------------------------------------------

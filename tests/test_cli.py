@@ -483,6 +483,15 @@ def test_state_cap_exits_3(tmp_path, capsys):
     assert main(["solve", path, "--state-cap", "2"]) == 3
 
 
+def test_reduce_over_the_irreducibility_cap_exits_3(tmp_path, capsys):
+    """2^21 alphabet masks exceed ``tapes.IRREDUCIBILITY_CAP`` before any search."""
+    sigma = 21
+    inst = TapeInstance(sigma, (path_tape([(1 << sigma) - 1]),), (0,), (0,))
+    path = write(tmp_path, "wide.json", serialize.tape_instance_to_json(inst))
+    assert main(["reduce", path, "--to", "ts-dsr"]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -192,7 +192,7 @@ def random_partitioned_instance(rng, n_max=5, k_max=2):
     while True:
         n = rng.randint(2, n_max)
         g = connected_random_graph(rng, n, 0.6)
-        k = rng.randint(1, k_max)
+        k = rng.randint(1, min(k_max, n))
         verts = list(range(n))
         rng.shuffle(verts)
         cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []

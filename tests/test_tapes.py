@@ -386,6 +386,42 @@ def test_irreducible_two_tapes_split_alphabet():
     assert is_irreducible(inst)
 
 
+def test_irreducible_on_empty_alphabets_and_no_tapes():
+    # zero tapes: no selection is smaller than the tapes, whatever the alphabet
+    assert is_irreducible(TapeInstance(0, (), (), ()))
+    assert is_irreducible(TapeInstance(3, (), (), ()))
+    assert is_irreducible(MultiTapeInstance(2, ()))
+    # an empty alphabet is covered by zero cells, fewer than any tape count
+    assert not is_irreducible(instance([path_tape([0, 0])], [0], [1], sigma=0))
+    assert not is_irreducible(MultiTapeInstance(0, ((path_tape([0]), path_tape([0])),)))
+
+
+def test_irreducible_agrees_with_the_dense_oracle():
+    """5,000 seeded instances, sigma 0-9 and 0-6 tapes, single and multi-tape."""
+    rng = random.Random(1414)
+    verdicts = []
+    for i in range(5000):
+        sigma = rng.randint(0, 9)
+        count = rng.randint(0, 6)
+        # one spare bit: letters at or above sigma are masked away
+        tape_list = [path_tape([rng.getrandbits(sigma + 1) & rng.getrandbits(sigma + 1)
+                                for _ in range(rng.randint(1, 4))]) for _ in range(count)]
+        if i % 2:
+            tuples, j = [], 0
+            while j < count:
+                size = rng.randint(1, count - j)
+                tuples.append(tuple(tape_list[j:j + size]))
+                j += size
+            inst = MultiTapeInstance(sigma, tuple(tuples))
+        else:
+            starts = tuple(t.start for t in tape_list)
+            inst = TapeInstance(sigma, tuple(tape_list), starts, starts)
+        got = is_irreducible(inst)
+        assert got == tape_oracle.is_irreducible(inst), (i, inst)
+        verdicts.append(got)
+    assert 1000 < sum(verdicts) < 4000
+
+
 # ----------------------------------------------------------------- extended graph
 
 def test_extended_graph_empty_contents():

@@ -96,18 +96,21 @@ def test_pipeline_hits_explicit_width_constants():
 
 
 def test_explicit_width_constants_on_a_seeded_sweep():
-    """Tree width 3 and path width 5 on 300 stars artifacts, tree width 12 and
-    path width 18 on 60 full chains; every path decomposition is a path."""
-    for seed in range(300):
-        art = stars_artifact(seed=seed)
+    """Tree width 3 and path width 5 on 300 stars artifacts and one with three
+    tokens, tree width 12 and path width 18 on 60 full chains and one with
+    three tokens; every path decomposition is a path."""
+    three = stars_artifact(seed=0, k_max=3)
+    assert three.provenance["k"] == 3
+    for seed, art in [*((seed, stars_artifact(seed=seed)) for seed in range(300)), ("k=3", three)]:
         g = extended_graph(art)
         for kind, s, bound in (("tree", 1, 3), ("path", 2, 5)):
             td = derive_decomposition(art, kind)
             rep = verify_decomposition(g, td, s=s)
             assert rep.valid and rep.structured and rep.width <= bound, (seed, kind)
             assert kind == "tree" or _max_degree(td) <= 2, seed
-    for seed in range(60):
-        dsr = tape_to_ts_dsr(desynchronize_triangle(stars_artifact(seed=1000 + seed, n_max=4)))
+    chains = [(seed, stars_artifact(seed=1000 + seed, n_max=4)) for seed in range(60)]
+    for seed, art in [*chains, ("k=3", three)]:
+        dsr = tape_to_ts_dsr(desynchronize_triangle(art))
         for kind, bound in (("tree", 12), ("path", 18)):
             td = derive_decomposition(dsr, kind)
             rep = verify_decomposition(dsr.graph, td)
