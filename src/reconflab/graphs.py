@@ -1,8 +1,8 @@
 """Graph primitives: adjacency, domination, neighborhood classes, structural verifiers.
 
 Vertex sets are frozensets at the API boundary and int bitmasks in inner
-loops; Python ints are arbitrary-precision, so one representation covers
-every graph size this package handles.
+loops, and a graph's one stored adjacency is a neighbourhood mask per vertex;
+Python ints are arbitrary-precision, so this covers every size handled here.
 """
 from __future__ import annotations
 
@@ -48,13 +48,16 @@ def set_of(mask: int) -> frozenset[int]:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+    """Immutable simple undirected graph on vertices 0..n-1, stored as masks:
+    ``nbr_mask``, ``closed_mask`` and ``full_mask``.  ``edges``, ``m`` and
+    ``degree`` are read off them; ``adj`` and the hash are filled on first use
+    with values the masks fix, so a graph stays safe to share across threads.
 
     ``labels`` carries optional role tags ("cell:2:0", "letter:1", ...) that
     reduction artifacts attach to their vertices.
     """
 
-    __slots__ = ("n", "adj", "labels", "nbr_mask", "closed_mask", "_edges", "_hash")
+    __slots__ = ("n", "labels", "nbr_mask", "closed_mask", "full_mask", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Optional[dict[int, str]] = None):
         check_vertex_count(n)
@@ -69,40 +72,37 @@ class Graph:
         self.n = n
         self.nbr_mask = nbr
         self.closed_mask = [nbr[v] | (1 << v) for v in range(n)]
-        self.adj = [tuple(bits(nbr[v])) for v in range(n)]
-        es = []
-        for u in range(n):
-            for v in self.adj[u]:
-                if u < v:
-                    es.append((u, v))
-        self._edges = tuple(es)
+        self.full_mask = (1 << n) - 1
         if labels:
             for v in labels:
                 if not (0 <= v < n):
                     raise MalformedInput(f"label on unknown vertex {v}")
         self.labels = dict(labels) if labels else {}
-        self._hash = hash((n, self._edges))
+        self._adj = self._hash = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Edges (u, v), u < v, ascending; rebuilt from the masks per read, O(n + m)."""
+        return tuple((u, v) for u, nb in enumerate(self.nbr_mask) for v in bits(nb >> u + 1 << u + 1))
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(nb.bit_count() for nb in self.nbr_mask) // 2
+
+    @property
+    def adj(self) -> list[tuple[int, ...]]:
+        if self._adj is None:
+            self._adj = [tuple(bits(nb)) for nb in self.nbr_mask]
+        return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.nbr_mask[u] >> v & 1)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def components(self) -> list[list[int]]:
         comps, rest = [], self.full_mask
@@ -128,18 +128,16 @@ class Graph:
         return component_of(self, self.full_mask) == self.full_mask
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-            and self.labels == other.labels
-        )
+        # Equal mask lists have equal n: the list holds one mask per vertex.
+        return isinstance(other, Graph) and self.nbr_mask == other.nbr_mask and self.labels == other.labels
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.n, self.edges))
         return self._hash
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 def component_of(g: Graph, within: int) -> int:
@@ -181,7 +179,8 @@ def delete_vertices(g: Graph, dead: Iterable[int]) -> tuple[Graph, dict[int, int
         if v not in dead:
             remap[v] = nxt
             nxt += 1
-    edges = [(remap[u], remap[v]) for u, v in g.edges if u not in dead and v not in dead]
+    keep = mask_of(remap)  # kept rows only: splitting g by component reads each edge once
+    edges = [(remap[u], remap[v]) for u in remap for v in bits(g.nbr_mask[u] & keep) if u < v]
     labels = {remap[v]: lab for v, lab in g.labels.items() if v not in dead}
     return Graph(nxt, edges, labels), remap
 

@@ -17,9 +17,10 @@ from reconflab.errors import SizeCapExceeded
 from reconflab.graphs import ENUM_CAP, Graph, bits, dominates, mask_of
 
 
-def is_forest(g: Graph, removed_mask: int = 0) -> bool:
-    """Acyclicity of g minus the vertices in removed_mask (union-find)."""
-    parent = list(range(g.n))
+def is_forest(n: int, edges, removed_mask: int = 0) -> bool:
+    """Acyclicity of the graph on 0..n-1 with ``edges``, minus the vertices
+    in removed_mask (union-find)."""
+    parent = list(range(n))
 
     def find(a):
         while parent[a] != a:
@@ -27,7 +28,7 @@ def is_forest(g: Graph, removed_mask: int = 0) -> bool:
             a = parent[a]
         return a
 
-    for u, v in g.edges:
+    for u, v in edges:
         if removed_mask >> u & 1 or removed_mask >> v & 1:
             continue
         ru, rv = find(u), find(v)
@@ -81,9 +82,10 @@ def is_tree(nbags: int, edges) -> bool:
 
 def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
     """First subset, by increasing size, whose removal leaves a forest."""
+    edges = g.edges  # rebuilt on every read, so read once
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            if is_forest(g, mask_of(combo)):
+            if is_forest(g.n, edges, mask_of(combo)):
                 return frozenset(combo)
     raise AssertionError("deleting every vertex leaves a forest")
 

@@ -71,6 +71,27 @@ def test_parallel_edges_collapse():
     assert g.edges == ((0, 1),)
 
 
+def test_views_derived_from_the_masks_match_the_edge_list():
+    """Edges, neighbour tuples, degrees, m, has_edge, equality and the hash
+    all follow from the sorted unique pairs, whatever order and orientation
+    the edge list came in and however often a pair repeats."""
+    rng = random.Random(1515)
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        pairs = [(u, v) for u, v in itertools.permutations(range(n), 2) if rng.random() < 0.2]
+        pairs += rng.choices(pairs, k=rng.randint(0, len(pairs)))
+        want = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        g = Graph(n, pairs)
+        assert g.edges == tuple(want) and g.m == len(want)
+        for v in range(n):
+            nbrs = tuple(sorted({b for a, b in want if a == v} | {a for a, b in want if b == v}))
+            assert g.adj[v] == g.neighbors(v) == nbrs and g.degree(v) == len(nbrs)
+            assert all(g.has_edge(v, w) == (w in nbrs) for w in range(n))
+        rng.shuffle(pairs)
+        h = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        assert h == g and hash(h) == hash(g) == hash((g.n, g.edges))
+
+
 def test_components_and_connectivity():
     g = Graph(5, [(0, 1), (2, 3)])
     assert g.components() == [[0, 1], [2, 3], [4]]
@@ -291,7 +312,7 @@ def test_fvs_matches_oracle():
     for g in fvs_cases():
         got = min_feedback_vertex_set(g)
         assert len(got) == len(certificate_oracle.min_feedback_vertex_set(g)), g
-        assert certificate_oracle.is_forest(g, mask_of(got)), g
+        assert certificate_oracle.is_forest(g.n, g.edges, mask_of(got)), g
 
 
 # ---------------------------------------------------------------- bicliques
