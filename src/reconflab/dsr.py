@@ -319,15 +319,20 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
 
     Branches on the smallest undominated target vertex's closed neighborhood;
     the vertices earlier siblings took are banned from later ones, which keeps
-    each set to one branch.  A child is pushed only if its remaining slots
-    could still cover what is undominated, and the last slot takes the AND of
-    N[x] over the undominated x as one mask.  Once the target is dominated the
-    remaining slots are filled by one ``itertools.combinations`` over the
-    vertices neither chosen nor banned.  One explicit stack, children pushed
-    in reverse, so the sets come out in depth-first order.  The three masks
-    only seed the stack's first entry; the loop is the same for every query.
-    Output-sensitive, so it stays usable where scanning all n-choose-size
-    subsets would not.
+    each set to one branch.  A child is pushed only if its free slots could
+    still cover what is undominated: ``maxcov`` vertices a slot, and with
+    three or more slots one slot per vertex of a greedy packing (take the
+    lowest undominated x, drop N[N[x]], repeat), whose vertices are pairwise
+    3 apart so no vertex dominates two.  A pruned child yields nothing, so the
+    sets and their order are those of the search without the bound.  The
+    N[N[x]] table is built once per call, at the first child with three free
+    slots, so queries of size 3 or less never build it.  The last slot takes
+    the AND of N[x] over the undominated x as one mask.  Once the target is
+    dominated the remaining slots are filled by one ``itertools.combinations``
+    over the vertices neither chosen nor banned.  One explicit stack, children
+    pushed in reverse, so the sets come out in depth-first order.  The three
+    masks only seed the stack's first entry.  Output-sensitive, so it stays
+    usable where scanning all n-choose-size subsets would not.
     """
     if target is None:
         target = g.full_mask
@@ -339,6 +344,7 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     if forced & banned or missing.bit_count() > (size - len(d)) * maxcov:
         return
     stack = [(d, forced, covered, banned)]  # chosen vertices, their mask, what they dominate, banned
+    ball2 = None  # N[N[x]] per vertex x
     while stack:
         d, dmask, covered, banned = stack.pop()
         missing = target & ~covered
@@ -355,12 +361,19 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
             chosen = frozenset(d)
             yield from (chosen | {u} for u in bits(last))
             continue
-        room = (size - len(d) - 1) * maxcov
+        slots = size - len(d) - 1
+        room = slots * maxcov
         v = (missing & -missing).bit_length() - 1
         kids = []
         for u in bits(closed[v] & ~banned & ~dmask):
             cov = covered | closed[u]
-            if (target & ~cov).bit_count() <= room:
+            left = target & ~cov
+            need = 0 if left.bit_count() <= room else slots + 1
+            while slots > 2 and left and need <= slots:
+                ball2 = ball2 or [closed_mask_of(g, bits(m)) for m in closed]
+                left &= ~ball2[(left & -left).bit_length() - 1]
+                need += 1
+            if need <= slots:
                 kids.append((d + (u,), dmask | 1 << u, cov, banned))
             banned |= 1 << u
         stack.extend(reversed(kids))

@@ -795,17 +795,24 @@ def check_guard_containment(inst: DsrInstance) -> bool:
 
     Every connected dominating set of the budget size must hold every guard
     and exactly one of the hub and its leaf.  The negation is asked as
-    constrained enumerations: some guard banned, hub and leaf both forced,
-    hub and leaf both banned; any feasible set found is a violation.
+    disjoint constrained enumerations; any feasible set found is a violation.
+    Query i bans guard i and forces the guards before it, and finds each set
+    whose first missing guard is i; a set with every guard can fail only on
+    hub and leaf, so the both-forced and both-banned queries force every
+    guard.  The queries partition the union of the plain ones' sets (guard i
+    banned, both forced, both banned), so the verdict is unchanged, and the
+    forced guards seed the enumerator's covered mask.
     """
     prov = inst.provenance or {}
     if prov.get("construction") != "tj-cdsr":
         raise MalformedInput("guard check needs a tj-cdsr artifact")
     ends = 1 << prov["hub"] | 1 << prov["leaf"]
-    queries = [(0, 1 << guard) for guard in prov["guards"]] + [(ends, 0), (0, ends)]
+    guards = prov["guards"]
+    every = mask_of(guards)
+    queries = [(mask_of(guards[:i]), 1 << guard) for i, guard in enumerate(guards)]
     return not any(
         is_feasible(inst, d)
-        for forced, banned in queries
+        for forced, banned in queries + [(every | ends, 0), (every, ends)]
         for d in enumerate_dominating_sets(inst.graph, inst.k, forced=forced, banned=banned)
     )
 

@@ -2,19 +2,25 @@
 and list traversals.
 
 ``graphs.min_feedback_vertex_set`` branches on short cycles,
-``dsr.enumerate_dominating_sets`` runs on one explicit stack,
-``kernel._is_core`` asks that enumerator, and every connectivity question
-goes through ``graphs.component_of``; this module keeps the direct
-constructions they replaced as the oracles they are compared against,
-together with the union-find forest test the subset search uses.
+``dsr.enumerate_dominating_sets`` runs on one explicit stack and prunes with a
+distance-3 packing bound, ``kernel._is_core`` asks that enumerator, and every
+connectivity question goes through ``graphs.component_of``; this module keeps
+the direct constructions they replaced as the oracles they are compared
+against, together with the union-find forest test the subset search uses.
+The enumerator has two: a recursive one for its default order, and
+``unpruned_dominating_sets``, the same stack without the packing bound, which
+every query mode must match set for set and in order.  ``plain_guard_queries``
+is the overlapping query list the guard check asked before its queries were
+made disjoint.
 """
 from __future__ import annotations
 
 import itertools
 from math import comb
+from typing import Optional
 
 from reconflab.errors import SizeCapExceeded
-from reconflab.graphs import ENUM_CAP, Graph, bits, dominates, mask_of
+from reconflab.graphs import ENUM_CAP, Graph, bits, closed_mask_of, dominates, mask_of
 
 
 def is_forest(n: int, edges, removed_mask: int = 0) -> bool:
@@ -122,6 +128,56 @@ def enumerate_dominating_sets(g: Graph, size: int):
                 yield from rec(d + (u,), dmask | 1 << u, covered, banned, u + 1)
 
     yield from rec((), 0, 0, 0, 0)
+
+
+def unpruned_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
+                             forced: int = 0, banned: int = 0):
+    """``dsr.enumerate_dominating_sets`` without its distance-3 packing
+    bound: a child is cut only when its slots times the largest closed
+    neighborhood cannot cover what is undominated."""
+    if target is None:
+        target = g.full_mask
+    closed = g.closed_mask
+    d = tuple(bits(forced))
+    covered = closed_mask_of(g, d)
+    missing = target & ~covered
+    maxcov = max((m.bit_count() for m in closed), default=1)
+    if forced & banned or missing.bit_count() > (size - len(d)) * maxcov:
+        return
+    stack = [(d, forced, covered, banned)]  # chosen vertices, their mask, what they dominate, banned
+    while stack:
+        d, dmask, covered, banned = stack.pop()
+        missing = target & ~covered
+        if not missing:
+            free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
+            yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
+            continue
+        if len(d) + 1 == size:  # the last vertex must dominate all that is missing
+            last = ~(dmask | banned)
+            while missing and last:
+                low = missing & -missing
+                last &= closed[low.bit_length() - 1]
+                missing ^= low
+            chosen = frozenset(d)
+            yield from (chosen | {u} for u in bits(last))
+            continue
+        room = (size - len(d) - 1) * maxcov
+        v = (missing & -missing).bit_length() - 1
+        kids = []
+        for u in bits(closed[v] & ~banned & ~dmask):
+            cov = covered | closed[u]
+            if (target & ~cov).bit_count() <= room:
+                kids.append((d + (u,), dmask | 1 << u, cov, banned))
+            banned |= 1 << u
+        stack.extend(reversed(kids))
+
+
+def plain_guard_queries(prov: dict) -> list[tuple[int, int]]:
+    """The (forced, banned) masks of the plain guard check: each guard
+    banned, then hub and leaf both forced, then both banned.  Their sets
+    overlap; ``reductions.check_guard_containment`` asks disjoint ones."""
+    ends = 1 << prov["hub"] | 1 << prov["leaf"]
+    return [(0, 1 << guard) for guard in prov["guards"]] + [(ends, 0), (0, ends)]
 
 
 def is_core(g: Graph, k: int, x, cap: int = ENUM_CAP) -> bool:

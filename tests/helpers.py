@@ -4,7 +4,8 @@
 subdivided-stars encoding, and ``tape_is_subdivided_star`` is the shape that
 encoding promises; nothing in ``reconflab`` needs either.  ``successors``
 lists the tape search's moves from one configuration as tuples, in the order
-the search discovers them.
+the search discovers them.  ``fan`` and ``wheel`` are planar families at a
+fixed k for the kernel and the enumerator.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from reconflab.dsr import JUMP, DsrInstance
 from reconflab.errors import RetryBudgetExceeded
 from reconflab.generators import RETRY_BUDGET
 from reconflab.graphs import Graph, dominates
+from reconflab.kernel import DcrInstance
 from reconflab.tapes import Tape, TapeInstance
 
 
@@ -53,6 +55,22 @@ def tape_is_subdivided_star(tape: Tape) -> bool:
     if not g.is_connected() or g.m != g.n - 1:
         return False
     return sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
+
+
+def fan(middles: int) -> DcrInstance:
+    """Two adjacent hubs 0 and 1, a path of middles joined to both, and a
+    star of three leaves on a centre c next to hub 0; planar."""
+    c = middles + 2
+    edges = [(0, 1), (0, c)] + [(h, v) for h in (0, 1) for v in range(2, c)]
+    edges += [(v, v + 1) for v in range(2, c - 1)] + [(c, c + i) for i in (1, 2, 3)]
+    return DcrInstance(Graph(c + 4, edges), 3, frozenset({0, c, 2}),
+                       frozenset({1, c, c - 1}), d=3)
+
+
+def wheel(n: int) -> DcrInstance:
+    """A hub 0 joined to every vertex of the cycle 1..n-1; planar."""
+    edges = [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)]
+    return DcrInstance(Graph(n, edges), 2, frozenset({0, 1}), frozenset({0, n // 2}), d=3)
 
 
 def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:

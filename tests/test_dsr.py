@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import certificate_oracle
 import dsr_oracle
 from dsr_oracle import successors
+from helpers import fan, wheel
 from reconflab import dsr
 from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import (
@@ -404,6 +405,90 @@ def test_enumerator_matches_oracle():
             assert sorted(got, key=sorted) == want, (g, size, target, forced, banned)
             checked += bool(want)
     assert checked > 100
+
+
+def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
+    """(graph, size, target, forced, banned) queries for the order oracle:
+    ``enumerator_cases`` with masks drawn per case in every mode; the masks
+    ``check_guard_containment`` asks and the plain guard queries it replaced,
+    on acceptance C06's two-tape artifacts at their budget; seeded graphs with
+    n up to 14; and ``kernel._is_core``'s targets (V minus a vertex, or a
+    random subset) at sizes 0..k + 1 on fans and wheels."""
+    from reconflab import reductions
+
+    rng = random.Random(4404)
+
+    def draw(n, p):
+        return mask_of(v for v in range(n) if rng.random() < p)
+
+    queries = []
+    for g, size in enumerator_cases():
+        if g.n <= 9:
+            queries += [(g, size, None, 0, 0), (g, size, draw(g.n, 0.5), 0, 0),
+                        (g, size, None, draw(g.n, 0.2), 0), (g, size, None, 0, draw(g.n, 0.3)),
+                        (g, size, draw(g.n, 0.6), draw(g.n, 0.15), draw(g.n, 0.2))]
+    for _ in range(150):
+        n = rng.randint(10, 14)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rng.random() < rng.choice((0.15, 0.3, 0.5))])
+        queries.append((g, rng.randint(1, 6), rng.choice((None, draw(n, 0.7))),
+                        draw(n, rng.choice((0, 0.1))), draw(n, rng.choice((0, 0.2)))))
+    rng7601 = random.Random(7601)  # acceptance C06's seed
+    artifacts = []
+    while len(artifacts) < 2:
+        _, art = _small_irreducible(rng7601, cells=2, sigma=2)
+        if len(art.tapes) == 2:
+            artifacts.append(tape_to_tj_cdsr(art))
+    for cd in artifacts:
+        asked = []
+
+        def record(g, size, forced, banned):
+            asked.append((g, size, None, forced, banned))
+            return iter(())
+
+        reductions_enum = reductions.enumerate_dominating_sets
+        reductions.enumerate_dominating_sets = record
+        try:
+            assert reductions.check_guard_containment(cd)
+        finally:
+            reductions.enumerate_dominating_sets = reductions_enum
+        plain = certificate_oracle.plain_guard_queries(cd.provenance)
+        queries += asked + [(cd.graph, cd.k, None, f, b) for f, b in plain]
+    for inst in [fan(m) for m in (8, 14)] + [wheel(n) for n in (9, 17, 25)]:
+        g = inst.graph
+        for v in range(g.n):
+            target = g.full_mask ^ 1 << v if v % 2 else draw(g.n, 0.8)
+            queries += [(g, size, target, 0, 0) for size in range(inst.k + 2)]
+    return queries
+
+
+def test_enumerator_keeps_the_unpruned_order():
+    """The packing bound prunes only nodes that yield nothing, so every query
+    gives the same sets in the same order as the unpruned stack enumerator;
+    lists are compared as they come, not sorted."""
+    answered = unanswered = 0
+    for g, size, target, forced, banned in order_oracle_queries():
+        want = list(certificate_oracle.unpruned_dominating_sets(g, size, target, forced, banned))
+        assert list(enumerate_dominating_sets(g, size, target, forced, banned)) == want, (
+            g, size, target, forced, banned)
+        answered += bool(want)
+        unanswered += not want
+    assert answered > 900 and unanswered > 900
+
+
+@pytest.mark.parametrize("legs", [20, 40])
+def test_spider_below_its_domination_number_is_refuted_at_once(legs):
+    """A hub with ``legs`` legs of length two needs one vertex per leg, so
+    its domination number is ``legs``.  At k = legs - 1 every child of the
+    root leaves legs - 1 or more leg ends pairwise four apart for at most
+    legs - 2 slots, so the packing bound refutes it at the root; without it
+    ``has_dominating_set`` grows about 4x per two legs (3 s at 20 legs)."""
+    g = Graph(2 * legs + 1, [e for i in range(legs)
+                             for e in ((0, 1 + 2 * i), (1 + 2 * i, 2 + 2 * i))])
+    assert not dsr.has_dominating_set(g, legs - 1)
+    with pytest.raises(InfeasibleInstance):
+        minimum_dominating_sets(g, legs - 1)
+    assert dsr.has_dominating_set(g, legs)
 
 
 def test_dominating_sets_of_size_matches_definition():

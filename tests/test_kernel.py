@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
+from helpers import fan, wheel
 from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from reconflab.generators import gen_dcr_instance
 from reconflab.graphs import (
@@ -248,8 +249,8 @@ def test_promise_check_skipped_when_class_bound_already_holds():
 def test_small_class_bound_on_a_large_core():
     """The bound 2 ** (p * 2 ** |X|) on classes of type 1 and 2 is compared
     by bit length; at |X| = 41 the number itself would not fit in memory."""
-    wheel = _wheel(41).graph
-    g = Graph(42, list(wheel.edges) + [(1, 41)])
+    rim = wheel(41).graph
+    g = Graph(42, list(rim.edges) + [(1, 41)])
     inst = DcrInstance(g, 2, frozenset({0, 1}), frozenset({0, 1}), d=3, core=frozenset(range(41)))
     kernel, report = kernelize(inst)
     assert report.class_histogram == {1: [1]} and report.small_classes_bounded
@@ -327,25 +328,9 @@ def test_prune_three_classes_keeps_the_answer_on_built_fat_pairs():
         assert solve_dcr(out).reachable == solve_dcr(inst).reachable, i
 
 
-def _fan(middles: int) -> DcrInstance:
-    """Two adjacent hubs 0 and 1, a path of middles joined to both, and a
-    star of three leaves on a centre c next to hub 0; planar."""
-    c = middles + 2
-    edges = [(0, 1), (0, c)] + [(h, v) for h in (0, 1) for v in range(2, c)]
-    edges += [(v, v + 1) for v in range(2, c - 1)] + [(c, c + i) for i in (1, 2, 3)]
-    return DcrInstance(Graph(c + 4, edges), 3, frozenset({0, c, 2}),
-                       frozenset({1, c, c - 1}), d=3)
-
-
-def _wheel(n: int) -> DcrInstance:
-    """A hub 0 joined to every vertex of the cycle 1..n-1; planar."""
-    edges = [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)]
-    return DcrInstance(Graph(n, edges), 2, frozenset({0, 1}), frozenset({0, n // 2}), d=3)
-
-
 @pytest.mark.parametrize("make, sizes, bound", [
-    (_fan, range(8, 39, 6), 14),
-    (_wheel, range(9, 66, 8), 12),
+    (fan, range(8, 39, 6), 14),
+    (wheel, range(9, 66, 8), 12),
 ], ids=["fans", "wheels"])
 def test_planar_kernel_size_does_not_grow_with_n(make, sizes, bound):
     """At fixed k the kernel of a planar family stays within one bound while

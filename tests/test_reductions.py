@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import certificate_oracle
 from helpers import tape_is_subdivided_star
 from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
 from reconflab.errors import MalformedInput
@@ -695,3 +696,54 @@ def test_tj_cdsr_equivalence_and_guard_containment():
         assert not check_guard_containment(bad)
     with pytest.raises(MalformedInput):
         check_guard_containment(tape_to_ts_dsr(art))
+
+
+def plain_guard_violations(cd: DsrInstance) -> set[frozenset[int]]:
+    """Oracle for the disjoint guard queries: the budget-size connected
+    dominating sets the plain query list finds."""
+    from reconflab.dsr import enumerate_dominating_sets
+
+    return {d for forced, banned in certificate_oracle.plain_guard_queries(cd.provenance)
+            for d in enumerate_dominating_sets(cd.graph, cd.k, forced=forced, banned=banned)
+            if is_feasible(cd, d)}
+
+
+def test_disjoint_guard_queries_match_the_plain_ones(monkeypatch):
+    """``check_guard_containment`` against the plain query list, on seeded
+    tj-cdsr artifacts and on built violations: each guard in turn dropped
+    (made redundant by joining the hub to its tape's subdivided vertices);
+    the three relabelled provenances of the test above; and two letters
+    named as the guards, so a set can miss both.  The leaf made a second hub
+    (joined to every cell) is a near miss: one of the two still has to
+    dominate the cells and the budget has no room for both.  With every set
+    reported infeasible the check runs all its queries, so the feasible sets
+    it is shown are the union its queries find, each set once."""
+    from reconflab import reductions
+
+    cases = [tape_to_tj_cdsr(art)
+             for art in small_irreducible_instances(4, seed=1605, max_tapes=1, max_cells=3)]
+    cd = min(cases, key=lambda c: c.graph.n)  # four distinct graphs; mutate the smallest
+    prov, labels = cd.provenance, cd.graph.labels
+    for i in range(len(prov["guards"])):
+        mids = [v for v, lab in labels.items() if lab == f"mid:{i}"]
+        cases.append(replace(cd, graph=Graph(
+            cd.graph.n, [*cd.graph.edges, *((prov["hub"], v) for v in mids)], labels)))
+    cells = [v for v, lab in labels.items() if lab.startswith("cell:")]
+    cases.append(replace(cd, graph=Graph(
+        cd.graph.n, [*cd.graph.edges, *((prov["leaf"], c) for c in cells)], labels)))
+    letters = sorted(v for v, lab in labels.items() if lab.startswith("letter:"))
+    for change in ({"guards": (prov["guards"][0], cells[0])}, {"guards": tuple(letters[:2])},
+                   {"leaf": prov["guards"][0]}, {"hub": letters[0], "leaf": letters[1]}):
+        cases.append(replace(cd, provenance={**prov, **change}))
+    verdicts = []
+    for case in cases:
+        want = plain_guard_violations(case)
+        verdicts.append(check_guard_containment(case))
+        assert verdicts[-1] == (not want)
+        shown = []
+        monkeypatch.setattr(reductions, "is_feasible",
+                            lambda inst, d: is_feasible(inst, d) and shown.append(d) and False)
+        assert check_guard_containment(case)
+        monkeypatch.undo()
+        assert len(shown) == len(set(shown)) and set(shown) == want
+    assert verdicts == [True] * 4 + [False] * 2 + [True] + [False] * 4
