@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .dsr import DEFAULT_STATE_CAP, ReconfigResult, bfs
-from .errors import MalformedInput, SizeCapExceeded
+from .errors import MalformedInput, SizeCapExceeded, StateCapExceeded
 from .graphs import Graph, bits, set_of
 
 # Letter sets are sigma-bit masks, so sigma is checked against this where an
@@ -219,16 +219,29 @@ def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> 
 
     The instance is checked once, by ``validate_multi``.  A selection whose
     start or end configuration is not valid is negative without a search.
+    ``state_cap`` bounds the whole call: each selection tried costs the
+    states its search explores, and at least 1.
     """
     require_valid(inst)
     if not inst.tuples:
         # zero tuples: the empty configuration covers nothing
         return MultiResult(inst.sigma == 0, ())
+    budget = state_cap
     for indices in itertools.product(*(range(len(t)) for t in inst.tuples)):
         sel = inst.select(indices)
-        ends_valid = is_valid_configuration(sel, sel.cs) and is_valid_configuration(sel, sel.ct)
-        if ends_valid and _search(sel, state_cap).reachable:
-            return MultiResult(True, indices)
+        if not (is_valid_configuration(sel, sel.cs) and is_valid_configuration(sel, sel.ct)):
+            budget -= 1
+        else:
+            try:
+                res = _search(sel, budget)
+            except StateCapExceeded:
+                budget = -1
+            else:
+                if res.reachable:
+                    return MultiResult(True, indices)
+                budget -= res.explored
+        if budget < 0:
+            raise StateCapExceeded(f"selections and their searches passed {state_cap} states")
     return MultiResult(False, None)
 
 

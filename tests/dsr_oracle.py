@@ -2,21 +2,45 @@
 
 ``dsr._bfs`` finds each token's destinations as one bitmask; this module keeps
 the direct construction it replaced, which builds every candidate
-configuration and asks ``is_feasible`` about it, as the oracle the kernel is
-compared against.
+configuration and asks ``plain_is_feasible`` about it, as the oracle the
+kernel is compared against.  ``plain_is_feasible`` is ``dsr.is_feasible`` as
+it was before it tested connectivity first: domination, then one flood fill.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Optional
 
-from reconflab.dsr import SLIDE, DsrInstance, ReconfigResult, _part_of, is_feasible
+from reconflab.dsr import SLIDE, DsrInstance, ReconfigResult, _part_of
 from reconflab.errors import MalformedInput, StateCapExceeded
+from reconflab.graphs import component_of, mask_of
+
+
+def plain_is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
+    """Size k, dominates the core, plus the connectivity/partition side conditions."""
+    if len(d) != inst.k:
+        return False
+    g = inst.graph
+    closed = g.closed_mask
+    dmask = covered = 0
+    for v in d:
+        dmask |= 1 << v
+        covered |= closed[v]
+    core = g.full_mask if inst.core is None else mask_of(inst.core)
+    if core & ~covered:
+        return False
+    if inst.connected and component_of(g, dmask) != dmask:
+        return False
+    if inst.partition is not None:
+        for part in inst.partition:
+            if len(d & part) != 1:
+                return False
+    return True
 
 
 def successors(inst: DsrInstance, d: frozenset[int]) -> list[frozenset[int]]:
     """All feasible configurations one legal move away, sorted canonically."""
-    if not is_feasible(inst, d):
+    if not plain_is_feasible(inst, d):
         raise MalformedInput("successors called on an infeasible configuration")
     g = inst.graph
     out = []
@@ -30,7 +54,7 @@ def successors(inst: DsrInstance, d: frozenset[int]) -> list[frozenset[int]]:
             if part is not None and v not in part:
                 continue
             nxt = (d - {u}) | {v}
-            if is_feasible(inst, nxt):
+            if plain_is_feasible(inst, nxt):
                 out.append(nxt)
     return sorted(set(out), key=sorted)
 

@@ -73,6 +73,13 @@ def wheel(n: int) -> DcrInstance:
     return DcrInstance(Graph(n, edges), 2, frozenset({0, 1}), frozenset({0, n // 2}), d=3)
 
 
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph, vertex r * cols + c at row r, column c."""
+    return Graph(rows * cols, [(r * cols + c, r * cols + c + 1)
+                               for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
 def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The search kernel's successors of ``config``, decoded to tuples."""
     encode, decode, step = tapes._kernel(inst)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import grid
 from reconflab import serialize
 from reconflab.cli import main
 from reconflab.dsr import JUMP, SLIDE, DsrInstance, solve
@@ -144,6 +145,19 @@ def test_verify_reduction_dominating_set_budget_above_n(tmp_path, capsys):
     code, doc = run(capsys, "verify-reduction", path, "--construction",
                     "dominating-set", "--k", "9")
     assert code == 0 and doc["agree"] is True
+
+
+def test_verify_reduction_state_cap_bounds_the_selections(tmp_path):
+    """The 5x5 grid at k = 6 has 25**6 selections; --state-cap 1000 stops the
+    tape side after about a thousand of them.  The child has a timeout, so a
+    cap that bounds only each selection's search fails here, not hangs."""
+    path = write(tmp_path, "grid.json", serialize.graph_to_json(grid(5, 5)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "reconflab.cli", "verify-reduction", path,
+                           "--construction", "dominating-set", "--k", "6", "--state-cap", "1000"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+    assert proc.returncode == 3 and proc.stderr.startswith("cap exceeded: "), proc.stderr
 
 
 @pytest.mark.parametrize("construction",

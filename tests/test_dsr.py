@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +109,74 @@ def random_instance(rng, n_max=6, k_max=3, rule=None, connected_flag=False):
             continue
         src, tgt = rng.sample(feas, 2)
         return DsrInstance(g, k, src, tgt, rule_, connected_flag)
+
+
+# ------------------------------------------------------------------ feasibility
+
+def feasibility_cases() -> list[tuple[DsrInstance, frozenset[int]]]:
+    """(instance, set) pairs: seeded graphs with n = 0-8, connected on and
+    off, with and without a core and a partition, k = 0-4, and every set of
+    size k - 1, k and k + 1; then every set acceptance C06's guard check
+    enumerates on its six artifacts, and every budget-size dominating set of
+    its two-tape artifact."""
+    from reconflab import reductions
+
+    rng = random.Random(1707)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        p = rng.choice((0.2, 0.4, 0.7))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        k = rng.randint(0, min(n, 4))
+        core = rng.choice((None, frozenset(v for v in range(n) if rng.random() < 0.5)))
+        partition = None
+        if k and rng.random() < 0.3:
+            verts = rng.sample(range(n), rng.randint(k, n))
+            cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
+            partition = tuple(frozenset(verts[a:b]) for a, b in zip([0] + cuts, cuts + [len(verts)]))
+        inst = DsrInstance(g, k, frozenset(), frozenset(), SLIDE, rng.random() < 0.6, core,
+                           partition)
+        cases += [(inst, frozenset(c)) for size in range(max(k - 1, 0), k + 2)
+                  for c in itertools.combinations(range(n), size)]
+    rng = random.Random(7601)  # acceptance C06's seed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reductions, "is_feasible", lambda inst, d: cases.append((inst, d)) and False)
+        for _ in range(6):
+            _, art = _small_irreducible(rng, cells=2, sigma=2)
+            cd = tape_to_tj_cdsr(art)
+            assert reductions.check_guard_containment(cd)
+            if len(art.tapes) == 2:
+                cases += [(cd, d) for d in enumerate_dominating_sets(cd.graph, cd.k)]
+    return cases
+
+
+def test_is_feasible_matches_the_plain_order():
+    """Isolated vertex, flood fill, then domination gives the answer of
+    domination, then flood fill, on every case."""
+    seen = {}
+    for inst, d in feasibility_cases():
+        got = is_feasible(inst, d)
+        assert got == dsr_oracle.plain_is_feasible(inst, d), (inst, sorted(d))
+        key = (inst.connected, inst.partition is not None, min(len(d), 2), len(d) == inst.k, got)
+        seen[key] = seen.get(key, 0) + 1  # (connected, partitioned, size, size k, answer)
+    for case in itertools.product((False, True), (False, True), (0, 1, 2)):
+        assert seen.get((*case, False, False)), case  # a set of the wrong size
+        if case[2] or not case[1]:  # a partition here has a part, so k >= 1
+            assert seen.get((*case, True, True)) and seen.get((*case, True, False)), case
+    assert seen[(True, False, 2, True, False)] > 100_000 and seen[(True, False, 2, True, True)] > 50
+
+
+def test_is_feasible_rejects_an_isolated_vertex_before_the_flood_fill(monkeypatch):
+    """{1, 3} dominates the path 0-4 and neither vertex has a neighbour in
+    it, so a connected instance refuses it without calling ``component_of``."""
+    inst = DsrInstance(path_graph(5), 2, frozenset(), frozenset(), connected=True)
+
+    def flood_fill(g, within):
+        raise AssertionError("component_of called")
+
+    monkeypatch.setattr(dsr, "component_of", flood_fill)
+    assert not is_feasible(inst, frozenset({1, 3}))
+    assert not is_feasible(replace(inst, k=3), frozenset({0, 1, 3}))
 
 
 # ------------------------------------------------------------------ successors

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
-from helpers import tape_is_subdivided_star
+from helpers import grid, tape_is_subdivided_star
 from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
-from reconflab.errors import MalformedInput
+from reconflab.errors import MalformedInput, StateCapExceeded
 from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feedback_vertex_set
 from reconflab.reductions import (
     NormalizedFormula,
@@ -27,6 +27,7 @@ from reconflab.reductions import (
     weighted_satisfiable,
 )
 from reconflab.tapes import (
+    MultiResult,
     MultiTapeInstance,
     Tape,
     TapeInstance,
@@ -175,6 +176,41 @@ def test_ds_check_selected_heads_on_first_cells_valid():
 
 def test_ds_check_c5_single_token_negative():
     assert not solve_multi(ds_to_sync_multi(cycle_graph(5), 1)).positive
+
+
+def selection_costs(multi):
+    """Per selection in lexicographic order: (indices, positive, states
+    charged), searched with ``solve_tape`` when both ends are valid."""
+    for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
+        sel = multi.select(indices)
+        if is_valid_configuration(sel, sel.cs) and is_valid_configuration(sel, sel.ct):
+            res = solve_tape(sel)
+            yield indices, res.reachable, res.explored
+        else:
+            yield indices, False, 1
+
+
+def test_solve_multi_charges_every_selection_to_one_cap():
+    """A selection costs its search's states, or 1 unsearched: a negative
+    call passes at a cap of exactly the total and stops one below it.  Under
+    the cap the first positive selection wins, as it did per selection."""
+    multi = ds_to_sync_multi(cycle_graph(5), 1)
+    total = sum(cost for _, _, cost in selection_costs(multi))
+    assert total > len(multi.tuples[0])
+    assert solve_multi(multi, total) == MultiResult(False, None)
+    with pytest.raises(StateCapExceeded):
+        solve_multi(multi, total - 1)
+    for g, k in ((cycle_graph(5), 2), (grid(3, 3), 3), (grid(2, 4), 3)):
+        multi = ds_to_sync_multi(g, k)
+        first = next(indices for indices, positive, _ in selection_costs(multi) if positive)
+        assert solve_multi(multi) == MultiResult(True, first)
+
+
+def test_solve_multi_cap_bounds_the_selections_tried():
+    """25**3 selections on the 5x5 grid at k = 3, most of them unsearched:
+    the cap of 1000 runs out on the selections themselves."""
+    with pytest.raises(StateCapExceeded):
+        solve_multi(ds_to_sync_multi(grid(5, 5), 3), 1000)
 
 
 @given(st.integers(0, 2**15 - 1))
