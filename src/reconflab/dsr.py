@@ -21,8 +21,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InfeasibleInstance, MalformedInput, StateCapExceeded
-from .graphs import Graph, bits, closed_mask_of, component_of, delete_vertices, mask_of, set_of
+from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
+from .graphs import (ENUM_CAP, Graph, bits, closed_mask_of, component_of, delete_vertices, mask_of,
+                     set_of)
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -340,7 +341,8 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     over the vertices neither chosen nor banned.  One explicit stack, children
     pushed in reverse, so the sets come out in depth-first order.  The three
     masks only seed the stack's first entry.  Output-sensitive, so it stays
-    usable where scanning all n-choose-size subsets would not.
+    usable where scanning all n-choose-size subsets would not; past
+    ``ENUM_CAP`` nodes branched on in one call it raises SizeCapExceeded.
     """
     if target is None:
         target = g.full_mask
@@ -353,6 +355,7 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
         return
     stack = [(d, forced, covered, banned)]  # chosen vertices, their mask, what they dominate, banned
     ball2 = None  # N[N[x]] per vertex x
+    nodes = 0
     while stack:
         d, dmask, covered, banned = stack.pop()
         missing = target & ~covered
@@ -369,6 +372,9 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
             chosen = frozenset(d)
             yield from (chosen | {u} for u in bits(last))
             continue
+        nodes += 1
+        if nodes > ENUM_CAP:
+            raise SizeCapExceeded(f"dominating-set enumeration passed {ENUM_CAP} nodes")
         slots = size - len(d) - 1
         room = slots * maxcov
         v = (missing & -missing).bit_length() - 1

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from math import comb, inf
+from math import inf
 from typing import Iterable, Optional
 
 from .errors import MalformedInput, SizeCapExceeded
 
-# Caps for the exponential verifiers.  They exist only for desk-scale
-# acceptance runs; anything bigger is a misuse, not a workload.
+# Search nodes one call of an exhaustive search may expand (feedback vertex
+# sets, bicliques, dominating-set enumeration) before SizeCapExceeded; ``gen
+# tape`` bounds its head configurations by it too.
 ENUM_CAP = 5_000_000
 # A graph holds one n-bit mask per vertex, so n is checked against this
 # before anything is allocated.  No construction here builds 300 vertices.
@@ -385,29 +386,39 @@ def min_feedback_vertex_set(g: Graph, cap: int = ENUM_CAP) -> frozenset[int]:
     raise AssertionError("deleting every vertex leaves a forest")
 
 
-def contains_biclique(g: Graph, a: int, b: int, cap: int = ENUM_CAP) -> bool:
+def contains_biclique(g: Graph, a: int, b: int) -> bool:
     """Does g contain K_{a,b} as a (not necessarily induced) subgraph?"""
-    return a <= 0 or b <= 0 or find_biclique(g, a, b, cap) is not None
+    return a <= 0 or b <= 0 or find_biclique(g, a, b) is not None
 
 
 def find_biclique(g: Graph, a: int, b: int,
                   cap: int = ENUM_CAP) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A K_{a,b} subgraph of g as (a-side, b-side), or None; a, b >= 1.
 
-    Enumerates a-subsets and counts common neighbors; common neighbors of a
-    loop-free set are automatically disjoint from it.  The b-side is the
-    first b common neighbors of the first a-subset that has enough.
+    Depth-first over a-sets in lexicographic order: a branch carries its
+    prefix's common neighbours, is cut once fewer than b remain, and takes
+    its next vertex from their neighbours above its last.  Only branches
+    without a witness are cut, so this is the first a-set a scan would find,
+    with its first b common neighbours (disjoint from it: no loops).  Past
+    ``cap`` nodes expanded, SizeCapExceeded.
     """
-    if a > g.n:
-        return None
-    if comb(g.n, a) > cap:
-        raise SizeCapExceeded(f"biclique search: C({g.n},{a}) exceeds cap {cap}")
-    for combo in itertools.combinations(range(g.n), a):
-        common = g.full_mask
-        for v in combo:
-            common &= g.nbr_mask[v]
-            if not common:
-                break
-        if common.bit_count() >= b:
-            return combo, tuple(bits(common))[:b]
+    nbr = g.nbr_mask
+    stack = [((), g.full_mask, 0)]  # a-side prefix, its common neighbours, lowest next vertex
+    nodes = 0
+    while stack:
+        chosen, common, low = stack.pop()
+        if len(chosen) == a:
+            return chosen, tuple(bits(common))[:b]
+        nodes += 1
+        if nodes > cap:
+            raise SizeCapExceeded(f"biclique search passed {cap} nodes")
+        reach = 0
+        for c in bits(common):
+            reach |= nbr[c]
+        kids = []
+        for w in bits(reach >> low << low):
+            shared = common & nbr[w]
+            if shared.bit_count() >= b:
+                kids.append((chosen + (w,), shared, w + 1))
+        stack.extend(reversed(kids))
     return None

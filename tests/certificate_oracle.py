@@ -2,11 +2,13 @@
 and list traversals.
 
 ``graphs.min_feedback_vertex_set`` branches on short cycles,
+``graphs.find_biclique`` searches a-sets by common neighbourhood,
 ``dsr.enumerate_dominating_sets`` runs on one explicit stack and prunes with a
-distance-3 packing bound, ``kernel._is_core`` asks that enumerator, and every
-connectivity question goes through ``graphs.component_of``; this module keeps
-the direct constructions they replaced as the oracles they are compared
-against, together with the union-find forest test the subset search uses.
+distance-3 packing bound, ``kernel.compute_core`` asks that enumerator one
+banned query per vertex, and every connectivity question goes through
+``graphs.component_of``; this module keeps the direct constructions they
+replaced as the oracles they are compared against, together with the
+union-find forest test the subset search uses.
 The enumerator has two: a recursive one for its default order, and
 ``unpruned_dominating_sets``, the same stack without the packing bound, which
 every query mode must match set for set and in order.  ``plain_guard_queries``
@@ -16,11 +18,9 @@ made disjoint.
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import Optional
 
-from reconflab.errors import SizeCapExceeded
-from reconflab.graphs import ENUM_CAP, Graph, bits, closed_mask_of, dominates, mask_of
+from reconflab.graphs import Graph, bits, closed_mask_of, dominates, mask_of
 
 
 def is_forest(n: int, edges, removed_mask: int = 0) -> bool:
@@ -180,15 +180,37 @@ def plain_guard_queries(prov: dict) -> list[tuple[int, int]]:
     return [(0, 1 << guard) for guard in prov["guards"]] + [(ends, 0), (0, ends)]
 
 
-def is_core(g: Graph, k: int, x, cap: int = ENUM_CAP) -> bool:
+def find_biclique(g: Graph, a: int, b: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first a-subset with b common neighbours, and its first b of them:
+    a scan of every a-subset."""
+    for combo in itertools.combinations(range(g.n), a):
+        common = g.full_mask
+        for v in combo:
+            common &= g.nbr_mask[v]
+        if common.bit_count() >= b:
+            return combo, tuple(bits(common))[:b]
+    return None
+
+
+def is_core(g: Graph, k: int, x) -> bool:
     """Every set of at most k vertices that dominates x dominates V: a scan of
-    all subsets by size, under the same per-size subset cap."""
-    total = 0
+    all subsets by size."""
     for size in range(0, k + 1):
-        total += comb(g.n, size)
-        if total > cap:
-            raise SizeCapExceeded("core oracle over cap")
         for combo in itertools.combinations(range(g.n), size):
             if dominates(g, combo, x) and not dominates(g, combo, range(g.n)):
                 return False
     return True
+
+
+def compute_core(g: Graph, k: int, must_include: frozenset[int]) -> frozenset[int]:
+    """Greedy removal from X = V to a fixpoint, in ascending vertex order per
+    pass, keeping each removal after which ``is_core`` still holds."""
+    x = set(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(x - must_include):
+            if is_core(g, k, x - {v}):
+                x.discard(v)
+                changed = True
+    return frozenset(x)

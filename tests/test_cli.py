@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import grid
+from helpers import fan, grid, wheel
 from reconflab import serialize
 from reconflab.cli import main
 from reconflab.dsr import JUMP, SLIDE, DsrInstance, solve
@@ -121,6 +121,29 @@ def test_kernelize_emits_certificate(tmp_path, capsys):
     assert cert["certified"] is True
     assert cert["sizeAfter"][0] <= cert["sizeBefore"][0]
     assert cert["sizeAfter"][1] <= cert["sizeBefore"][1]
+
+
+def test_kernelize_a_513_vertex_wheel(tmp_path, capsys):
+    """Its core takes one enumerator query per vertex and pass, and its
+    biclique check one short search per vertex; a scan of every 3-subset
+    would pass ``graphs.ENUM_CAP`` here."""
+    path = write(tmp_path, "w.json", serialize.dcr_to_json(wheel(513)))
+    code, doc = run(capsys, "kernelize", path)
+    assert code == 0
+    cert = doc["certificate"]
+    assert cert["certified"] is True
+    assert cert["sizeBefore"] == [513, 1024] and cert["sizeAfter"] == [12, 22]
+
+
+def test_kernelize_past_the_enumerator_cap_exits_3(tmp_path, capsys, monkeypatch):
+    """fan(8)'s core queries need seven branching nodes a call; see
+    ``test_compute_core_raises_past_the_enumerator_cap``."""
+    from reconflab import dsr
+
+    path = write(tmp_path, "f.json", serialize.dcr_to_json(fan(8)))
+    monkeypatch.setattr(dsr, "ENUM_CAP", 2)
+    assert main(["kernelize", path]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
 
 
 def test_verify_reduction_dominating_set(tmp_path, capsys):

@@ -22,7 +22,7 @@ from reconflab.dsr import (
     solve,
     verify_witness,
 )
-from reconflab.errors import InfeasibleInstance, MalformedInput, StateCapExceeded
+from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
 from reconflab.graphs import (Graph, complete_graph, cycle_graph, dominates, mask_of, path_graph,
                               set_of)
 from reconflab.reductions import tape_to_tj_cdsr
@@ -481,9 +481,10 @@ def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
     ``enumerator_cases`` with masks drawn per case in every mode; the masks
     ``check_guard_containment`` asks and the plain guard queries it replaced,
     on acceptance C06's two-tape artifacts at their budget; seeded graphs with
-    n up to 14; and ``kernel._is_core``'s targets (V minus a vertex, or a
-    random subset) at sizes 0..k + 1 on fans and wheels."""
-    from reconflab import reductions
+    n up to 14; and the queries ``kernel.compute_core`` asks on fans and
+    wheels (target X - v, banned N[v]), recorded from real calls with and
+    without the token sets forced into the core."""
+    from reconflab import kernel, reductions
 
     rng = random.Random(4404)
 
@@ -523,12 +524,21 @@ def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
             reductions.enumerate_dominating_sets = reductions_enum
         plain = certificate_oracle.plain_guard_queries(cd.provenance)
         queries += asked + [(cd.graph, cd.k, None, f, b) for f, b in plain]
-    for inst in [fan(m) for m in (8, 14)] + [wheel(n) for n in (9, 17, 25)]:
-        g = inst.graph
-        for v in range(g.n):
-            target = g.full_mask ^ 1 << v if v % 2 else draw(g.n, 0.8)
-            queries += [(g, size, target, 0, 0) for size in range(inst.k + 2)]
-    return queries
+    asked = []
+
+    def record(g, size, target, forced=0, banned=0):
+        asked.append((g, size, target, forced, banned))
+        return enumerate_dominating_sets(g, size, target, forced, banned)
+
+    kernel_enum = kernel.enumerate_dominating_sets
+    kernel.enumerate_dominating_sets = record
+    try:
+        for inst in [fan(m) for m in (8, 14, 20)] + [wheel(n) for n in (9, 17, 25, 33)]:
+            kernel.compute_core(inst.graph, inst.k, inst.source | inst.target)
+            kernel.compute_core(inst.graph, inst.k, frozenset())
+    finally:
+        kernel.enumerate_dominating_sets = kernel_enum
+    return queries + asked
 
 
 def test_enumerator_keeps_the_unpruned_order():
@@ -543,6 +553,23 @@ def test_enumerator_keeps_the_unpruned_order():
         answered += bool(want)
         unanswered += not want
     assert answered > 900 and unanswered > 900
+
+
+def test_enumerator_counts_its_branching_nodes_against_the_cap(monkeypatch):
+    """On P5 the sets of size 2 take one branching node, the root, whose
+    children each have one slot left and take the last vertex as a mask;
+    size 1 takes none.  So a cap of 0 stops size 2 and not size 1, and a cap
+    of 1 lets size 2 through with the same sets."""
+    g = path_graph(5)
+    want = list(enumerate_dominating_sets(g, 2))
+    monkeypatch.setattr(dsr, "ENUM_CAP", 0)
+    assert list(enumerate_dominating_sets(g, 1)) == []
+    with pytest.raises(SizeCapExceeded):
+        list(enumerate_dominating_sets(g, 2))
+    with pytest.raises(SizeCapExceeded):
+        dsr.has_dominating_set(g, 2)
+    monkeypatch.setattr(dsr, "ENUM_CAP", 1)
+    assert list(enumerate_dominating_sets(g, 2)) == want == [{0, 3}, {1, 3}, {1, 4}]
 
 
 @pytest.mark.parametrize("legs", [20, 40])

@@ -327,8 +327,26 @@ def test_biclique_named():
 
 
 def test_biclique_cap():
+    """K_30 has no K_{4,27}, as four vertices share 26 neighbours, but every
+    3-prefix shares 27, so no branch is cut before depth 4: the 4,526 nodes
+    of depth at most 3 pass a cap of 10 and fit under the default one."""
     with pytest.raises(SizeCapExceeded):
-        contains_biclique(complete_graph(30), 4, 4, cap=10)
+        find_biclique(complete_graph(30), 4, 27, cap=10)
+    assert find_biclique(complete_graph(30), 4, 27) is None
+
+
+def test_find_biclique_matches_the_subset_scan():
+    """The depth-first search against the scan of every a-subset: the same
+    (a-side, b-side) tuple, or None, on seeded graphs with n 1-11, a, b 1-4."""
+    rng = random.Random(4405)
+    found = 0
+    for i in range(3000):
+        g = random_graph(rng, rng.randint(1, 11), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        want = certificate_oracle.find_biclique(g, a, b)
+        assert find_biclique(g, a, b) == want, (i, g, a, b)
+        found += want is not None
+    assert 1000 < found < 2000
 
 
 @given(st.integers(0, 2**15 - 1), st.integers(2, 7))

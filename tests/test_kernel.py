@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 from helpers import fan, wheel
+from reconflab import dsr
+from reconflab.dsr import enumerate_dominating_sets
 from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from reconflab.generators import gen_dcr_instance
 from reconflab.graphs import (
@@ -14,6 +16,7 @@ from reconflab.graphs import (
     contains_biclique,
     dominates,
     find_reducible_vertex,
+    mask_of,
     neighborhood_classes,
     path_graph,
 )
@@ -64,18 +67,14 @@ def test_core_of_star_certified_by_oracle():
     # A single leaf dominates {center} without dominating the graph, so the
     # core must keep enough leaves to pin the center choice.
     assert 0 in x
-    from reconflab.kernel import _is_core
-
-    assert _is_core(g, 1, x)
+    assert certificate_oracle.is_core(g, 1, x)
     for v in sorted(x - {0}):
-        assert not _is_core(g, 1, x - {v})
+        assert not certificate_oracle.is_core(g, 1, x - {v})
 
 
 def test_full_vertex_set_is_always_a_core():
-    from reconflab.kernel import _is_core
-
     g = path_graph(5)
-    assert _is_core(g, 2, frozenset(range(5)))
+    assert certificate_oracle.is_core(g, 2, frozenset(range(5)))
 
 
 def core_size_bound(k: int, d: int) -> int:
@@ -85,37 +84,72 @@ def core_size_bound(k: int, d: int) -> int:
 def test_core_p5_within_bound():
     g = path_graph(5)
     x = compute_core(g, 2, frozenset())
-    from reconflab.kernel import _is_core
-
-    assert _is_core(g, 2, x)
+    assert certificate_oracle.is_core(g, 2, x)
     assert len(x) <= core_size_bound(2, 2)
 
 
 def test_core_oracle_matches_subset_scan():
-    """``_is_core`` against the scan of every subset, on the star, P5 and
-    seeded graphs, for every subset x of up to 6 vertices; with a cap between
-    the two sizes' subset counts both must raise together."""
-    from reconflab.kernel import _is_core
-
+    """The query ``compute_core`` asks to drop v from a core x, a set of
+    min(k, n - |N[v]|) vertices outside N[v] that dominates x - v, finds
+    none iff the scan of every subset calls x - v a core; on the star, P5
+    and seeded graphs, for every core x of up to 6 vertices and v in x."""
     rng = random.Random(6106)
     graphs = [Graph(4, [(0, 1), (0, 2), (0, 3)]), path_graph(5)]
     graphs += [Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
                for n, p in ((rng.randint(1, 7), rng.choice((0.2, 0.4, 0.6))) for _ in range(25))]
-    cores = 0
+    answers = set()
     for g in graphs:
+        closed = g.closed_mask
         for k in range(g.n + 1):
             for size in range(min(g.n, 6) + 1):
-                for x in itertools.combinations(range(g.n), size):
-                    got = _is_core(g, k, frozenset(x))
-                    assert got == certificate_oracle.is_core(g, k, frozenset(x)), (g, k, x)
-                    cores += got
-        cap = 1 + g.n  # passes size 1, trips at size 2 (n >= 2); V is a core
-        if g.n >= 2:
-            with pytest.raises(SizeCapExceeded):
-                _is_core(g, 2, frozenset(range(g.n)), cap)
-            with pytest.raises(SizeCapExceeded):
-                certificate_oracle.is_core(g, 2, frozenset(range(g.n)), cap)
-    assert cores  # some x is a core, so both answers occur
+                for x in map(frozenset, itertools.combinations(range(g.n), size)):
+                    if not certificate_oracle.is_core(g, k, x):
+                        continue
+                    for v in x:
+                        found = next(enumerate_dominating_sets(
+                            g, min(k, g.n - closed[v].bit_count()), mask_of(x - {v}),
+                            banned=closed[v]), None)
+                        want = certificate_oracle.is_core(g, k, x - {v})
+                        assert (found is None) == want, (g, k, x, v)
+                        answers.add(want)
+    assert answers == {False, True}
+
+
+def test_compute_core_matches_the_greedy_reference():
+    """``compute_core`` against the greedy removal with the subset scan as
+    its core test: the same frozenset on 2,000 seeded graphs with n <= 10, k 1-3 and
+    random must-include sets; an infeasible k raises, and then no set of at
+    most k vertices dominates."""
+    rng = random.Random(6107)
+    feasible = 0
+    for i in range(2000):
+        n = rng.randint(1, 10)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rng.random() < rng.choice((0.2, 0.4, 0.6))])
+        k = rng.randint(1, 3)
+        must = frozenset(v for v in range(n) if rng.random() < 0.2)
+        try:
+            got = compute_core(g, k, must)
+        except InfeasibleInstance:
+            assert not any(dominates(g, c, range(n)) for c in itertools.combinations(range(n), k))
+            continue
+        assert got == certificate_oracle.compute_core(g, k, must), (i, g, k, must)
+        feasible += 1
+    assert feasible > 1000
+
+
+def test_compute_core_raises_past_the_enumerator_cap(monkeypatch):
+    """The core's queries are enumerator calls, so the enumerator's node cap,
+    per call, is the core's cap too: on fan(8) at k = 3 the feasibility
+    check takes two branching nodes, while a query takes up to seven."""
+    inst = fan(8)
+    g, k, must = inst.graph, inst.k, inst.source | inst.target
+    monkeypatch.setattr(dsr, "ENUM_CAP", 7)
+    assert len(compute_core(g, k, must)) == 9
+    monkeypatch.setattr(dsr, "ENUM_CAP", 2)
+    assert dsr.has_dominating_set(g, k)
+    with pytest.raises(SizeCapExceeded):
+        compute_core(g, k, must)
 
 
 def test_core_requires_feasible_instance():
@@ -301,6 +335,43 @@ def test_every_rule_keeps_the_answer_on_a_seeded_sweep(family):
         assert solve_dcr(kernel).reachable == truth, (i, "kernelize")
 
 
+def connected_graphs(n_max):
+    """Every connected labelled graph on 1..n_max vertices."""
+    for n in range(1, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if g.is_connected():
+                yield g
+
+
+def test_twin_and_class_rules_keep_the_answer_on_every_small_graph():
+    """Where the arguments of ``reduce_twins`` and
+    ``contract_class_components`` stop, two tokens on one absorbed vertex or
+    component, the search decides; here it does so exhaustively: every
+    connected labelled graph with n <= 5 (772 of them), k = 1 and 2, every
+    unordered pair of distinct size-k dominating sets as source and target
+    (sliding is reversible), with ``compute_core`` of their union.  Each rule
+    that fires must keep ``solve_dcr``'s answer, and the core must give the
+    answer of the whole vertex set."""
+    applied = fired = 0
+    for g in connected_graphs(5):
+        for k in (1, 2):
+            doms = [frozenset(c) for c in itertools.combinations(range(g.n), k)
+                    if dominates(g, c, range(g.n))]
+            for src, tgt in itertools.combinations(doms, 2):
+                inst = DcrInstance(g, k, src, tgt, d=2, core=compute_core(g, k, src | tgt))
+                truth = solve_dcr(inst).reachable
+                assert truth == _truth(inst), inst
+                for rule in (reduce_twins, contract_class_components):
+                    out = rule(inst)  # the same object when the rule does not fire
+                    applied += 1
+                    if out is not inst:
+                        assert solve_dcr(out).reachable == truth, (rule.__name__, inst)
+                        fired += 1
+    assert applied == 23_004 and fired > 1000
+
+
 def test_prune_three_classes_keeps_the_answer_on_built_fat_pairs():
     """Random instances never hold a fat pair, so these are built: a core
     X of 3-5 vertices, a 3-class A and a class B whose trace lies inside
@@ -328,16 +399,23 @@ def test_prune_three_classes_keeps_the_answer_on_built_fat_pairs():
         assert solve_dcr(out).reachable == solve_dcr(inst).reachable, i
 
 
-@pytest.mark.parametrize("make, sizes, bound", [
-    (fan, range(8, 39, 6), 14),
-    (wheel, range(9, 66, 8), 12),
+@pytest.mark.parametrize("make, sizes, bound, settled", [
+    (fan, [*range(8, 39, 6), 62, 122, 250, 494], 14, 8),
+    (wheel, [*range(9, 66, 8), 129, 257, 513], 12, 17),
 ], ids=["fans", "wheels"])
-def test_planar_kernel_size_does_not_grow_with_n(make, sizes, bound):
+def test_planar_kernel_size_does_not_grow_with_n(make, sizes, bound, settled):
     """At fixed k the kernel of a planar family stays within one bound while
-    n grows (fans: n = 14..44 at k = 3; wheels: n = 9..65 at k = 2)."""
+    n grows (fans: n = 14..500 at k = 3; wheels: n = 9..513 at k = 2), and
+    from a small n on it is one and the same instance.  Each kernel is
+    certified and answers as the search on the whole graph does; that search
+    stays cheap at every size here, as the hub keeps one token fixed."""
+    first = make(settled)
+    expected, _ = kernelize(first)
     for size in sizes:
         inst = make(size)
         kernel, report = kernelize(inst)
         assert report.certified
         assert kernel.graph.n <= bound
+        if size >= settled:
+            assert kernel == expected, size
         assert solve_dcr(kernel).reachable == _truth(inst)
