@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
-from .graphs import (ENUM_CAP, Graph, bits, closed_mask_of, component_of, delete_vertices, mask_of,
-                     set_of)
+from . import graphs
+from .graphs import Graph, bits, closed_mask_of, component_of, delete_vertices, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -329,7 +329,9 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     Branches on the smallest undominated target vertex's closed neighborhood;
     the vertices earlier siblings took are banned from later ones, which keeps
     each set to one branch.  A child is pushed only if its free slots could
-    still cover what is undominated: ``maxcov`` vertices a slot, and with
+    still cover what is undominated: ``maxcov`` vertices a slot, the largest
+    closed neighbourhood of a vertex outside ``banned`` (banned only grows
+    down the tree, so no child adds a larger one), and with
     three or more slots one slot per vertex of a greedy packing (take the
     lowest undominated x, drop N[N[x]], repeat), whose vertices are pairwise
     3 apart so no vertex dominates two.  A pruned child yields nothing, so the
@@ -342,7 +344,7 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     pushed in reverse, so the sets come out in depth-first order.  The three
     masks only seed the stack's first entry.  Output-sensitive, so it stays
     usable where scanning all n-choose-size subsets would not; past
-    ``ENUM_CAP`` nodes branched on in one call it raises SizeCapExceeded.
+    ``graphs.ENUM_CAP`` nodes branched on in one call it raises SizeCapExceeded.
     """
     if target is None:
         target = g.full_mask
@@ -350,12 +352,12 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     d = tuple(bits(forced))
     covered = closed_mask_of(g, d)
     missing = target & ~covered
-    maxcov = max((m.bit_count() for m in closed), default=1)
+    maxcov = max((m.bit_count() for u, m in enumerate(closed) if not banned >> u & 1), default=1)
     if forced & banned or missing.bit_count() > (size - len(d)) * maxcov:
         return
     stack = [(d, forced, covered, banned)]  # chosen vertices, their mask, what they dominate, banned
     ball2 = None  # N[N[x]] per vertex x
-    nodes = 0
+    nodes, cap = 0, graphs.ENUM_CAP
     while stack:
         d, dmask, covered, banned = stack.pop()
         missing = target & ~covered
@@ -373,8 +375,8 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
             yield from (chosen | {u} for u in bits(last))
             continue
         nodes += 1
-        if nodes > ENUM_CAP:
-            raise SizeCapExceeded(f"dominating-set enumeration passed {ENUM_CAP} nodes")
+        if nodes > cap:
+            raise SizeCapExceeded(f"dominating-set enumeration passed {cap} nodes")
         slots = size - len(d) - 1
         room = slots * maxcov
         v = (missing & -missing).bit_length() - 1

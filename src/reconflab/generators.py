@@ -12,7 +12,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .dsr import JUMP, SLIDE, DsrInstance, dominating_sets_of_size
 from .errors import MalformedInput, RetryBudgetExceeded, SizeCapExceeded
-from .graphs import ENUM_CAP, Graph, check_vertex_count, contains_biclique
+from . import graphs
+from .graphs import Graph, bits, check_vertex_count, closed_mask_of, contains_biclique
 
 if TYPE_CHECKING:  # imported where used, so `gen graph` loads neither module
     from .kernel import DcrInstance
@@ -60,6 +61,19 @@ def random_connected_cells(rng: random.Random, m: int) -> Graph:
     return Graph(m, edges)
 
 
+def _layer_numbers(g: Graph) -> tuple[int, ...]:
+    """One plus each vertex's distance from vertex 0 in a connected g: the
+    closed neighbourhood of layer d, less every layer so far, is layer d + 1."""
+    number, seen, layer, depth = [0] * g.n, 1, 1, 1
+    while layer:
+        for v in bits(layer):
+            number[v] = depth
+        layer = closed_mask_of(g, bits(layer)) & ~seen
+        seen |= layer
+        depth += 1
+    return tuple(number)
+
+
 def gen_random_tape_instance(
     seed: int,
     tapes: int,
@@ -73,7 +87,7 @@ def gen_random_tape_instance(
     Synchronized instances get breadth-first layer numbering (adjacent cells
     differ by at most one) and head configurations sitting on one shared
     number.  The two heads are drawn from a list of every valid
-    configuration, so more than ``ENUM_CAP`` candidates raise
+    configuration, so more than ``graphs.ENUM_CAP`` candidates raise
     ``SizeCapExceeded`` before any is listed.
     """
     from .tapes import Tape, TapeInstance, check_alphabet, is_valid_configuration
@@ -91,7 +105,7 @@ def gen_random_tape_instance(
                 sum(1 << l for l in range(sigma) if rng.random() < content_prob)
                 for _ in range(m)
             )
-            number = tuple(d + 1 for d in g.distances(0)) if sync else None
+            number = _layer_numbers(g) if sync else None
             built.append(Tape(g, content, 0, m - 1, number))
         # head pools to combine, one group per shared number when synchronized
         if sync:
@@ -103,8 +117,8 @@ def gen_random_tape_instance(
         else:
             r = None
             groups = [[range(t.cells.n) for t in built]]
-        if sum(math.prod(map(len, pools)) for pools in groups) > ENUM_CAP:
-            raise SizeCapExceeded(f"more than {ENUM_CAP} head configurations to choose from")
+        if sum(math.prod(map(len, pools)) for pools in groups) > graphs.ENUM_CAP:
+            raise SizeCapExceeded(f"more than {graphs.ENUM_CAP} head configurations to choose from")
         probe = TapeInstance(sigma, tuple(built), (0,) * tapes, (0,) * tapes, sync=sync, r=r)
         configs = [combo for pools in groups for combo in itertools.product(*pools)
                    if is_valid_configuration(probe, combo)]

@@ -7,8 +7,6 @@ Python ints are arbitrary-precision, so this covers every size handled here.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from math import inf
 from typing import Iterable, Optional
 
 from .errors import MalformedInput, SizeCapExceeded
@@ -111,19 +109,6 @@ class Graph:
             comps.append(list(bits(comp)))
             rest ^= comp
         return comps
-
-    def distances(self, source: int) -> list[float]:
-        """Edge counts of shortest paths from ``source``; inf where unreachable."""
-        dist: list[float] = [inf] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
 
     def is_connected(self) -> bool:
         return component_of(self, self.full_mask) == self.full_mask
@@ -343,7 +328,7 @@ def _short_cycle(nbr: list[int], alive: int) -> int:
     return best
 
 
-def min_feedback_vertex_set(g: Graph, cap: int = ENUM_CAP) -> frozenset[int]:
+def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
     """Minimum-cardinality vertex set whose removal leaves a forest.
 
     Iterative deepening on the budget b = 0, 1, 2, ...; a search node strips
@@ -352,11 +337,11 @@ def min_feedback_vertex_set(g: Graph, cap: int = ENUM_CAP) -> frozenset[int]:
     deletion lowers it by at most the largest degree minus one), and else
     branches on the vertices of one shortest cycle, which every feedback
     vertex set must hit (Cygan et al., *Parameterized Algorithms*, 2015,
-    section 3.3).  ``cap`` bounds the search nodes summed over all budgets;
-    past it SizeCapExceeded is raised.
+    section 3.3).  ``ENUM_CAP`` bounds the search nodes summed over all
+    budgets; past it SizeCapExceeded is raised.
     """
     nbr = g.nbr_mask
-    nodes = 0
+    nodes, cap = 0, ENUM_CAP
 
     def search(alive: int, budget: int) -> Optional[list[int]]:
         nonlocal nodes
@@ -391,8 +376,7 @@ def contains_biclique(g: Graph, a: int, b: int) -> bool:
     return a <= 0 or b <= 0 or find_biclique(g, a, b) is not None
 
 
-def find_biclique(g: Graph, a: int, b: int,
-                  cap: int = ENUM_CAP) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def find_biclique(g: Graph, a: int, b: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A K_{a,b} subgraph of g as (a-side, b-side), or None; a, b >= 1.
 
     Depth-first over a-sets in lexicographic order: a branch carries its
@@ -400,11 +384,11 @@ def find_biclique(g: Graph, a: int, b: int,
     its next vertex from their neighbours above its last.  Only branches
     without a witness are cut, so this is the first a-set a scan would find,
     with its first b common neighbours (disjoint from it: no loops).  Past
-    ``cap`` nodes expanded, SizeCapExceeded.
+    ``ENUM_CAP`` nodes expanded, SizeCapExceeded.
     """
     nbr = g.nbr_mask
     stack = [((), g.full_mask, 0)]  # a-side prefix, its common neighbours, lowest next vertex
-    nodes = 0
+    nodes, cap = 0, ENUM_CAP
     while stack:
         chosen, common, low = stack.pop()
         if len(chosen) == a:

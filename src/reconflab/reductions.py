@@ -22,6 +22,7 @@ from .tapes import (
     TapeInstance,
     build_extended,
     is_irreducible,
+    path_order,
     path_tape,
     solve_multi,
     solve_tape,
@@ -174,44 +175,41 @@ def partitioned_dsr_to_sync_stars(inst: DsrInstance) -> TapeInstance:
 
 
 # ---------------------------------------------------------------------------
-# desynchronizers: drop the lockstep requirement without changing the answer
+# the phase layer: fresh letters by cell number mod 3, read by one extra tape
+# that keeps the heads in lockstep (desynchronizers, composers, formulas)
 
-def _mod3_added(tape: Tape, base: int) -> Tape:
-    content = []
-    for c in range(tape.cells.n):
-        m = tape.content[c]
-        num = tape.number[c] % 3
-        if num != 2:
-            m |= 1 << base
-        if num != 0:
-            m |= 1 << (base + 1)
-        if num != 1:
-            m |= 1 << (base + 2)
-        content.append(m)
-    return Tape(tape.cells, tuple(content), tape.start, tape.end, tape.number)
+def _phased(groups: Sequence[Sequence[Tape]], base: int
+            ) -> tuple[list[tuple[Tape, ...]], list[int], tuple[int, int, int]]:
+    """Give group t the letters a, b, c = base + 3t, base + 3t + 1, base + 3t + 2.
 
-
-def _triple_groups(bases: Sequence[int]) -> tuple[int, int, int]:
-    a = b = c = 0
-    for base in bases:
-        a |= 1 << base
-        b |= 1 << (base + 1)
-        c |= 1 << (base + 2)
-    return a, b, c
+    A cell numbered x gets the two that x mod 3 allows: {a, c}, {a, b} or
+    {b, c} as x mod 3 is 0, 1 or 2, so heads on one number j lack the same
+    letter in every group (b, c or a).  Returns the phased groups, each
+    group's first letter, and the masks of all a, all b and all c letters.
+    """
+    bases = [base + 3 * t for t in range(len(groups))]
+    phased = []
+    for group, low in zip(groups, bases):
+        pairs = (5 << low, 3 << low, 6 << low)
+        phased.append(tuple(
+            Tape(t.cells, tuple(m | pairs[x % 3] for m, x in zip(t.content, t.number)),
+                 t.start, t.end, t.number)
+            for t in group))
+    a = mask_of(bases)
+    return phased, bases, (a, a << 1, a << 2)
 
 
-def _uncovered(groups_mask: int, tapes: Sequence[Tape], config: Sequence[int]) -> int:
-    covered = 0
-    for t, cell in zip(tapes, config):
-        covered |= t.content[cell]
-    return groups_mask & ~covered
+def _phase_path(length: int, masks: tuple[int, int, int]) -> Tape:
+    """Cell j - 1 holds the letters that heads on number j lack, and one more."""
+    a, b, c = masks
+    cycle = (c | a, a | b, b | c)
+    return path_tape(cycle[t % 3] for t in range(length))
 
 
-def _require_numbered_config(inst: TapeInstance, config: Sequence[int], name: str) -> int:
-    nums = {t.number[c] for t, c in zip(inst.tapes, config)}
-    if len(nums) != 1:
-        raise MalformedInput(f"{name} heads must share one number")
-    return nums.pop()
+def _phase_triangle(length: int, masks: tuple[int, int, int]) -> Tape:
+    """Three cells, one per number mod 3, so the length is not needed."""
+    a, b, c = masks
+    return Tape(complete_graph(3), (a | b, b | c, c | a), start=0, end=0)
 
 
 def _normalized_for_phase(inst: TapeInstance) -> TapeInstance:
@@ -223,8 +221,6 @@ def _normalized_for_phase(inst: TapeInstance) -> TapeInstance:
     numberings always do, wrapping ones only when the modulus is a multiple
     of three.
     """
-    if inst.r is None:
-        raise MalformedInput("instance carries no modulus")
     if inst.r <= 3:
         tapes = tuple(
             Tape(t.cells, t.content, t.start, t.end, (1,) * t.cells.n) for t in inst.tapes
@@ -241,52 +237,60 @@ def _normalized_for_phase(inst: TapeInstance) -> TapeInstance:
     return inst
 
 
+def _desynchronize(inst: TapeInstance, construction: str, check: Callable[[TapeInstance], None],
+                   phase_tape: Callable[[int, tuple[int, int, int]], Tape],
+                   phase_cell: Callable[[int], int]) -> TapeInstance:
+    """Both desynchronizers: ``check`` vets the input, ``phase_tape`` builds
+    the extra tape from the largest number after normalizing and the phase
+    masks, and ``phase_cell(j)`` is its head's cell when the other heads
+    share number j."""
+    if not inst.sync or inst.r is None:
+        raise MalformedInput("input must be synchronized and numbered")
+    if not inst.tapes:
+        raise MalformedInput("input has no tapes")
+    check(inst)
+    flat = _normalized_for_phase(inst)
+    phased, bases, masks = _phased([(t,) for t in flat.tapes], flat.sigma)
+    phase = phase_tape(max(max(t.number) for t in flat.tapes), masks)
+    ends = []
+    for name, config in (("cs", flat.cs), ("ct", flat.ct)):
+        nums = {t.number[c] for t, c in zip(flat.tapes, config)}
+        if len(nums) != 1:
+            raise MalformedInput(f"{name} heads must share one number")
+        ends.append(tuple(config) + (phase_cell(nums.pop()),))
+    return TapeInstance(
+        sigma=flat.sigma + 3 * len(phased),
+        tapes=tuple(t for (t,) in phased) + (phase,),
+        cs=ends[0],
+        ct=ends[1],
+        sync=False,
+        r=None,
+        provenance={"construction": construction, "source": inst, "triple_bases": bases},
+    )
+
+
 def desynchronize_triangle(inst: TapeInstance) -> TapeInstance:
     """Equivalent unsynchronized instance with one extra triangle tape.
 
     Three fresh letters per tape, laid out by cell number modulo three, let a
     triangle tape certify the heads' common phase; any move that would break
     lockstep leaves one fresh letter uncovered.  The result is irreducible.
+    Heads on number j lack every a, b or c letter as j mod 3 is 2, 0 or 1;
+    triangle cell 0 (a, b) covers the first two, cell 1 (b, c) the third.
     """
-    if not inst.sync or inst.r is None:
-        raise MalformedInput("input must be synchronized and numbered")
-    original = inst
-    inst = _normalized_for_phase(inst)
-    k = len(inst.tapes)
-    bases = [inst.sigma + 3 * i for i in range(k)]
-    new_tapes = [_mod3_added(t, base) for t, base in zip(inst.tapes, bases)]
-    a, b, c = _triple_groups(bases)
-    triangle = Tape(complete_graph(3), (a | b, b | c, c | a), start=0, end=0)
-    _require_numbered_config(inst, inst.cs, "cs")
-    _require_numbered_config(inst, inst.ct, "ct")
-
-    def park(config):
-        missing = _uncovered(a | b | c, new_tapes, config)
-        for cell in range(3):
-            if missing & ~triangle.content[cell] == 0:
-                return cell
-        raise AssertionError("no triangle cell covers the phase deficit")
-
-    return TapeInstance(
-        sigma=inst.sigma + 3 * k,
-        tapes=tuple(new_tapes) + (triangle,),
-        cs=tuple(inst.cs) + (park(inst.cs),),
-        ct=tuple(inst.ct) + (park(inst.ct),),
-        sync=False,
-        r=None,
-        provenance={
-            "construction": "triangle-desync",
-            "source": original,
-            "triple_bases": bases,
-        },
-    )
+    return _desynchronize(inst, "triangle-desync", lambda inst: None, _phase_triangle,
+                          lambda j: 1 if j % 3 == 1 else 0)
 
 
-def _phase_path(length: int, groups: tuple[int, int, int]) -> Tape:
-    a, b, c = groups
-    cycle = (c | a, a | b, b | c)  # position t (1-based) covers cycle[t % 3 == 1 ? 0 : ...]
-    contents = [cycle[(t - 1) % 3] for t in range(1, length + 1)]
-    return path_tape(contents)
+def _require_monotone_paths(inst: TapeInstance) -> None:
+    for i, t in enumerate(inst.tapes):
+        if not tape_is_path(t):
+            raise MalformedInput(f"tape {i} is not a path")
+        nums = [t.number[c] for c in path_order(t)]
+        if nums[0] != 1:
+            raise MalformedInput(f"tape {i} start cell is not numbered 1")
+        if any(x > y for x, y in zip(nums, nums[1:])):
+            raise MalformedInput(f"tape {i} numbering decreases towards the end")
 
 
 def desynchronize_path(inst: TapeInstance) -> TapeInstance:
@@ -296,58 +300,12 @@ def desynchronize_path(inst: TapeInstance) -> TapeInstance:
     non-decreasing towards the end; the phase tape's head then simply tracks
     the common number.
     """
-    if not inst.sync or inst.r is None:
-        raise MalformedInput("input must be synchronized and numbered")
-    for i, t in enumerate(inst.tapes):
-        if not tape_is_path(t):
-            raise MalformedInput(f"tape {i} is not a path")
-        order = path_order(t)
-        if t.number[order[0]] != 1:
-            raise MalformedInput(f"tape {i} start cell is not numbered 1")
-        nums = [t.number[c] for c in order]
-        if any(x > y for x, y in zip(nums, nums[1:])):
-            raise MalformedInput(f"tape {i} numbering decreases towards the end")
-    original = inst
-    inst = _normalized_for_phase(inst)
-    k = len(inst.tapes)
-    bases = [inst.sigma + 3 * i for i in range(k)]
-    new_tapes = [_mod3_added(t, base) for t, base in zip(inst.tapes, bases)]
-    groups = _triple_groups(bases)
-    length = max(max(t.number) for t in inst.tapes)
-    phase = _phase_path(length, groups)
-    js = _require_numbered_config(inst, inst.cs, "cs")
-    jt = _require_numbered_config(inst, inst.ct, "ct")
-    return TapeInstance(
-        sigma=inst.sigma + 3 * k,
-        tapes=tuple(new_tapes) + (phase,),
-        cs=tuple(inst.cs) + (js - 1,),
-        ct=tuple(inst.ct) + (jt - 1,),
-        sync=False,
-        r=None,
-        provenance={
-            "construction": "path-desync",
-            "source": original,
-            "triple_bases": bases,
-        },
-    )
+    return _desynchronize(inst, "path-desync", _require_monotone_paths, _phase_path,
+                          lambda j: j - 1)
 
 
 # ---------------------------------------------------------------------------
 # gluing helpers shared by the selector and the and/or composers
-
-def path_order(tape: Tape) -> list[int]:
-    """Cells of a path tape from start to end."""
-    if tape.cells.n == 1:
-        return [tape.start]
-    order, prev, cur = [tape.start], None, tape.start
-    while cur != tape.end:
-        nxt = [w for w in tape.cells.neighbors(cur) if w != prev]
-        if len(nxt) != 1:
-            raise MalformedInput("not a path from start to end")
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
 
 def _glue(members: Sequence[Tape], sep_mask: int, duplicate: bool) -> Tape:
     """Concatenate path tapes with separator cells; optionally duplicate the
@@ -443,16 +401,11 @@ def and_compose(insts: Sequence[MultiTapeInstance]) -> MultiTapeInstance:
     sigma = insts[0].sigma
     k = len(insts[0].tuples)
     full = (1 << sigma) - 1
-    bases = [sigma + 3 * t for t in range(k)]
-    tuples = []
-    for t in range(k):
-        members = []
-        for i in range(len(insts[0].tuples[t])):
-            glue = _glue([q.tuples[t][i] for q in insts], sep_mask=full, duplicate=True)
-            members.append(_mod3_added(glue, bases[t]))
-        tuples.append(tuple(members))
-    phase = _phase_path(4 * p - 1, _triple_groups(bases))
-    tuples.append((phase,))
+    glued = [[_glue([q.tuples[t][i] for q in insts], sep_mask=full, duplicate=True)
+              for i in range(len(insts[0].tuples[t]))]
+             for t in range(k)]
+    tuples, _, masks = _phased(glued, sigma)
+    tuples.append((_phase_path(4 * p - 1, masks),))
     return MultiTapeInstance(
         sigma=sigma + 3 * k,
         tuples=tuple(tuples),
@@ -474,18 +427,14 @@ def or_compose(insts: Sequence[MultiTapeInstance]) -> MultiTapeInstance:
     p = len(insts)
     sigma = insts[0].sigma
     k = len(insts[0].tuples)
-    bases = [sigma + 3 * k + 3 * t for t in range(k)]
-    tuples = []
-    for t in range(k):
-        members = []
-        for m in range(len(insts[0].tuples[t])):
-            marked = [_mark(q.tuples[t][m], sigma, k, t) for q in insts]
-            members.append(_mod3_added(_glue(marked, sep_mask=0, duplicate=True), bases[t]))
-        tuples.append(tuple(members))
-    phase = _phase_path(4 * p - 1, _triple_groups(bases))
+    glued = [[_glue([_mark(q.tuples[t][m], sigma, k, t) for q in insts], sep_mask=0,
+                    duplicate=True)
+              for m in range(len(insts[0].tuples[t]))]
+             for t in range(k)]
+    tuples, _, masks = _phased(glued, sigma + 3 * k)
     return MultiTapeInstance(
         sigma=sigma + 6 * k,
-        tuples=tuple(tuples) + ((_selector(sigma, k),), (phase,)),
+        tuples=tuple(tuples) + ((_selector(sigma, k),), (_phase_path(4 * p - 1, masks),)),
         sync=False,
         provenance={"construction": "or-compose", "arity": p},
     )
@@ -583,12 +532,8 @@ def _cnf_to_multi(nvars: int, clauses: list[frozenset[int]], k: int) -> MultiTap
     for v in range(nvars):
         content = tuple(1 if v in clause else 0 for clause in clauses)
         tapes.append(path_tape(content, number=range(1, m + 1)))
-    bases = [1 + 3 * t for t in range(k)]
-    tuples = []
-    for t in range(k):
-        tuples.append(tuple(_mod3_added(tape, bases[t]) for tape in tapes))
-    phase = _phase_path(m, _triple_groups(bases))
-    tuples.append((phase,))
+    tuples, _, masks = _phased([tapes] * k, 1)
+    tuples.append((_phase_path(m, masks),))
     return MultiTapeInstance(sigma=1 + 3 * k, tuples=tuple(tuples), sync=False)
 
 

@@ -333,18 +333,26 @@ def extended_graph(inst: TapeInstance | MultiTapeInstance) -> Graph:
 # ---------------------------------------------------------------------------
 # shape predicates & validation
 
+def path_order(tape: Tape) -> list[int]:
+    """Cells from start to end along the walk that never branches: each cell
+    before the end has one neighbour besides the one it was entered from.
+    MalformedInput if the walk branches or stops short of the end."""
+    order, cur, back = [tape.start], tape.start, 0
+    while cur != tape.end:
+        ahead = tape.cells.nbr_mask[cur] & ~back
+        if ahead.bit_count() != 1:
+            raise MalformedInput("not a path from start to end")
+        back, cur = 1 << cur, ahead.bit_length() - 1
+        order.append(cur)
+    return order
+
+
 def tape_is_path(tape: Tape) -> bool:
-    """Connected, max degree 2, endpoints exactly the start and end cells."""
-    g = tape.cells
-    if not g.is_connected():
+    """The walk from start reaches end without branching and visits every cell."""
+    try:
+        return len(path_order(tape)) == tape.cells.n
+    except MalformedInput:
         return False
-    if g.n == 1:
-        return tape.start == tape.end == 0
-    degs = [g.degree(v) for v in range(g.n)]
-    if max(degs) > 2:
-        return False
-    endpoints = {v for v in range(g.n) if degs[v] == 1}
-    return endpoints == {tape.start, tape.end}
 
 
 def _numbering_problems(named_tapes: Iterable[tuple[str, Tape]], sync: bool, r: Optional[int]) -> list[str]:

@@ -5,7 +5,10 @@ decomposition the construction promises, bag by bag, instead of trying to
 compute widths (which would be NP-hard).  The subdivided stars get their
 bags straight from the stars' layout: an edge bag per branch edge, chained
 along the branch, with the token's letter and the check letter in every bag.
-The triangle and sliding constructions widen their source's bags.  Bags are
+The triangle and sliding constructions widen their source's bags; a
+triangle artifact's ``triple_bases`` provenance, each tape's first phase
+letter, is what ``reductions._phased`` returned when it laid out the phase
+letters.  Bags are
 assembled over symbolic handles and mapped to vertex ids at the end, through
 the extended graph of the tape instance at the chain's tape end (a sliding
 artifact numbers cells and letters as its source's extended graph does and

@@ -102,6 +102,20 @@ def is_irreducible(inst: TapeInstance | MultiTapeInstance) -> bool:
 # ---------------------------------------------------------------------------
 # parking of a deleted tape group
 
+def distances(g, source: int) -> list[float]:
+    """Edge counts of shortest paths from ``source``, by a plain breadth-first
+    search; inf where unreachable."""
+    dist = [float("inf")] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if dist[w] == float("inf"):
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
 
 def parking(
     tapes: Sequence[Tape], heads: Sequence[int], group: Sequence[int], letters: Sequence[int]
@@ -115,7 +129,7 @@ def parking(
     # nearest[(letter, tape)] = (distance, cell) for the closest cell holding the letter
     nearest: dict[tuple[int, int], tuple[int, int]] = {}
     for i in group:
-        dist = tapes[i].cells.distances(heads[i])
+        dist = distances(tapes[i].cells, heads[i])
         for letter in letters:
             hits = [(dist[c], c) for c in range(tapes[i].cells.n)
                     if tapes[i].content[c] >> letter & 1]
@@ -144,7 +158,7 @@ def walk_order(tapes: Sequence[Tape], heads: Sequence[int],
     arcs: dict[int, set[int]] = {a: set() for a in letters}
     for b in letters:
         tape_b, cell_b = assignment[b]
-        dist = tapes[tape_b].cells.distances(heads[tape_b])
+        dist = distances(tapes[tape_b].cells, heads[tape_b])
         for a in letters:
             if a != b and any(tapes[tape_b].content[cell] >> a & 1 and dist[cell] < dist[cell_b]
                               for cell in range(tapes[tape_b].cells.n)):

@@ -138,10 +138,10 @@ def test_kernelize_a_513_vertex_wheel(tmp_path, capsys):
 def test_kernelize_past_the_enumerator_cap_exits_3(tmp_path, capsys, monkeypatch):
     """fan(8)'s core queries need seven branching nodes a call; see
     ``test_compute_core_raises_past_the_enumerator_cap``."""
-    from reconflab import dsr
+    from reconflab import graphs
 
     path = write(tmp_path, "f.json", serialize.dcr_to_json(fan(8)))
-    monkeypatch.setattr(dsr, "ENUM_CAP", 2)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 2)
     assert main(["kernelize", path]) == 3
     assert capsys.readouterr().err.startswith("cap exceeded: ")
 
@@ -430,6 +430,19 @@ def test_reduce_rejects_modulus_zero(tmp_path, capsys, command):
     doc["r"] = 0
     code, out = run(capsys, command[0], write(tmp_path, "t.json", doc), *command[1:])
     assert code == 2 and out is None
+
+
+@pytest.mark.parametrize("command", [["reduce", "--to", "tape"], ["reduce", "--to", "path-tape"],
+                                     ["verify-reduction", "--construction", "triangle"],
+                                     ["verify-reduction", "--construction", "path"]])
+def test_desynchronizing_no_tapes_exits_2(tmp_path, capsys, command):
+    """A synchronized instance without tapes is valid (the empty configuration
+    covers the empty alphabet), but its heads share no number to desynchronize."""
+    doc = {"kind": "tape-instance", "version": 1, "sigma": 0, "tapes": [], "cs": [], "ct": [],
+           "sync": True, "r": 4}
+    code = main([command[0], write(tmp_path, "z.json", doc), *command[1:]])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: input has no tapes\n")
 
 
 def _sync_multi_doc():

@@ -9,7 +9,7 @@ import certificate_oracle
 import dsr_oracle
 from dsr_oracle import successors
 from helpers import fan, wheel
-from reconflab import dsr
+from reconflab import dsr, graphs
 from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import (
     JUMP,
@@ -562,14 +562,25 @@ def test_enumerator_counts_its_branching_nodes_against_the_cap(monkeypatch):
     of 1 lets size 2 through with the same sets."""
     g = path_graph(5)
     want = list(enumerate_dominating_sets(g, 2))
-    monkeypatch.setattr(dsr, "ENUM_CAP", 0)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 0)
     assert list(enumerate_dominating_sets(g, 1)) == []
     with pytest.raises(SizeCapExceeded):
         list(enumerate_dominating_sets(g, 2))
     with pytest.raises(SizeCapExceeded):
         dsr.has_dominating_set(g, 2)
-    monkeypatch.setattr(dsr, "ENUM_CAP", 1)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 1)
     assert list(enumerate_dominating_sets(g, 2)) == want == [{0, 3}, {1, 3}, {1, 4}]
+
+
+def test_coverage_bound_ignores_banned_vertices(monkeypatch):
+    """With wheel(33)'s rim vertex 1 and its closed neighbourhood, the hub
+    included, banned, every vertex left dominates 4 of the 32 targets, so two
+    cannot cover them: the bound refutes the query before any branching node,
+    while a bound taken over the hub's 33 would have to branch."""
+    g = wheel(33).graph
+    monkeypatch.setattr(graphs, "ENUM_CAP", 0)
+    assert list(enumerate_dominating_sets(g, 2, g.full_mask ^ 1 << 1,
+                                          banned=g.closed_mask[1])) == []
 
 
 @pytest.mark.parametrize("legs", [20, 40])

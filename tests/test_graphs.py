@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
+from reconflab import graphs
 from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import _joins_every_component
 from reconflab.errors import MalformedInput, SizeCapExceeded
@@ -279,9 +280,10 @@ def test_fvs_k4_two():
     assert len(min_feedback_vertex_set(complete_graph(4))) == 2
 
 
-def test_fvs_cap():
+def test_fvs_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "ENUM_CAP", 10)
     with pytest.raises(SizeCapExceeded):
-        min_feedback_vertex_set(complete_graph(12), cap=10)
+        min_feedback_vertex_set(complete_graph(12))
 
 
 def fvs_cases() -> list[Graph]:
@@ -326,12 +328,14 @@ def test_biclique_named():
     assert find_biclique(path_graph(6), 2, 2) is None
 
 
-def test_biclique_cap():
+def test_biclique_cap(monkeypatch):
     """K_30 has no K_{4,27}, as four vertices share 26 neighbours, but every
     3-prefix shares 27, so no branch is cut before depth 4: the 4,526 nodes
     of depth at most 3 pass a cap of 10 and fit under the default one."""
+    monkeypatch.setattr(graphs, "ENUM_CAP", 10)
     with pytest.raises(SizeCapExceeded):
-        find_biclique(complete_graph(30), 4, 27, cap=10)
+        find_biclique(complete_graph(30), 4, 27)
+    monkeypatch.undo()
     assert find_biclique(complete_graph(30), 4, 27) is None
 
 

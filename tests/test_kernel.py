@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 from helpers import fan, wheel
-from reconflab import dsr
+from reconflab import dsr, graphs
 from reconflab.dsr import enumerate_dominating_sets
 from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from reconflab.generators import gen_dcr_instance
@@ -144,9 +144,9 @@ def test_compute_core_raises_past_the_enumerator_cap(monkeypatch):
     check takes two branching nodes, while a query takes up to seven."""
     inst = fan(8)
     g, k, must = inst.graph, inst.k, inst.source | inst.target
-    monkeypatch.setattr(dsr, "ENUM_CAP", 7)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 7)
     assert len(compute_core(g, k, must)) == 9
-    monkeypatch.setattr(dsr, "ENUM_CAP", 2)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 2)
     assert dsr.has_dominating_set(g, k)
     with pytest.raises(SizeCapExceeded):
         compute_core(g, k, must)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -783,3 +784,105 @@ def test_disjoint_guard_queries_match_the_plain_ones(monkeypatch):
         monkeypatch.undo()
         assert len(shown) == len(set(shown)) and set(shown) == want
     assert verdicts == [True] * 4 + [False] * 2 + [True] + [False] * 4
+
+
+# ------------------------------------------------------------- pinned bytes
+
+def _pinned_artifacts():
+    """(construction, artifact) pairs over a fixed seeded sample: both
+    desynchronizers on general, path and wrapping (star) numberings, r <= 3
+    included; and/or composition of three same-shaped inputs and one nesting;
+    the selector; formulas of depth 2 and 4; both tape-to-token reductions."""
+    from helpers import partitioned_instance
+    from reconflab.generators import (gen_random_multi, gen_random_tape_instance,
+                                      gen_sync_path_instance)
+
+    rng = random.Random(1901)
+    out = []
+    for _ in range(30):
+        inst = gen_random_tape_instance(rng.randrange(2**31), tapes=rng.randint(1, 3),
+                                        cells=rng.randint(2, 5), sigma=rng.randint(1, 3), sync=True)
+        out.append(("triangle", desynchronize_triangle(inst)))
+    for _ in range(30):
+        inst = gen_sync_path_instance(rng.randrange(2**31), tapes=3, cells=6,
+                                      sigma=rng.randint(1, 3))
+        out += [("path", desynchronize_path(inst)), ("triangle", desynchronize_triangle(inst))]
+    for seed in range(4):
+        stars = partitioned_dsr_to_sync_stars(partitioned_instance(seed, n_max=4))
+        out += [("sync-stars", stars), ("triangle", desynchronize_triangle(stars))]
+    for _ in range(12):
+        inst = gen_random_tape_instance(rng.randrange(2**31), tapes=rng.randint(1, 2),
+                                        cells=rng.randint(2, 3), sigma=rng.randint(1, 2), sync=True)
+        art = desynchronize_triangle(inst)
+        out += [("ts-dsr", tape_to_ts_dsr(art)), ("tj-cdsr", tape_to_tj_cdsr(art))]
+    for _ in range(20):
+        out.append(("selector", select_from_tuples(
+            gen_random_multi(rng.randrange(2**31), tuples=2, members=2, cells=3))))
+    for _ in range(12):
+        shape = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+        insts = [MultiTapeInstance(sigma=1, tuples=tuple(
+            tuple(path_tape([rng.randint(0, 1) for _ in range(rng.randint(1, 3))])
+                  for _ in range(size)) for size in shape)) for _ in range(3)]
+        out += [("and", and_compose(insts)), ("or", or_compose(insts)),
+                ("or", or_compose([and_compose(insts[:2]), and_compose(insts[2:])]))]
+    for _ in range(12):
+        n = rng.randint(1, 3)
+
+        def cnf():
+            return AND(*[OR(*[VAR(v) for v in rng.sample(range(n), rng.randint(1, n))])
+                         for _ in range(rng.randint(1, 2))])
+
+        phi = NormalizedFormula(n, cnf() if rng.random() < 0.5 else
+                                AND(*[OR(*[cnf() for _ in range(rng.randint(1, 2))])
+                                      for _ in range(rng.randint(1, 2))]))
+        out.append(("formula", formula_to_multi(phi, rng.randint(1, 2))))
+    return out
+
+
+PINNED_DIGESTS = {
+    "and": "3ec88459b678ce721b86a151db58750b1048849302b05700ed9769a90596748f",
+    "formula": "c93a274e1ca8ae0ed1597ddb214d7d9cb07c6f35244bc87c4665b89e7c1eb745",
+    "or": "6c7619a5fc1b3c9f9814dbb95d182bb6a972a7681d961fddf88b3375e9496104",
+    "path": "4b70bed7e36bd36a2849b1ed67967efeb5e0b0a5c877307ad705254af448e3e3",
+    "selector": "ca213b2670d8938e14dbe61249d9b21a6dcfa15d6c5d3383e74984deb42a18d7",
+    "sync-stars": "ec467b84138383903618692f841db47954ed9e11e96c5c5ff9603971ea84d105",
+    "tj-cdsr": "a588092c5ae72197bb467d081095aabfea6bf45c22085183046423d5b54bf8d9",
+    "triangle": "5e8ad706e140183d8588d6bc7ecdcf3c2b7b6f27805186fea021bc8bb7254cb1",
+    "ts-dsr": "b9402c6b05b5a7f3fbb1dc6b9173bd5a6f440c9715377bff837463f8b40dc485",
+}
+
+
+def test_construction_bytes_are_pinned():
+    """Each construction's canonical JSON and scalar provenance, hashed over
+    the sample above, against digests recorded before the phase letters were
+    laid out by one helper: a refactor of the constructors keeps every byte."""
+    from reconflab import serialize
+
+    digests = {}
+    for name, art in _pinned_artifacts():
+        h = digests.setdefault(name, hashlib.sha256())
+        prov = {key: val for key, val in (art.provenance or {}).items()
+                if isinstance(val, (str, int, list, tuple))}
+        h.update(serialize.canonical_dumps(serialize.encode(art)).encode())
+        h.update(serialize.canonical_dumps(prov).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == PINNED_DIGESTS
+
+
+def _desync_input(number, cs, ct, sync=True, r=4):
+    tape = path_tape([1] * len(number), number=number)
+    return TapeInstance(1, (tape, tape), cs, ct, sync=sync, r=r if sync else None)
+
+
+@pytest.mark.parametrize("desync", [desynchronize_triangle, desynchronize_path])
+@pytest.mark.parametrize("inst,message", [
+    (_desync_input([1, 2, 3, 4], (0, 0), (1, 1), sync=False),
+     "input must be synchronized and numbered"),
+    (_desync_input([1, 2, 3, 4], (0, 1), (2, 2)), "cs heads must share one number"),
+    (_desync_input([1, 2, 3, 4], (0, 0), (2, 3)), "ct heads must share one number"),
+    (_desync_input([1, 4], (0, 0), (1, 1)),
+     "wrapping numbering needs a modulus divisible by 3; renumber first"),
+], ids=["unsynchronized", "cs-two-numbers", "ct-two-numbers", "wrapping-r4"])
+def test_desynchronizers_reject_with_pinned_messages(desync, inst, message):
+    with pytest.raises(MalformedInput) as err:
+        desync(inst)
+    assert str(err.value) == message
