@@ -217,8 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def state_cap(text):
+        cap = int(text)
+        if cap < 0:
+            raise argparse.ArgumentTypeError(f"state cap {cap} is negative")
+        return cap
+
     def add_cap(p):
-        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+        p.add_argument("--state-cap", type=state_cap, default=DEFAULT_STATE_CAP,
                        help="abort searches beyond this many configurations")
 
     p = sub.add_parser("solve", help="reachability for a (core) domination instance")

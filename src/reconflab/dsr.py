@@ -326,7 +326,8 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     (a vertex mask, all of V by default), holds every vertex of ``forced`` and
     none of ``banned``; each set once.
 
-    Branches on the smallest undominated target vertex's closed neighborhood;
+    Branches on the undominated target x whose N[x] has the fewest vertices
+    neither chosen nor banned (the lowest x on a tie; one left ends the scan);
     the vertices earlier siblings took are banned from later ones, which keeps
     each set to one branch.  A child is pushed only if its free slots could
     still cover what is undominated: ``maxcov`` vertices a slot, the largest
@@ -341,10 +342,10 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     the AND of N[x] over the undominated x as one mask.  Once the target is
     dominated the remaining slots are filled by one ``itertools.combinations``
     over the vertices neither chosen nor banned.  One explicit stack, children
-    pushed in reverse, so the sets come out in depth-first order.  The three
-    masks only seed the stack's first entry.  Output-sensitive, so it stays
-    usable where scanning all n-choose-size subsets would not; past
-    ``graphs.ENUM_CAP`` nodes branched on in one call it raises SizeCapExceeded.
+    pushed in reverse, so the sets come out in depth-first order.
+    Output-sensitive, so it stays usable where scanning all n-choose-size
+    subsets would not; past ``graphs.ENUM_CAP`` nodes branched on in one call
+    it raises SizeCapExceeded.
     """
     if target is None:
         target = g.full_mask
@@ -379,9 +380,15 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
             raise SizeCapExceeded(f"dominating-set enumeration passed {cap} nodes")
         slots = size - len(d) - 1
         room = slots * maxcov
-        v = (missing & -missing).bit_length() - 1
+        avail, fewest = ~(dmask | banned), g.n + 1
+        for x in bits(missing):
+            choice = closed[x] & avail
+            if choice.bit_count() < fewest:
+                branch, fewest = choice, choice.bit_count()
+                if fewest <= 1:
+                    break
         kids = []
-        for u in bits(closed[v] & ~banned & ~dmask):
+        for u in bits(branch):
             cov = covered | closed[u]
             left = target & ~cov
             need = 0 if left.bit_count() <= room else slots + 1

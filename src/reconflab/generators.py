@@ -30,6 +30,8 @@ def gen_random_graph(seed: int, n: int, edge_prob: float,
     3-by-d subgraph) or "connected-k3d-free:<d>".
     """
     check_vertex_count(n)
+    if not 0 <= edge_prob <= 1:  # NaN fails both comparisons
+        raise MalformedInput(f"edge probability {edge_prob!r} is not in [0, 1]")
     prefix, colon, width = (constraint or "none").partition(":")
     if constraint in (None, "none", "connected"):
         d = None

@@ -240,7 +240,8 @@ def _normalized_for_phase(inst: TapeInstance) -> TapeInstance:
 def _desynchronize(inst: TapeInstance, construction: str, check: Callable[[TapeInstance], None],
                    phase_tape: Callable[[int, tuple[int, int, int]], Tape],
                    phase_cell: Callable[[int], int]) -> TapeInstance:
-    """Both desynchronizers: ``check`` vets the input, ``phase_tape`` builds
+    """Both desynchronizers: ``check`` vets the input once its numbering
+    passed the modulus check, ``phase_tape`` builds
     the extra tape from the largest number after normalizing and the phase
     masks, and ``phase_cell(j)`` is its head's cell when the other heads
     share number j."""
@@ -248,8 +249,8 @@ def _desynchronize(inst: TapeInstance, construction: str, check: Callable[[TapeI
         raise MalformedInput("input must be synchronized and numbered")
     if not inst.tapes:
         raise MalformedInput("input has no tapes")
-    check(inst)
     flat = _normalized_for_phase(inst)
+    check(inst)
     phased, bases, masks = _phased([(t,) for t in flat.tapes], flat.sigma)
     phase = phase_tape(max(max(t.number) for t in flat.tapes), masks)
     ends = []
@@ -291,14 +292,17 @@ def _require_monotone_paths(inst: TapeInstance) -> None:
             raise MalformedInput(f"tape {i} start cell is not numbered 1")
         if any(x > y for x, y in zip(nums, nums[1:])):
             raise MalformedInput(f"tape {i} numbering decreases towards the end")
+        if inst.r > 3 and any(y > x + 1 for x, y in zip(nums, nums[1:])):
+            raise MalformedInput(f"tape {i} numbering climbs by more than 1 between adjacent cells")
 
 
 def desynchronize_path(inst: TapeInstance) -> TapeInstance:
     """Path-preserving desynchronizer: the extra tape is a path, not a triangle.
 
     Requires path tapes with start cells numbered 1 and numbering
-    non-decreasing towards the end; the phase tape's head then simply tracks
-    the common number.
+    non-decreasing towards the end, by at most 1 a cell once r > 3 (a
+    wrapping step would make the phase head jump); the phase tape's head then
+    simply tracks the common number.
     """
     return _desynchronize(inst, "path-desync", _require_monotone_paths, _phase_path,
                           lambda j: j - 1)

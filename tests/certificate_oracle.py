@@ -11,7 +11,11 @@ replaced as the oracles they are compared against, together with the
 union-find forest test the subset search uses.
 The enumerator has two: a recursive one for its default order, and
 ``unpruned_dominating_sets``, the same stack without the packing bound, which
-every query mode must match set for set and in order.  ``plain_guard_queries``
+every query mode must match set for set and in order.  Both branch as the
+enumerator does, on the undominated vertex with the fewest dominators left;
+with ``lowest=True`` the stack branches on the lowest undominated vertex, the
+enumerator's earlier rule, and every query must give the same sets as that
+one, in any order.  ``plain_guard_queries``
 is the overlapping query list the guard check asked before its queries were
 made disjoint.
 """
@@ -99,9 +103,10 @@ def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
 def enumerate_dominating_sets(g: Graph, size: int):
     """Every dominating set of exactly ``size`` vertices, from nested generators.
 
-    Branches on the smallest undominated vertex's closed neighborhood with an
-    exclusion set for canonicity; once everything is dominated, the remaining
-    slots are filled in ascending order, one generator frame per slot.
+    Branches on the undominated vertex with the fewest closed neighbours
+    neither chosen nor excluded (the lowest on a tie), with an exclusion set
+    for canonicity; once everything is dominated, the remaining slots are
+    filled in ascending order, one generator frame per slot.
     """
     full = g.full_mask
     maxcov = max((m.bit_count() for m in g.closed_mask), default=1)
@@ -116,7 +121,7 @@ def enumerate_dominating_sets(g: Graph, size: int):
         if missing:
             if missing.bit_count() > rest * maxcov:
                 return
-            v = (missing & -missing).bit_length() - 1
+            v = min(bits(missing), key=lambda x: (g.closed_mask[x] & ~banned & ~dmask).bit_count())
             local_ban = banned
             for u in bits(g.closed_mask[v] & ~local_ban & ~dmask):
                 yield from rec(d + (u,), dmask | 1 << u, covered | g.closed_mask[u], local_ban, 0)
@@ -131,10 +136,12 @@ def enumerate_dominating_sets(g: Graph, size: int):
 
 
 def unpruned_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
-                             forced: int = 0, banned: int = 0):
+                             forced: int = 0, banned: int = 0, lowest: bool = False):
     """``dsr.enumerate_dominating_sets`` without its distance-3 packing
     bound: a child is cut only when its slots times the largest closed
-    neighborhood cannot cover what is undominated."""
+    neighborhood cannot cover what is undominated.  It branches on the
+    undominated target vertex with the fewest closed neighbours neither chosen
+    nor banned (the lowest on a tie), or with ``lowest`` on the lowest one."""
     if target is None:
         target = g.full_mask
     closed = g.closed_mask
@@ -162,7 +169,7 @@ def unpruned_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
             yield from (chosen | {u} for u in bits(last))
             continue
         room = (size - len(d) - 1) * maxcov
-        v = (missing & -missing).bit_length() - 1
+        v = min(bits(missing), key=lambda x: 0 if lowest else (closed[x] & ~banned & ~dmask).bit_count())
         kids = []
         for u in bits(closed[v] & ~banned & ~dmask):
             cov = covered | closed[u]

@@ -445,6 +445,38 @@ def test_desynchronizing_no_tapes_exits_2(tmp_path, capsys, command):
     assert (code, out, err) == (2, "", "error: input has no tapes\n")
 
 
+@pytest.mark.parametrize("command, code", [
+    (["reduce", "--to", "path-tape"], 2), (["verify-reduction", "--construction", "path"], 2),
+    (["reduce", "--to", "tape"], 0), (["verify-reduction", "--construction", "triangle"], 0),
+])
+def test_desynchronizing_a_wrapping_path(tmp_path, capsys, command, code):
+    """One path numbered [1, 6] under modulus 6: the path desynchronizer
+    refuses it, as its phase head would have to jump, and the triangle keeps
+    the answer."""
+    inst = TapeInstance(1, (path_tape([1, 1], number=[1, 6]),), (0,), (1,), sync=True, r=6)
+    path = write(tmp_path, "w.json", serialize.tape_instance_to_json(inst))
+    assert main([command[0], path, *command[1:]]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", "error: tape 0 numbering climbs by more than 1 between "
+                                  "adjacent cells\n")
+    elif command[0] == "verify-reduction":
+        assert json.loads(out)["agree"] is True
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("solve", "dsr-instance"), ("solve-tape", "tape-instance"), ("verify-reduction", "tape-instance"),
+])
+def test_negative_state_cap_exits_2(tmp_path, capsys, command, kind):
+    """A negative cap is malformed input, not a cap reached after -1
+    configurations, nor no cap at all on a short search."""
+    doc = next(doc for doc in _envelopes() if doc["kind"] == kind)
+    options = ["--construction", "triangle"] if command == "verify-reduction" else []
+    assert main([command, write(tmp_path, "in.json", doc), *options, "--state-cap", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument --state-cap: state cap -1 is negative\n")
+
+
 def _sync_multi_doc():
     from reconflab.reductions import ds_to_sync_multi
 
@@ -509,8 +541,12 @@ def test_badly_typed_field_exits_2(tmp_path, capsys, kind, path, value):
     ["tape", "--cells", "0"],
     ["tape", "--sigma", "-1"],
     ["tape", "--sync", "--tapes", "0"],
+    ["graph", "--edge-prob", "nan", "--constraint", "connected"],
+    ["graph", "--edge-prob", "-1"],
+    ["graph", "--edge-prob", "2"],
 ], ids=["unknown-constraint", "width-not-an-integer", "width-zero", "no-cells",
-        "negative-sigma", "sync-without-tapes"])
+        "negative-sigma", "sync-without-tapes", "edge-prob-nan", "edge-prob-negative",
+        "edge-prob-above-one"])
 def test_gen_rejects_bad_parameters(capsys, argv):
     """Exit 2 with one error line: main() no longer maps a bare ValueError,
     so the generators raise MalformedInput on what they cannot build from."""

@@ -476,6 +476,18 @@ def test_enumerator_matches_oracle():
     assert checked > 100
 
 
+def c06_two_tape_artifacts():
+    """The first two tj-cdsr artifacts of two tapes that acceptance C06's seed
+    draws; at that seed they come out as one graph twice."""
+    rng = random.Random(7601)
+    artifacts = []
+    while len(artifacts) < 2:
+        _, art = _small_irreducible(rng, cells=2, sigma=2)
+        if len(art.tapes) == 2:
+            artifacts.append(tape_to_tj_cdsr(art))
+    return artifacts
+
+
 def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
     """(graph, size, target, forced, banned) queries for the order oracle:
     ``enumerator_cases`` with masks drawn per case in every mode; the masks
@@ -503,13 +515,7 @@ def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
                       if rng.random() < rng.choice((0.15, 0.3, 0.5))])
         queries.append((g, rng.randint(1, 6), rng.choice((None, draw(n, 0.7))),
                         draw(n, rng.choice((0, 0.1))), draw(n, rng.choice((0, 0.2)))))
-    rng7601 = random.Random(7601)  # acceptance C06's seed
-    artifacts = []
-    while len(artifacts) < 2:
-        _, art = _small_irreducible(rng7601, cells=2, sigma=2)
-        if len(art.tapes) == 2:
-            artifacts.append(tape_to_tj_cdsr(art))
-    for cd in artifacts:
+    for cd in c06_two_tape_artifacts():
         asked = []
 
         def record(g, size, forced, banned):
@@ -553,6 +559,27 @@ def test_enumerator_keeps_the_unpruned_order():
         answered += bool(want)
         unanswered += not want
     assert answered > 900 and unanswered > 900
+
+
+def test_enumerator_gives_the_lowest_vertex_sets():
+    """Branching on the vertex with the fewest dominators left changes only
+    the order: every query gives each set once, and the same sets as the
+    stack that branches on the lowest undominated vertex."""
+    for g, size, target, forced, banned in order_oracle_queries():
+        got = list(enumerate_dominating_sets(g, size, target, forced, banned))
+        want = certificate_oracle.unpruned_dominating_sets(g, size, target, forced, banned,
+                                                           lowest=True)
+        assert len(got) == len(set(got))
+        assert sorted(got, key=sorted) == sorted(want, key=sorted), (g, size, target, forced, banned)
+
+
+def test_guard_budget_enumeration_fits_its_node_count(monkeypatch):
+    """Every budget-size dominating set of C06's two-tape artifact (45
+    vertices, k = 7, 4,549 sets) takes 118 branching nodes; branching on the
+    lowest undominated vertex took 464.  A cap of 232 pins the gap."""
+    monkeypatch.setattr(graphs, "ENUM_CAP", 232)
+    for cd in c06_two_tape_artifacts():
+        assert sum(1 for _ in enumerate_dominating_sets(cd.graph, cd.k)) == 4549
 
 
 def test_enumerator_counts_its_branching_nodes_against_the_cap(monkeypatch):

@@ -140,12 +140,14 @@ def test_compute_core_matches_the_greedy_reference():
 
 def test_compute_core_raises_past_the_enumerator_cap(monkeypatch):
     """The core's queries are enumerator calls, so the enumerator's node cap,
-    per call, is the core's cap too: on fan(8) at k = 3 the feasibility
-    check takes two branching nodes, while a query takes up to seven."""
-    inst = fan(8)
-    g, k, must = inst.graph, inst.k, inst.source | inst.target
-    monkeypatch.setattr(graphs, "ENUM_CAP", 7)
-    assert len(compute_core(g, k, must)) == 9
+    per call, is the core's cap too: on this seeded G(12, 0.3) at k = 3 the
+    feasibility check takes two branching nodes, while a query takes three."""
+    rng = random.Random(5)
+    n, k, must = rng.randint(8, 14), rng.randint(2, 4), frozenset()
+    g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+    assert (n, k) == (12, 3)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 3)
+    assert len(compute_core(g, k, must)) == 10
     monkeypatch.setattr(graphs, "ENUM_CAP", 2)
     assert dsr.has_dominating_set(g, k)
     with pytest.raises(SizeCapExceeded):

@@ -886,3 +886,15 @@ def test_desynchronizers_reject_with_pinned_messages(desync, inst, message):
     with pytest.raises(MalformedInput) as err:
         desync(inst)
     assert str(err.value) == message
+
+
+def test_path_desynchronizer_rejects_a_wrapping_path():
+    """A path numbered [1, 6] under modulus 6 passes the modulus check, since
+    6 is a multiple of 3, and is reachable; the triangle tape keeps the
+    answer, but the phase path's head cannot jump from cell 0 to cell 5, so
+    the path desynchronizer refuses the input instead of answering no."""
+    inst = TapeInstance(1, (path_tape([1, 1], number=[1, 6]),), (0,), (1,), sync=True, r=6)
+    assert solve_tape(inst).reachable
+    assert solve_tape(desynchronize_triangle(inst)).reachable
+    with pytest.raises(MalformedInput, match="^tape 0 numbering climbs by more than 1 between"):
+        desynchronize_path(inst)
