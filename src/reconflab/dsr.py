@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
 from . import graphs
-from .graphs import Graph, bits, closed_mask_of, component_of, delete_vertices, mask_of, set_of
+from .graphs import Graph, bits, closed_mask_of, component_of, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -82,16 +82,22 @@ def bfs(start, goal, successors, state_cap: int):
     return None, len(parents)
 
 
-def validate_instance(inst: DsrInstance) -> None:
-    g = inst.graph
-    if inst.rule not in (SLIDE, JUMP):
-        raise MalformedInput(f"unknown rule {inst.rule!r}")
+def check_token_sets(inst) -> None:
+    """Source and target each hold k vertices of the graph; dsr and dcr
+    instances both carry these fields."""
     for name, s in (("source", inst.source), ("target", inst.target)):
         if len(s) != inst.k:
             raise MalformedInput(f"{name} has size {len(s)}, expected k={inst.k}")
         for v in s:
-            if not (0 <= v < g.n):
+            if not (0 <= v < inst.graph.n):
                 raise MalformedInput(f"{name} vertex {v} out of range")
+
+
+def validate_instance(inst: DsrInstance) -> None:
+    g = inst.graph
+    if inst.rule not in (SLIDE, JUMP):
+        raise MalformedInput(f"unknown rule {inst.rule!r}")
+    check_token_sets(inst)
     if inst.core is not None:
         for v in inst.core:
             if not (0 <= v < g.n):
@@ -232,57 +238,34 @@ def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
     return ReconfigResult(path is not None, witness, explored)
 
 
-def _solve_per_component(inst: DsrInstance, state_cap: int) -> ReconfigResult:
-    """Sliding tokens never change component, so disconnected inputs split."""
-    g = inst.graph
-    comps = g.components()
-    witness_global: list[frozenset[int]] = [inst.source]
-    explored = 0
-    current = set(inst.source)
-    for comp in comps:
-        cset = set(comp)
-        src = inst.source & cset
-        tgt = inst.target & cset
+def solve(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
+    """Breadth-first reachability from source to target; shortest witness.
+
+    Sliding tokens never leave their component, so an instance with no other
+    side condition on a disconnected graph is searched one component at a
+    time, on the input graph with the other components' tokens and core left
+    out; the witnesses are stitched in component order.
+    """
+    validate_instance(inst)
+    if (inst.rule != SLIDE or inst.connected or inst.partition is not None
+            or inst.graph.is_connected()):
+        return _bfs(inst, state_cap)
+    core = inst.core_set()
+    cur, witness, explored = inst.source, [inst.source], 0
+    for comp in map(frozenset, inst.graph.components()):
+        src, tgt = inst.source & comp, inst.target & comp
         if len(src) != len(tgt):
             return ReconfigResult(False, None, explored)
         if not src:  # the source dominates the core, so no core vertex is here
             continue
-        sub, remap = delete_vertices(g, [v for v in range(g.n) if v not in cset])
-        back = {nv: ov for ov, nv in remap.items()}
-        sub_inst = DsrInstance(
-            graph=sub,
-            k=len(src),
-            source=frozenset(remap[v] for v in src),
-            target=frozenset(remap[v] for v in tgt),
-            rule=inst.rule,
-            connected=False,
-            core=frozenset(remap[v] for v in inst.core_set() & cset),
-        )
-        res = _bfs(sub_inst, state_cap)
+        res = _bfs(replace(inst, k=len(src), source=src, target=tgt, core=core & comp), state_cap)
         explored += res.explored
         if not res.reachable:
             return ReconfigResult(False, None, explored)
-        assert res.witness is not None
-        prev = src
         for step in res.witness[1:]:
-            newpos = {back[v] for v in step}
-            current = (current - prev) | newpos
-            witness_global.append(frozenset(current))
-            prev = newpos
-    return ReconfigResult(True, tuple(witness_global), explored)
-
-
-def solve(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
-    """Breadth-first reachability from source to target; shortest witness."""
-    validate_instance(inst)
-    if (
-        inst.rule == SLIDE
-        and not inst.connected
-        and inst.partition is None
-        and not inst.graph.is_connected()
-    ):
-        return _solve_per_component(inst, state_cap)
-    return _bfs(inst, state_cap)
+            cur = cur - comp | step
+            witness.append(cur)
+    return ReconfigResult(True, tuple(witness), explored)
 
 
 def is_legal_move(inst: DsrInstance, a: frozenset[int], b: frozenset[int]) -> bool:

@@ -171,14 +171,11 @@ def delete_vertices(g: Graph, dead: Iterable[int]) -> tuple[Graph, dict[int, int
     return Graph(nxt, edges, labels), remap
 
 
-def add_vertex(g: Graph, neighbors: Iterable[int], label: Optional[str] = None) -> Graph:
+def add_vertex(g: Graph, neighbors: Iterable[int]) -> Graph:
     """Append one vertex (id = g.n) adjacent to ``neighbors``."""
     new = g.n
     edges = list(g.edges) + [(u, new) for u in sorted(set(neighbors))]
-    labels = dict(g.labels)
-    if label is not None:
-        labels[new] = label
-    return Graph(g.n + 1, edges, labels)
+    return Graph(g.n + 1, edges, g.labels)
 
 
 def remove_edges(g: Graph, gone: Iterable[tuple[int, int]]) -> Graph:

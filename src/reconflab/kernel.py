@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult,
+from .dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, check_token_sets,
                   enumerate_dominating_sets, has_dominating_set, solve)
 from .errors import InfeasibleInstance, MalformedInput
 from .graphs import (
@@ -78,12 +78,7 @@ def validate_dcr(inst: DcrInstance) -> None:
         raise MalformedInput(f"unknown family {inst.family!r}")
     if inst.d < 1:
         raise MalformedInput("forbidden-biclique width d must be positive")
-    for name, s in (("source", inst.source), ("target", inst.target)):
-        if len(s) != inst.k:
-            raise MalformedInput(f"{name} has size {len(s)}, expected {inst.k}")
-        for v in s:
-            if not (0 <= v < g.n):
-                raise MalformedInput(f"{name} vertex {v} out of range")
+    check_token_sets(inst)
     if not g.is_connected():
         raise MalformedInput("kernelization expects a connected graph")
     if inst.core is not None:
@@ -95,14 +90,13 @@ def validate_dcr(inst: DcrInstance) -> None:
 
 
 def as_dsr(inst: DcrInstance) -> DsrInstance:
-    return DsrInstance(
-        graph=inst.graph,
-        k=inst.k,
-        source=inst.source,
-        target=inst.target,
-        rule=SLIDE,
-        core=inst.core_set(),
-    )
+    """The sliding instance; a missing core is computed as ``kernelize`` does."""
+    core = inst.core
+    if core is None:
+        validate_dcr(inst)
+        core = compute_core(inst.graph, inst.k, inst.source | inst.target)
+    return DsrInstance(graph=inst.graph, k=inst.k, source=inst.source, target=inst.target,
+                       rule=SLIDE, core=core)
 
 
 def solve_dcr(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, enumerate_dominating_sets,
                   has_dominating_set, is_feasible, minimum_dominating_sets, solve)
-from .errors import MalformedInput
+from . import graphs
+from .errors import MalformedInput, SizeCapExceeded
 from .graphs import Graph, add_vertex, complete_graph, mask_of
 from .tapes import (
     MultiTapeInstance,
@@ -32,6 +33,13 @@ from .tapes import (
 # ---------------------------------------------------------------------------
 # dominating set -> synchronized tape tuples
 
+def _check_tape_count(tapes: int) -> None:
+    """A reduction's output of ``tapes`` tapes is refused, before any is built,
+    past ``graphs.VERTEX_CAP``."""
+    if tapes > graphs.VERTEX_CAP:
+        raise SizeCapExceeded(f"{tapes} tapes exceed the cap of {graphs.VERTEX_CAP}")
+
+
 def ds_to_sync_multi(g: Graph, k: int) -> MultiTapeInstance:
     """Encode size-k domination of g as a synchronized tape-selection instance.
 
@@ -45,6 +53,7 @@ def ds_to_sync_multi(g: Graph, k: int) -> MultiTapeInstance:
     if k <= 0:
         raise MalformedInput("need at least one token")
     n = g.n
+    _check_tape_count(k * n)
     tapes = []
     for i in range(n):
         content = tuple(1 if (i == j or g.has_edge(i, j)) else 0 for j in range(n))
@@ -550,6 +559,7 @@ def formula_to_multi(phi: NormalizedFormula, k: int) -> MultiTapeInstance:
     """Tape-selection instance positive iff phi has a weight-at-most-k model."""
     if k <= 0:
         return _trivial_multi(phi.evaluate(frozenset()))
+    _check_tape_count(k * phi.nvars)  # the tapes of one base case
     root = _canonical(phi)
 
     def build(node: Node) -> MultiTapeInstance:
@@ -573,7 +583,24 @@ def formula_to_multi(phi: NormalizedFormula, k: int) -> MultiTapeInstance:
 # ---------------------------------------------------------------------------
 # tapes -> dominating set reconfiguration
 
-def tape_to_ts_dsr(inst: TapeInstance, connected: bool = False) -> DsrInstance:
+def _check_token_source(inst: TapeInstance, moves: str) -> None:
+    if inst.sync:
+        raise MalformedInput(f"desynchronize before reducing to token {moves}")
+    if not is_irreducible(inst):
+        raise MalformedInput("reduction requires an irreducible instance")
+
+
+def _add_vertex(edges: list[tuple[int, int]], labels: dict[int, str], label: str,
+                nbrs: Iterable[int]) -> int:
+    """Append a vertex labelled ``label`` and adjacent to ``nbrs``; return its
+    id, len(labels), as every vertex before it has a label."""
+    v = len(labels)
+    labels[v] = label
+    edges.extend((u, v) for u in nbrs)
+    return v
+
+
+def tape_to_ts_dsr(inst: TapeInstance) -> DsrInstance:
     """Token sliding on the extended graph plus per-tape guards and a hub.
 
     Guard i is adjacent to all of tape i's cells, the hub to every cell, and
@@ -581,38 +608,28 @@ def tape_to_ts_dsr(inst: TapeInstance, connected: bool = False) -> DsrInstance:
     dominating sets are exactly "hub + one head per tape", so token slides
     mirror head moves.
     """
-    if inst.sync:
-        raise MalformedInput("desynchronize before reducing to token sliding")
-    if not is_irreducible(inst):
-        raise MalformedInput("reduction requires an irreducible instance")
+    _check_token_source(inst, "sliding")
     ext = build_extended(inst)
-    k = len(inst.tapes)
-    n = ext.graph.n
-    xs, y, z = tuple(range(n, n + k)), n + k, n + k + 1
-    edges = list(ext.graph.edges)
-    labels = dict(ext.graph.labels)
-    for i, t in enumerate(inst.tapes):
-        edges.extend((ext.cell_id(i, c), xs[i]) for c in range(t.cells.n))
-        labels[xs[i]] = f"guard:{i}"
-    edges.extend((c, y) for c in range(ext.letter_base))  # every cell id is below the letters
-    edges.append((y, z))
-    labels[y], labels[z] = "hub", "hub-leaf"
-    g = Graph(n + k + 2, edges, labels)
-    source = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.cs)) | {y}
-    target = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.ct)) | {y}
+    edges, labels = list(ext.graph.edges), dict(ext.graph.labels)
+    guards = tuple(_add_vertex(edges, labels, f"guard:{i}",
+                               (ext.cell_id(i, c) for c in range(t.cells.n)))
+                   for i, t in enumerate(inst.tapes))
+    hub = _add_vertex(edges, labels, "hub", range(ext.letter_base))  # cells precede letters
+    leaf = _add_vertex(edges, labels, "hub-leaf", (hub,))
+    source = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.cs)) | {hub}
+    target = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.ct)) | {hub}
     return DsrInstance(
-        graph=g,
-        k=k + 1,
+        graph=Graph(len(labels), edges, labels),
+        k=len(guards) + 1,
         source=source,
         target=target,
         rule=SLIDE,
-        connected=connected,
         provenance={
             "construction": "ts-dsr",
             "source": inst,
-            "guards": xs,
-            "hub": y,
-            "leaf": z,
+            "guards": guards,
+            "hub": hub,
+            "leaf": leaf,
             "cell_base": ext.cell_base,
             "letter_base": ext.letter_base,
             "cell_count": ext.letter_base,
@@ -629,10 +646,7 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
     incident subdivided vertex".  Short tapes are padded with empty cells so
     the counting goes through.
     """
-    if inst.sync:
-        raise MalformedInput("desynchronize before reducing to token jumping")
-    if not is_irreducible(inst):
-        raise MalformedInput("reduction requires an irreducible instance")
+    _check_token_source(inst, "jumping")
     k = len(inst.tapes)
     # Every connected dominating set of size 3k+1 must keep one token on each
     # guard.  A tape abandoned by its guard has to dominate its own subdivided
@@ -646,40 +660,22 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
         padded.append(Tape(cells, (*t.content, *(0,) * 7), t.start, t.end))
     inst2 = TapeInstance(inst.sigma, tuple(padded), inst.cs, inst.ct)
     ext = build_extended(inst2)
-    edges = []
+    edges: list[tuple[int, int]] = []
     labels = dict(ext.graph.labels)
-    n = ext.graph.n
     sub_of_tape: list[list[int]] = [[] for _ in range(k)]
     sub_by_cell: dict[int, list[int]] = {}
     for u, v in ext.graph.edges:
         if u in ext.tape_of and v in ext.tape_of:  # cell-cell edge: subdivide
-            mid = n
-            n += 1
-            labels[mid] = f"mid:{ext.tape_of[u]}"
+            mid = _add_vertex(edges, labels, f"mid:{ext.tape_of[u]}", (u, v))
             sub_of_tape[ext.tape_of[u]].append(mid)
             sub_by_cell.setdefault(u, []).append(mid)
             sub_by_cell.setdefault(v, []).append(mid)
-            edges.append((u, mid))
-            edges.append((v, mid))
         else:
             edges.append((u, v))
-    all_cells = sorted(ext.tape_of)
-    hub = n
-    labels[hub] = "hub"
-    edges.extend((c, hub) for c in all_cells)
-    n += 1
-    guards = []
-    for i in range(k):
-        guard = n
-        labels[guard] = f"guard:{i}"
-        edges.extend((mid, guard) for mid in sub_of_tape[i])
-        guards.append(guard)
-        n += 1
-    leaf = n
-    labels[leaf] = "hub-leaf"
-    edges.append((hub, leaf))
-    n += 1
-    g = Graph(n, edges, labels)
+    hub = _add_vertex(edges, labels, "hub", ext.tape_of)
+    guards = tuple(_add_vertex(edges, labels, f"guard:{i}", mids)
+                   for i, mids in enumerate(sub_of_tape))
+    leaf = _add_vertex(edges, labels, "hub-leaf", (hub,))
 
     def config(cells_: Sequence[int]) -> frozenset[int]:
         toks = {hub, *guards}
@@ -690,7 +686,7 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
         return frozenset(toks)
 
     return DsrInstance(
-        graph=g,
+        graph=Graph(len(labels), edges, labels),
         k=3 * k + 1,
         source=config(inst2.cs),
         target=config(inst2.ct),
@@ -699,7 +695,7 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
         provenance={
             "construction": "tj-cdsr",
             "source": inst,
-            "guards": tuple(guards),
+            "guards": guards,
             "hub": hub,
             "leaf": leaf,
             "cell_base": ext.cell_base,

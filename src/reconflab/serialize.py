@@ -75,34 +75,24 @@ def multi_to_json(inst: MultiTapeInstance) -> dict:
     return _envelope("multi-tape-instance", payload)
 
 
-def dsr_to_json(inst: DsrInstance) -> dict:
-    payload = {
-        "graph": graph_to_json(inst.graph),
-        "k": inst.k,
-        "source": sorted(inst.source),
-        "target": sorted(inst.target),
-        "rule": inst.rule,
-        "connected": inst.connected,
-    }
+def _tokens_to_json(inst: DsrInstance | DcrInstance) -> dict:
+    """The fields dsr and dcr documents share: graph, k, source, target, core."""
+    payload = {"graph": graph_to_json(inst.graph), "k": inst.k,
+               "source": sorted(inst.source), "target": sorted(inst.target)}
     if inst.core is not None:
         payload["core"] = sorted(inst.core)
+    return payload
+
+
+def dsr_to_json(inst: DsrInstance) -> dict:
+    payload = {**_tokens_to_json(inst), "rule": inst.rule, "connected": inst.connected}
     if inst.partition is not None:
         payload["partition"] = [sorted(p) for p in inst.partition]
     return _envelope("dsr-instance", payload)
 
 
 def dcr_to_json(inst: DcrInstance) -> dict:
-    payload = {
-        "graph": graph_to_json(inst.graph),
-        "k": inst.k,
-        "source": sorted(inst.source),
-        "target": sorted(inst.target),
-        "d": inst.d,
-        "family": inst.family,
-    }
-    if inst.core is not None:
-        payload["core"] = sorted(inst.core)
-    return _envelope("dcr-instance", payload)
+    return _envelope("dcr-instance", {**_tokens_to_json(inst), "d": inst.d, "family": inst.family})
 
 
 def formula_to_json(phi: NormalizedFormula) -> dict:
@@ -189,8 +179,9 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
 
 
 def tape_instance_from_json(payload: dict) -> TapeInstance:
-    from .tapes import TapeInstance
+    from .tapes import TapeInstance, check_alphabet
     sigma = _int(_need(payload, "sigma"))
+    check_alphabet(sigma)  # before any letter is decoded into a sigma-bit mask
     return TapeInstance(
         sigma=sigma,
         tapes=tuple(tape_from_json(t, sigma) for t in _need(payload, "tapes")),
@@ -202,8 +193,9 @@ def tape_instance_from_json(payload: dict) -> TapeInstance:
 
 
 def multi_from_json(payload: dict) -> MultiTapeInstance:
-    from .tapes import MultiTapeInstance
+    from .tapes import MultiTapeInstance, check_alphabet
     sigma = _int(_need(payload, "sigma"))
+    check_alphabet(sigma)
     return MultiTapeInstance(
         sigma=sigma,
         tuples=tuple(
@@ -214,15 +206,22 @@ def multi_from_json(payload: dict) -> MultiTapeInstance:
     )
 
 
+def _tokens_from_json(payload: dict) -> dict:
+    """``_tokens_to_json``'s fields, as keyword arguments of either class."""
+    return {
+        "graph": graph_from_json(_need(payload, "graph")),
+        "k": _int(_need(payload, "k")),
+        "source": frozenset(_int(v) for v in _need(payload, "source")),
+        "target": frozenset(_int(v) for v in _need(payload, "target")),
+        "core": frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
+    }
+
+
 def dsr_from_json(payload: dict) -> DsrInstance:
     return DsrInstance(
-        graph=graph_from_json(_need(payload, "graph")),
-        k=_int(_need(payload, "k")),
-        source=frozenset(_int(v) for v in _need(payload, "source")),
-        target=frozenset(_int(v) for v in _need(payload, "target")),
+        **_tokens_from_json(payload),
         rule=str(payload.get("rule", SLIDE)),
         connected=_bool(payload.get("connected", False)),
-        core=frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
         partition=tuple(frozenset(_int(v) for v in p) for p in payload["partition"])
         if "partition" in payload
         else None,
@@ -231,15 +230,8 @@ def dsr_from_json(payload: dict) -> DsrInstance:
 
 def dcr_from_json(payload: dict) -> DcrInstance:
     from .kernel import K3D_FREE, DcrInstance
-    return DcrInstance(
-        graph=graph_from_json(_need(payload, "graph")),
-        k=_int(_need(payload, "k")),
-        source=frozenset(_int(v) for v in _need(payload, "source")),
-        target=frozenset(_int(v) for v in _need(payload, "target")),
-        d=_int(_need(payload, "d")),
-        family=str(payload.get("family", K3D_FREE)),
-        core=frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
-    )
+    return DcrInstance(**_tokens_from_json(payload), d=_int(_need(payload, "d")),
+                       family=str(payload.get("family", K3D_FREE)))
 
 
 def formula_from_json(payload: dict) -> NormalizedFormula:

@@ -323,6 +323,7 @@ def build_extended(inst: TapeInstance | MultiTapeInstance) -> ExtendedGraph:
                 edges.append((vid, letter_base + letter))
     for letter in range(inst.sigma):
         labels[letter_base + letter] = f"letter:{letter}"
+    assert len(labels) == n  # the token reductions number their added vertices from len(labels)
     return ExtendedGraph(Graph(n, edges, labels), tuple(base), letter_base, tape_of)
 
 
@@ -440,20 +441,16 @@ def require_valid(inst: TapeInstance | MultiTapeInstance) -> None:
 # ---------------------------------------------------------------------------
 # small constructors
 
-def path_tape(
-    contents: Iterable[int],
-    number: Optional[Iterable[int]] = None,
-    start: int = 0,
-    end: Optional[int] = None,
-) -> Tape:
-    """Path-shaped tape whose cells are 0..m-1 in order; contents are masks."""
+def path_tape(contents: Iterable[int], number: Optional[Iterable[int]] = None) -> Tape:
+    """Path-shaped tape whose cells are 0..m-1 in order, from cell 0 to cell
+    m - 1; contents are masks."""
     contents = tuple(contents)
     m = len(contents)
     g = Graph(m, [(i, i + 1) for i in range(m - 1)])
     return Tape(
         cells=g,
         content=contents,
-        start=start,
-        end=m - 1 if end is None else end,
+        start=0,
+        end=m - 1,
         number=tuple(number) if number is not None else None,
     )

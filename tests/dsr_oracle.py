@@ -5,15 +5,18 @@ the direct construction it replaced, which builds every candidate
 configuration and asks ``plain_is_feasible`` about it, as the oracle the
 kernel is compared against.  ``plain_is_feasible`` is ``dsr.is_feasible`` as
 it was before it tested connectivity first: domination, then one flood fill.
+``solve_per_component`` is ``dsr.solve``'s split of a disconnected sliding
+instance as it was before it searched each component on the input graph: on
+a relabelled subgraph per component, mapped back.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Optional
 
-from reconflab.dsr import SLIDE, DsrInstance, ReconfigResult, _part_of
+from reconflab.dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs, _part_of
 from reconflab.errors import MalformedInput, StateCapExceeded
-from reconflab.graphs import component_of, mask_of
+from reconflab.graphs import component_of, delete_vertices, mask_of
 
 
 def plain_is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
@@ -81,3 +84,43 @@ def bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
                 raise StateCapExceeded(f"search passed {state_cap} configurations")
             queue.append(nxt)
     return ReconfigResult(False, None, len(parents))
+
+
+def solve_per_component(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
+    """Sliding tokens never change component, so disconnected inputs split."""
+    g = inst.graph
+    comps = g.components()
+    witness_global: list[frozenset[int]] = [inst.source]
+    explored = 0
+    current = set(inst.source)
+    for comp in comps:
+        cset = set(comp)
+        src = inst.source & cset
+        tgt = inst.target & cset
+        if len(src) != len(tgt):
+            return ReconfigResult(False, None, explored)
+        if not src:  # the source dominates the core, so no core vertex is here
+            continue
+        sub, remap = delete_vertices(g, [v for v in range(g.n) if v not in cset])
+        back = {nv: ov for ov, nv in remap.items()}
+        sub_inst = DsrInstance(
+            graph=sub,
+            k=len(src),
+            source=frozenset(remap[v] for v in src),
+            target=frozenset(remap[v] for v in tgt),
+            rule=inst.rule,
+            connected=False,
+            core=frozenset(remap[v] for v in inst.core_set() & cset),
+        )
+        res = _bfs(sub_inst, state_cap)
+        explored += res.explored
+        if not res.reachable:
+            return ReconfigResult(False, None, explored)
+        assert res.witness is not None
+        prev = src
+        for step in res.witness[1:]:
+            newpos = {back[v] for v in step}
+            current = (current - prev) | newpos
+            witness_global.append(frozenset(current))
+            prev = newpos
+    return ReconfigResult(True, tuple(witness_global), explored)

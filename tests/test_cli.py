@@ -146,6 +146,26 @@ def test_kernelize_past_the_enumerator_cap_exits_3(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err.startswith("cap exceeded: ")
 
 
+def test_solve_and_verify_witness_compute_a_missing_dcr_core(tmp_path, capsys):
+    """A dcr document with no core is solved with the core ``kernelize``
+    computes, not refused."""
+    from reconflab.kernel import compute_core, solve_dcr
+
+    inst = wheel(17)
+    assert inst.core is None
+    path = write(tmp_path, "w.json", serialize.dcr_to_json(inst))
+    cored = DcrInstance(inst.graph, inst.k, inst.source, inst.target, d=inst.d,
+                        core=compute_core(inst.graph, inst.k, inst.source | inst.target))
+    want = solve_dcr(cored)
+    code, doc = run(capsys, "solve", path, "--witness")
+    assert code == 0 and doc["reachable"] is True
+    assert doc["explored"] == want.explored
+    assert doc["witness"] == [sorted(c) for c in want.witness]
+    wpath = write(tmp_path, "x.json", witness_doc(want.witness))
+    code, doc = run(capsys, "verify-witness", path, wpath)
+    assert code == 0 and doc["valid"] is True
+
+
 def test_verify_reduction_dominating_set(tmp_path, capsys):
     path = write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5)))
     code, doc = run(capsys, "verify-reduction", path, "--construction",
@@ -575,6 +595,44 @@ def test_reduce_over_the_irreducibility_cap_exits_3(tmp_path, capsys):
     inst = TapeInstance(sigma, (path_tape([(1 << sigma) - 1]),), (0,), (0,))
     path = write(tmp_path, "wide.json", serialize.tape_instance_to_json(inst))
     assert main(["reduce", path, "--to", "ts-dsr"]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["reduce", "--to", "sync-multi", "--k", "2"], serialize.graph_to_json(path_graph(4))),
+    (["verify-reduction", "--construction", "dominating-set", "--k", "2"],
+     serialize.graph_to_json(path_graph(4))),
+    (["reduce", "--to", "multi-tape", "--k", "4"],
+     serialize.formula_to_json(NormalizedFormula(2, ("and", (("or", (("var", 0), ("var", 1))),))))),
+], ids=["reduce-dominating-set", "verify-dominating-set", "reduce-formula"])
+def test_token_budget_past_the_tape_cap_exits_3(tmp_path, capsys, monkeypatch, command, doc):
+    """k copies of one tape per vertex (dominating set) or per variable
+    (formula) pass a vertex cap of 7 at 8 tapes; none is built."""
+    from reconflab import graphs, reductions
+
+    monkeypatch.setattr(graphs, "VERTEX_CAP", 7)
+    monkeypatch.setattr(reductions, "path_tape", None)
+    assert main([command[0], write(tmp_path, "in.json", doc), *command[1:]]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
+@pytest.mark.parametrize("doc", [
+    serialize.tape_instance_to_json(TapeInstance(1, (path_tape([1]),), (0,), (0,))),
+    serialize.multi_to_json(MultiTapeInstance(1, ((path_tape([1]),),))),
+], ids=["tape-instance", "multi-tape-instance"])
+def test_alphabet_is_capped_before_any_letter_is_decoded(tmp_path, capsys, monkeypatch, doc):
+    """A letter below a huge sigma would be decoded into a mask of that many bits."""
+    from reconflab.errors import SizeCapExceeded
+    from reconflab.tapes import ALPHABET_CAP
+
+    def unreachable(payload, sigma):
+        raise AssertionError("a tape was decoded before the alphabet was checked")
+
+    doc = {**doc, "sigma": ALPHABET_CAP + 1}
+    monkeypatch.setattr(serialize, "tape_from_json", unreachable)
+    with pytest.raises(SizeCapExceeded):
+        serialize.decode(doc)
+    assert main(["solve-tape", write(tmp_path, "t.json", doc)]) == 3
     assert capsys.readouterr().err.startswith("cap exceeded: ")
 
 

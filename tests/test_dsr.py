@@ -251,6 +251,49 @@ def test_solve_disconnected_split_reachable():
     assert res2.reachable and verify_witness(inst2, list(res2.witness))
 
 
+def split_case(rng, cored):
+    """A sliding instance on two to four components with two distinct
+    feasible configurations, with or without a core."""
+    while True:
+        n = rng.randint(4, 12)
+        parts = rng.randint(2, 4)
+        cuts = sorted(rng.sample(range(1, n), parts - 1))
+        comp = [sum(v >= c for c in cuts) for v in range(n)]
+        p = rng.uniform(0.3, 0.8)
+        g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                      if comp[u] == comp[v] and rng.random() < p])
+        k = rng.randint(1, min(5, n - 1))
+        core = frozenset(v for v in range(n) if rng.random() < 0.5) if cored else None
+        probe = DsrInstance(g, k, frozenset(), frozenset(), SLIDE, core=core)
+        feas = [frozenset(c) for c in itertools.combinations(range(n), k)
+                if is_feasible(probe, frozenset(c))]
+        if len(feas) >= 2 and not g.is_connected():
+            src, tgt = rng.sample(feas, 2)
+            return DsrInstance(g, k, src, tgt, SLIDE, core=core)
+
+
+@pytest.mark.parametrize("cored", [False, True], ids=["no-core", "core"])
+def test_solve_stitches_the_components_witnesses(cored):
+    """The per-component search on the input graph gives what the search on
+    relabelled subgraphs gave; every stitched witness replays, and is as
+    short as a search of the whole instance finds."""
+    rng = random.Random(f"split-{cored}")
+    stitched = 0
+    for _ in range(150):
+        inst = split_case(rng, cored)
+        res = solve(inst)
+        assert res == dsr_oracle.solve_per_component(inst)
+        whole = dsr_oracle.bfs(inst, dsr.DEFAULT_STATE_CAP)
+        assert res.reachable == whole.reachable
+        if res.reachable:
+            assert verify_witness(inst, list(res.witness))
+            assert len(res.witness) == len(whole.witness)
+            moved = {v for a, b in zip(res.witness, res.witness[1:]) for v in a ^ b}
+            stitched += len({c for c, comp in enumerate(inst.graph.components())
+                             if moved & set(comp)}) > 1
+    assert stitched >= 10  # witnesses that move tokens in two components or more
+
+
 def test_partitioned_moves_stay_in_part():
     g = complete_graph(4)
     inst = DsrInstance(
@@ -477,14 +520,15 @@ def test_enumerator_matches_oracle():
 
 
 def c06_two_tape_artifacts():
-    """The first two tj-cdsr artifacts of two tapes that acceptance C06's seed
-    draws; at that seed they come out as one graph twice."""
+    """The first two distinct tj-cdsr artifacts of two tapes that acceptance
+    C06's seed draws (its 5th and 12th draws, on 45 and 46 vertices)."""
     rng = random.Random(7601)
     artifacts = []
     while len(artifacts) < 2:
         _, art = _small_irreducible(rng, cells=2, sigma=2)
-        if len(art.tapes) == 2:
-            artifacts.append(tape_to_tj_cdsr(art))
+        cd = tape_to_tj_cdsr(art)
+        if len(art.tapes) == 2 and all(cd.graph != a.graph for a in artifacts):
+            artifacts.append(cd)
     return artifacts
 
 
@@ -574,12 +618,14 @@ def test_enumerator_gives_the_lowest_vertex_sets():
 
 
 def test_guard_budget_enumeration_fits_its_node_count(monkeypatch):
-    """Every budget-size dominating set of C06's two-tape artifact (45
-    vertices, k = 7, 4,549 sets) takes 118 branching nodes; branching on the
-    lowest undominated vertex took 464.  A cap of 232 pins the gap."""
+    """Every budget-size dominating set of C06's two-tape artifacts (45 and 46
+    vertices, k = 7, 4,549 and 4,571 sets) takes 118 and 105 branching nodes;
+    branching on the lowest undominated vertex took 464 on the first.  A cap
+    of 232 pins the gap."""
     monkeypatch.setattr(graphs, "ENUM_CAP", 232)
-    for cd in c06_two_tape_artifacts():
-        assert sum(1 for _ in enumerate_dominating_sets(cd.graph, cd.k)) == 4549
+    counts = [sum(1 for _ in enumerate_dominating_sets(cd.graph, cd.k))
+              for cd in c06_two_tape_artifacts()]
+    assert counts == [4549, 4571]
 
 
 def test_enumerator_counts_its_branching_nodes_against_the_cap(monkeypatch):

@@ -642,7 +642,7 @@ def test_ts_dsr_equivalence_structure_and_bounds():
 
 def test_ts_dsr_connected_variant_equivalence():
     for art in small_irreducible_instances(4, seed=77):
-        cdsr = tape_to_ts_dsr(art, connected=True)
+        cdsr = replace(tape_to_ts_dsr(art), connected=True)
         assert solve(cdsr).reachable == solve_tape(art).reachable
 
 
