@@ -155,48 +155,24 @@ def complete_graph(n: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# rebuild helpers (graphs are immutable; every edit returns a new Graph)
+# the one rebuild (graphs are immutable; every edit returns a new Graph)
 
-def delete_vertices(g: Graph, dead: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Remove ``dead`` and compact ids; returns the new graph and old->new map."""
-    dead = set(dead)
-    remap, nxt = {}, 0
+def quotient(g: Graph, onto: dict[int, Optional[int]]) -> tuple[Graph, dict[int, int]]:
+    """Delete each vertex ``onto`` sends to None and contract each other key
+    onto its image, a vertex that is not a key.  The vertices that are not
+    keys keep their order and labels and are numbered from 0; parallel edges
+    and loops collapse.  Returns the graph and ``new``, the id of every vertex
+    not deleted (a contracted vertex has its representative's)."""
+    new = {}
     for v in range(g.n):
-        if v not in dead:
-            remap[v] = nxt
-            nxt += 1
-    keep = mask_of(remap)  # kept rows only: splitting g by component reads each edge once
-    edges = [(remap[u], remap[v]) for u in remap for v in bits(g.nbr_mask[u] & keep) if u < v]
-    labels = {remap[v]: lab for v, lab in g.labels.items() if v not in dead}
-    return Graph(nxt, edges, labels), remap
-
-
-def add_vertex(g: Graph, neighbors: Iterable[int]) -> Graph:
-    """Append one vertex (id = g.n) adjacent to ``neighbors``."""
-    new = g.n
-    edges = list(g.edges) + [(u, new) for u in sorted(set(neighbors))]
-    return Graph(g.n + 1, edges, g.labels)
-
-
-def remove_edges(g: Graph, gone: Iterable[tuple[int, int]]) -> Graph:
-    gone = {(min(u, v), max(u, v)) for u, v in gone}
-    return Graph(g.n, [e for e in g.edges if e not in gone], g.labels)
-
-
-def merge_vertices(g: Graph, group: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Contract ``group`` onto its smallest member; parallel edges collapse."""
-    group = sorted(set(group))
-    keep = group[0]
-    dead = set(group[1:])
-    edges = set()
-    for u, v in g.edges:
-        a = keep if u in dead else u
-        b = keep if v in dead else v
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    merged = Graph(g.n, sorted(edges), g.labels)
-    shrunk, remap = delete_vertices(merged, dead)
-    return shrunk, remap
+        if v not in onto:
+            new[v] = len(new)
+    n = len(new)
+    new.update((v, new[w]) for v, w in onto.items() if w is not None)
+    keep = mask_of(new)
+    edges = {(new[u], new[v]) for u in new for v in bits(g.nbr_mask[u] & keep) if new[u] < new[v]}
+    labels = {new[v]: lab for v, lab in g.labels.items() if v not in onto}
+    return Graph(n, edges, labels), new
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,8 @@ from typing import Optional
 from .dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, check_token_sets,
                   enumerate_dominating_sets, has_dominating_set, solve)
 from .errors import InfeasibleInstance, MalformedInput
-from .graphs import (
-    Graph,
-    bits,
-    component_of,
-    delete_vertices,
-    dominates,
-    find_biclique,
-    find_reducible_vertex,
-    mask_of,
-    merge_vertices,
-    neighborhood_classes,
-    remove_edges,
-)
+from .graphs import (Graph, bits, component_of, dominates, find_biclique, find_reducible_vertex,
+                     mask_of, neighborhood_classes, quotient)
 
 K3D_FREE = "k3d-free"
 K4D_MINOR_FREE = "k4d-minor-free"
@@ -91,9 +80,9 @@ def validate_dcr(inst: DcrInstance) -> None:
 
 def as_dsr(inst: DcrInstance) -> DsrInstance:
     """The sliding instance; a missing core is computed as ``kernelize`` does."""
+    validate_dcr(inst)
     core = inst.core
     if core is None:
-        validate_dcr(inst)
         core = compute_core(inst.graph, inst.k, inst.source | inst.target)
     return DsrInstance(graph=inst.graph, k=inst.k, source=inst.source, target=inst.target,
                        rule=SLIDE, core=core)
@@ -131,16 +120,20 @@ def compute_core(g: Graph, k: int, must_include: frozenset[int]) -> frozenset[in
 
 
 # ---------------------------------------------------------------------------
-# reduction rules; each returns a new instance (identical object if no-op)
+# reduction rules; each returns a new instance, or its input object if no-op
 
-def _remap_instance(inst: DcrInstance, g: Graph, remap: dict[int, int]) -> DcrInstance:
-    m = lambda s: frozenset(remap[v] for v in s)
+def _quotient(inst: DcrInstance, onto: dict[int, Optional[int]]) -> DcrInstance:
+    """``graphs.quotient`` of the instance's graph, token sets and core
+    renumbered; no rule moves or deletes a core vertex."""
+    g, new = quotient(inst.graph, onto)
+    m = lambda s: frozenset(new[v] for v in s)
     return replace(inst, graph=g, source=m(inst.source), target=m(inst.target),
                    core=m(inst.core_set()))
 
 
 def reduce_twins(inst: DcrInstance) -> DcrInstance:
-    """Delete vertices outside the core that some sibling absorbs.
+    """Delete vertices outside the core that some sibling absorbs, one at a
+    time: two mutual twins must not both go.
 
     Answer preservation, for x and y outside X with N(x) - y inside N(y):
     G - x is an induced subgraph with the same X and token sets, so its
@@ -150,31 +143,16 @@ def reduce_twins(inst: DcrInstance) -> DcrInstance:
     move.  While x and y both hold tokens the other k - 1 dominate X, so the
     token on x is a spare; that case is checked by search, not proved here.
     """
-    x = inst.core_set()
-    while True:
-        victim = find_reducible_vertex(inst.graph, x)
-        if victim is None:
-            return inst
-        g, remap = delete_vertices(inst.graph, [victim])
-        inst = _remap_instance(inst, g, remap)
-        x = inst.core_set()
-
-
-def _class_component(inst: DcrInstance) -> int:
-    """The first component of more than one vertex inside a class, as a
-    mask (classes in sorted key order, components by lowest vertex); 0 if none."""
-    classes = neighborhood_classes(inst.graph, inst.core_set())
-    for key in sorted(classes, key=sorted):
-        rest = mask_of(classes[key])
-        while comp := component_of(inst.graph, rest):
-            if comp & (comp - 1):
-                return comp
-            rest ^= comp
-    return 0
+    while (victim := find_reducible_vertex(inst.graph, inst.core_set())) is not None:
+        inst = _quotient(inst, {victim: None})
+    return inst
 
 
 def contract_class_components(inst: DcrInstance) -> DcrInstance:
-    """Contract connected components inside each class to single vertices.
+    """Contract connected components inside each class to single vertices,
+    each onto its lowest vertex, in one quotient.  One pass is a fixpoint:
+    a component C is maximal in its class, so once contracted it is one
+    vertex with the same trace and no neighbour in its class.
 
     Answer preservation: every vertex of such a component C has the class's
     trace, so a token anywhere in C dominates the same part of X.  A kernel
@@ -184,10 +162,14 @@ def contract_class_components(inst: DcrInstance) -> DcrInstance:
     kernel by sending C to the merged vertex; a second token in C is then a
     spare, the case ``reduce_twins`` leaves to the search as well.
     """
-    while comp := _class_component(inst):
-        g, remap = merge_vertices(inst.graph, bits(comp))
-        inst = _remap_instance(inst, g, remap)
-    return inst
+    onto = {}
+    for members in neighborhood_classes(inst.graph, inst.core_set()).values():
+        rest = mask_of(members)
+        while comp := component_of(inst.graph, rest):
+            rest ^= comp
+            low = comp & -comp
+            onto.update((v, low.bit_length() - 1) for v in bits(comp ^ low))
+    return _quotient(inst, onto) if onto else inst
 
 
 def fat_pairs(inst: DcrInstance) -> list[tuple[frozenset, frozenset]]:
@@ -230,21 +212,17 @@ def prune_three_classes(inst: DcrInstance) -> DcrInstance:
         raise MalformedInput("3-class pruning relies on the minor-free promise")
     while True:
         classes = neighborhood_classes(inst.graph, inst.core_set())
-        gone = []
+        gone = set()
         for a, b in fat_pairs(inst):
             if len(a) != 3:
                 continue
-            gone = [
-                (u, v)
-                for u in classes[a]
-                for v in classes[b]
-                if inst.graph.has_edge(u, v)
-            ]
+            gone = {(min(u, v), max(u, v)) for u in classes[a] for v in classes[b]
+                    if inst.graph.has_edge(u, v)}
             if gone:
                 break
         if not gone:
             return inst
-        g = remove_edges(inst.graph, gone)
+        g = Graph(inst.graph.n, [e for e in inst.graph.edges if e not in gone], inst.graph.labels)
         if not g.is_connected():
             raise AssertionError("fat-pair pruning disconnected the graph")
         inst = replace(inst, graph=g)
@@ -292,7 +270,7 @@ def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
         changed = False
         for name, rule in rules:
             nxt = rule(inst)
-            if nxt is not inst and (nxt.graph != inst.graph):
+            if nxt is not inst:
                 applied.append(name)
                 inst = nxt
                 changed = True

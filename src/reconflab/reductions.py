@@ -16,7 +16,7 @@ from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, enumerate_dominat
                   has_dominating_set, is_feasible, minimum_dominating_sets, solve)
 from . import graphs
 from .errors import MalformedInput, SizeCapExceeded
-from .graphs import Graph, add_vertex, complete_graph, mask_of
+from .graphs import Graph, complete_graph, mask_of
 from .tapes import (
     MultiTapeInstance,
     Tape,
@@ -113,13 +113,14 @@ def partitioned_dsr_to_sync_stars(inst: DsrInstance) -> TapeInstance:
     if inst.rule != JUMP:
         raise MalformedInput("the star encoding targets the jumping rule")
     g, k = inst.graph, inst.k
+    if k == 0:
+        raise MalformedInput("the arbiter star needs at least one token")
     # Pad with universal dummy vertices until the modulus n+1 is a multiple of
     # three: the downstream phase encodings need that for wrapping numberings,
     # and a universal vertex is dominated by anything, so the answer is
     # untouched (dummies belong to no part, so tokens never reach them).
-    while (g.n + 1) % 3:
-        g = add_vertex(g, range(g.n))
-    n = g.n
+    n = g.n + -(g.n + 1) % 3
+    g = Graph(n, [*g.edges, *((u, v) for v in range(g.n, n) for u in range(v))], g.labels)
     parts = [sorted(p) for p in inst.partition]
     check = 1 << k  # letter k marks "currently dominated"
     tapes: list[Tape] = []
@@ -559,8 +560,11 @@ def formula_to_multi(phi: NormalizedFormula, k: int) -> MultiTapeInstance:
     """Tape-selection instance positive iff phi has a weight-at-most-k model."""
     if k <= 0:
         return _trivial_multi(phi.evaluate(frozenset()))
-    _check_tape_count(k * phi.nvars)  # the tapes of one base case
     root = _canonical(phi)
+    bases = [root]
+    while _depth(bases[0]) > 2:  # the canonical tree has uniform depth
+        bases = [sub for node in bases for disj in node[1] for sub in disj[1]]
+    _check_tape_count(k * phi.nvars * len(bases))  # k * nvars tapes per base case
 
     def build(node: Node) -> MultiTapeInstance:
         if _depth(node) == 2:

@@ -17,14 +17,18 @@ with ``lowest=True`` the stack branches on the lowest undominated vertex, the
 enumerator's earlier rule, and every query must give the same sets as that
 one, in any order.  ``plain_guard_queries``
 is the overlapping query list the guard check asked before its queries were
-made disjoint.
+made disjoint.  ``contract_class_components`` is ``kernel``'s class
+contraction as it was before it became one ``graphs.quotient``: the first
+class component found is merged, then every class is recomputed.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Optional
 
-from reconflab.graphs import Graph, bits, closed_mask_of, dominates, mask_of
+from reconflab.graphs import (Graph, bits, closed_mask_of, component_of, dominates, mask_of,
+                              neighborhood_classes)
 
 
 def is_forest(n: int, edges, removed_mask: int = 0) -> bool:
@@ -221,3 +225,57 @@ def compute_core(g: Graph, k: int, must_include: frozenset[int]) -> frozenset[in
                 x.discard(v)
                 changed = True
     return frozenset(x)
+
+
+def delete_vertices(g: Graph, dead) -> tuple[Graph, dict[int, int]]:
+    """Remove ``dead`` and compact ids; returns the new graph and old->new map."""
+    dead = set(dead)
+    remap, nxt = {}, 0
+    for v in range(g.n):
+        if v not in dead:
+            remap[v] = nxt
+            nxt += 1
+    keep = mask_of(remap)
+    edges = [(remap[u], remap[v]) for u in remap for v in bits(g.nbr_mask[u] & keep) if u < v]
+    labels = {remap[v]: lab for v, lab in g.labels.items() if v not in dead}
+    return Graph(nxt, edges, labels), remap
+
+
+def merge_vertices(g: Graph, group) -> tuple[Graph, dict[int, int]]:
+    """Contract ``group`` onto its smallest member; parallel edges collapse."""
+    group = sorted(set(group))
+    keep = group[0]
+    dead = set(group[1:])
+    edges = set()
+    for u, v in g.edges:
+        a = keep if u in dead else u
+        b = keep if v in dead else v
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return delete_vertices(Graph(g.n, sorted(edges), g.labels), dead)
+
+
+def _class_component(inst) -> int:
+    """The first component of more than one vertex inside a class, as a
+    mask (classes in sorted key order, components by lowest vertex); 0 if none."""
+    classes = neighborhood_classes(inst.graph, inst.core_set())
+    for key in sorted(classes, key=sorted):
+        rest = mask_of(classes[key])
+        while comp := component_of(inst.graph, rest):
+            if comp & (comp - 1):
+                return comp
+            rest ^= comp
+    return 0
+
+
+def contract_class_components(inst):
+    """Merge one class component at a time until none is left; returns the
+    instance and the number of components merged."""
+    merged = 0
+    while comp := _class_component(inst):
+        g, remap = merge_vertices(inst.graph, bits(comp))
+        m = lambda s: frozenset(remap[v] for v in s)
+        inst = replace(inst, graph=g, source=m(inst.source), target=m(inst.target),
+                       core=m(inst.core_set()))
+        merged += 1
+    return inst, merged

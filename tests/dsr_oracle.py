@@ -16,7 +16,7 @@ from typing import Optional
 
 from reconflab.dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs, _part_of
 from reconflab.errors import MalformedInput, StateCapExceeded
-from reconflab.graphs import component_of, delete_vertices, mask_of
+from reconflab.graphs import component_of, mask_of, quotient
 
 
 def plain_is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
@@ -101,7 +101,7 @@ def solve_per_component(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -
             return ReconfigResult(False, None, explored)
         if not src:  # the source dominates the core, so no core vertex is here
             continue
-        sub, remap = delete_vertices(g, [v for v in range(g.n) if v not in cset])
+        sub, remap = quotient(g, {v: None for v in range(g.n) if v not in cset})
         back = {nv: ov for ov, nv in remap.items()}
         sub_inst = DsrInstance(
             graph=sub,

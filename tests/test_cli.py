@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,41 @@ def test_kernelize_emits_certificate(tmp_path, capsys):
     assert cert["sizeAfter"][1] <= cert["sizeBefore"][1]
 
 
+KERNEL_DIGESTS = {
+    "seeded": "7ecfbe7c85bf544f8f3628afd1ca3de8309238ceafeb7803228de6bec2038175",
+    "no-core": "1065b1981e8ec0267c9dca5c8fa78b25e3dad599418b399a4b8c67b66f79579c",
+    "minor-free": "7db7ca57dda6ba58e225302de65e43bc127c72185de8562f9c68c7ea199ec794",
+    "fans-and-wheels": "5e02a38828c30cdd81c69f94994bf6687d2bdb28f32c97b9c9d03dce997abceb",
+}
+
+
+def test_kernelize_bytes_are_pinned(tmp_path, capsys):
+    """``kernelize``'s exit code and stdout (the kernel and its certificate),
+    hashed per group, against digests recorded before every rule round became
+    one ``graphs.quotient``: a refactor of the rules keeps every byte."""
+    from dataclasses import replace
+
+    from reconflab.generators import gen_dcr_instance
+    from reconflab.kernel import K4D_MINOR_FREE
+
+    seeded = [gen_dcr_instance(seed) for seed in range(60)]
+    groups = {
+        "seeded": seeded,
+        "no-core": [replace(inst, core=None) for inst in seeded],
+        "minor-free": [replace(inst, family=K4D_MINOR_FREE) for inst in seeded],
+        "fans-and-wheels": [fan(12), fan(20), fan(40), fan(80),
+                            wheel(9), wheel(17), wheel(33), wheel(65)],
+    }
+    digests = {}
+    for name, insts in groups.items():
+        h = hashlib.sha256()
+        for inst in insts:
+            code = main(["kernelize", write(tmp_path, "k.json", serialize.dcr_to_json(inst))])
+            h.update(f"{code}\n{capsys.readouterr().out}".encode())
+        digests[name] = h.hexdigest()
+    assert digests == KERNEL_DIGESTS
+
+
 def test_kernelize_a_513_vertex_wheel(tmp_path, capsys):
     """Its core takes one enumerator query per vertex and pass, and its
     biclique check one short search per vertex; a scan of every 3-subset
@@ -164,6 +200,32 @@ def test_solve_and_verify_witness_compute_a_missing_dcr_core(tmp_path, capsys):
     wpath = write(tmp_path, "x.json", witness_doc(want.witness))
     code, doc = run(capsys, "verify-witness", path, wpath)
     assert code == 0 and doc["valid"] is True
+
+
+@pytest.mark.parametrize("graph, changes", [
+    (path_graph(3), {"family": "nope", "d": 0}),
+    (Graph(4, [(0, 1), (1, 2)]), {}),
+], ids=["unknown-family", "vertex-off-the-core-component"])
+def test_solve_and_verify_witness_check_a_cored_dcr(tmp_path, capsys, graph, changes):
+    """A dcr document that ``kernelize`` refuses is refused by ``solve`` and
+    ``verify-witness`` as well, also when it names a core."""
+    inst = DcrInstance(graph, 1, frozenset({1}), frozenset({1}), d=2, core=frozenset({0, 1, 2}))
+    path = write(tmp_path, "d.json", {**serialize.dcr_to_json(inst), **changes})
+    wpath = write(tmp_path, "w.json", witness_doc([{1}]))
+    for argv in (["kernelize", path], ["solve", path], ["verify-witness", path, wpath]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["reduce", "--to", "sync-stars"],
+                                  ["verify-reduction", "--construction", "sync-stars"]],
+                         ids=["reduce", "verify-reduction"])
+def test_sync_stars_without_tokens_exits_2(tmp_path, capsys, argv):
+    """With k = 0 the arbiter star has no branch for its head to park on."""
+    inst = DsrInstance(Graph(0), 0, frozenset(), frozenset(), JUMP, partition=())
+    path = write(tmp_path, "x.json", serialize.dsr_to_json(inst))
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert "arbiter" in capsys.readouterr().err
 
 
 def test_verify_reduction_dominating_set(tmp_path, capsys):
@@ -614,6 +676,20 @@ def test_token_budget_past_the_tape_cap_exits_3(tmp_path, capsys, monkeypatch, c
     monkeypatch.setattr(reductions, "path_tape", None)
     assert main([command[0], write(tmp_path, "in.json", doc), *command[1:]]) == 3
     assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
+def test_composed_formula_past_the_tape_cap_exits_3(tmp_path, capsys, monkeypatch):
+    """Four one-clause base cases under one or, of k * nvars = 2 tapes each,
+    pass a vertex cap of 7 together though each alone fits; none is built."""
+    from reconflab import graphs, reductions
+
+    bases = tuple(("and", (("or", (("var", i % 2),)),)) for i in range(4))
+    phi = NormalizedFormula(2, ("and", (("or", bases),)))
+    monkeypatch.setattr(graphs, "VERTEX_CAP", 7)
+    monkeypatch.setattr(reductions, "path_tape", None)
+    path = write(tmp_path, "phi.json", serialize.formula_to_json(phi))
+    assert main(["reduce", path, "--to", "multi-tape", "--k", "1"]) == 3
+    assert capsys.readouterr().err == "cap exceeded: 8 tapes exceed the cap of 7\n"
 
 
 @pytest.mark.parametrize("doc", [

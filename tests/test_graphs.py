@@ -18,14 +18,13 @@ from reconflab.graphs import (
     find_biclique,
     cycle_graph,
     degeneracy,
-    delete_vertices,
     dominates,
     find_reducible_vertex,
     mask_of,
-    merge_vertices,
     min_feedback_vertex_set,
     neighborhood_classes,
     path_graph,
+    quotient,
 )
 from reconflab.reductions import tape_to_ts_dsr
 from reconflab.tapes import extended_graph
@@ -137,10 +136,10 @@ def test_joins_every_component_matches_the_oracle():
 
 def test_delete_and_merge_helpers():
     g = cycle_graph(5)
-    h, remap = delete_vertices(g, [2])
+    h, remap = quotient(g, {2: None})
     assert h.n == 4 and remap[3] == 2
     assert h.edges == ((0, 1), (0, 3), (2, 3))
-    m, _ = merge_vertices(cycle_graph(4), [0, 2])
+    m, _ = quotient(cycle_graph(4), {2: 0})
     assert m.n == 3 and set(m.edges) == {(0, 1), (0, 2)}
 
 

@@ -192,6 +192,25 @@ def test_contract_class_components_preserves_answer(seed):
     assert solve_dcr(out).reachable == solve_dcr(inst).reachable
 
 
+def test_class_contraction_matches_the_one_component_loop():
+    """One quotient gives the graph, labels, token sets and core that merging
+    one class component at a time and recomputing the classes gave; most
+    draws contract two or more components in one call."""
+    rng = random.Random(22)
+    several = 0
+    for _ in range(300):
+        n = rng.randint(12, 20)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.25],
+                  {v: f"v{v}" for v in range(n) if rng.random() < 0.5})
+        core = frozenset(rng.sample(range(n), rng.randint(1, 2)))
+        inst = DcrInstance(g, 1, frozenset({min(core)}), frozenset({max(core)}), d=2, core=core)
+        want, merged = certificate_oracle.contract_class_components(inst)
+        got = contract_class_components(inst)
+        assert got == want, (g.edges, g.labels, core)  # Graph equality compares labels too
+        several += merged >= 2
+    assert several > 150
+
+
 def test_fat_pairs_threshold():
     # complete bipartite between two classes of size kd+1 = 3 each
     edges = [(0, 2), (0, 3)]  # anchors: vertex 0 and 1 in the core
