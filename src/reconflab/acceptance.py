@@ -280,9 +280,14 @@ def _c08_tape_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
 def _c09_kernelization(quick: bool, floor: int = 0) -> tuple[bool, str]:
     trials = _count(100, quick, floor)
     rng = random.Random(7901)
+    fired = dict.fromkeys(("compute-core", "contract-class-components", "reduce-twins"), 0)
+    whole_core = 0  # draws whose core is every vertex: no rule has a class to act on
     for i in range(trials):
         inst = gen_dcr_instance(rng.randrange(2**31), n_max=8, k_max=2, d=2)
         kernel, report = kernelize(inst)
+        for rule in report.rules_applied:
+            fired[rule] += 1
+        whole_core += report.core_size == inst.graph.n
         if solve_via_kernel(inst).reachable != solve_dcr(inst).reachable:
             return False, f"kernel answer differs on instance {i}"
         classes = neighborhood_classes(kernel.graph, kernel.core_set())
@@ -298,7 +303,9 @@ def _c09_kernelization(quick: bool, floor: int = 0) -> tuple[bool, str]:
             return False, f"kernelization not idempotent on instance {i}"
         if not report.certified:
             return False, f"certificate failed on instance {i}"
-    return True, f"{trials}/{trials} kernel answers, certificates and idempotence hold"
+    rules = ", ".join(f"{rule} {count}" for rule, count in fired.items())
+    return True, (f"{trials}/{trials} kernel answers, certificates and idempotence hold; "
+                  f"rules fired: {rules}; core is every vertex on {whole_core}")
 
 
 # ---------------------------------------------------------------- criterion 10

@@ -209,88 +209,75 @@ def _cmd_acceptance(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def state_cap(text):  # argparse names it in "invalid state_cap value"
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"state cap {cap} is negative")
+    return cap
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_INSTANCE = _arg("instance")
+_CAP = _arg("--state-cap", type=state_cap, default=DEFAULT_STATE_CAP,
+            help="abort searches beyond this many configurations")
+_K = _arg("--k", type=int, default=None)
+
+# name -> (handler, help, arguments): the one table of subcommands
+SUBCOMMANDS = {
+    "solve": (_cmd_solve, "reachability for a (core) domination instance", [
+        _INSTANCE, _arg("--witness", action="store_true", help="include the move sequence"), _CAP]),
+    "solve-tape": (_cmd_solve_tape, "reachability for a tape or multi-tape instance", [
+        _INSTANCE, _arg("--witness", action="store_true"), _CAP]),
+    "reduce": (_cmd_reduce, "apply an instance transformation", [
+        _INSTANCE, _arg("--from", dest="src", default=None, help="expected input kind"),
+        _arg("--to", dest="dst", required=True, help="target kind"), _K]),
+    "reduce-tapes": (_cmd_reduce_tapes, "shrink the tape count to twice the alphabet", [_INSTANCE]),
+    "kernelize": (_cmd_kernelize, "class-based kernel plus size certificate", [_INSTANCE]),
+    "verify-reduction": (_cmd_verify_reduction, "solve both sides of a construction", [
+        _INSTANCE, _arg("--construction", required=True, help="construction name"), _K, _CAP]),
+    "verify-witness": (_cmd_verify_witness, "replay a move sequence", [_INSTANCE, _arg("witness")]),
+    "gen": (_cmd_gen, "seeded random instances", [
+        _arg("what", choices=["graph", "tape"]), _arg("--seed", type=int, required=True),
+        _arg("--n", type=int, default=6), _arg("--edge-prob", type=float, default=0.5),
+        _arg("--constraint", default=None,
+             help="none | connected | k3d-free:<d> | connected-k3d-free:<d>"),
+        _arg("--tapes", type=int, default=2), _arg("--cells", type=int, default=4),
+        _arg("--sigma", type=int, default=2), _arg("--sync", action="store_true")]),
+    "acceptance": (_cmd_acceptance, "run the full oracle-equivalence suite", [
+        _arg("--quick", action="store_true",
+             help="reduced trial counts (smoke test, not the official run)"),
+        _arg("--trials", type=int, default=0,
+             help="raise randomized criteria to at least this many trials")]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone when it
+    names one; the usage line lists every subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="reconflab",
         description="Exact solvers and oracle-verified reductions for "
                     "dominating-set and head-on-tape reconfiguration.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def state_cap(text):
-        cap = int(text)
-        if cap < 0:
-            raise argparse.ArgumentTypeError(f"state cap {cap} is negative")
-        return cap
-
-    def add_cap(p):
-        p.add_argument("--state-cap", type=state_cap, default=DEFAULT_STATE_CAP,
-                       help="abort searches beyond this many configurations")
-
-    p = sub.add_parser("solve", help="reachability for a (core) domination instance")
-    p.add_argument("instance")
-    p.add_argument("--witness", action="store_true", help="include the move sequence")
-    add_cap(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("solve-tape", help="reachability for a tape or multi-tape instance")
-    p.add_argument("instance")
-    p.add_argument("--witness", action="store_true")
-    add_cap(p)
-    p.set_defaults(func=_cmd_solve_tape)
-
-    p = sub.add_parser("reduce", help="apply an instance transformation")
-    p.add_argument("instance")
-    p.add_argument("--from", dest="src", default=None, help="expected input kind")
-    p.add_argument("--to", dest="dst", required=True, help="target kind")
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("reduce-tapes", help="shrink the tape count to twice the alphabet")
-    p.add_argument("instance")
-    p.set_defaults(func=_cmd_reduce_tapes)
-
-    p = sub.add_parser("kernelize", help="class-based kernel plus size certificate")
-    p.add_argument("instance")
-    p.set_defaults(func=_cmd_kernelize)
-
-    p = sub.add_parser("verify-reduction", help="solve both sides of a construction")
-    p.add_argument("instance")
-    p.add_argument("--construction", required=True, help="construction name")
-    p.add_argument("--k", type=int, default=None)
-    add_cap(p)
-    p.set_defaults(func=_cmd_verify_reduction)
-
-    p = sub.add_parser("verify-witness", help="replay a move sequence")
-    p.add_argument("instance")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_verify_witness)
-
-    p = sub.add_parser("gen", help="seeded random instances")
-    p.add_argument("what", choices=["graph", "tape"])
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--constraint", default=None,
-                   help="none | connected | k3d-free:<d> | connected-k3d-free:<d>")
-    p.add_argument("--tapes", type=int, default=2)
-    p.add_argument("--cells", type=int, default=4)
-    p.add_argument("--sigma", type=int, default=2)
-    p.add_argument("--sync", action="store_true")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("acceptance", help="run the full oracle-equivalence suite")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced trial counts (smoke test, not the official run)")
-    p.add_argument("--trials", type=int, default=0,
-                   help="raise randomized criteria to at least this many trials")
-    p.set_defaults(func=_cmd_acceptance)
-
+    names, metavar = list(SUBCOMMANDS), None
+    if command in SUBCOMMANDS:
+        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, text, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -138,23 +138,23 @@ def _core_mask(inst: DsrInstance) -> int:
 def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
     """Size k, dominates the core, plus the connectivity/partition side conditions.
 
+    Callers range-check ``d`` first (``validate_instance``, ``verify_witness``).
     Cheapest rejection first: on connected instances, a set of two or more
-    vertices with one that has no neighbour in the set, then the flood fill,
-    then domination.  Most budget-size dominating sets the guard check meets
-    have such a vertex.
+    vertices with one that has no neighbour in the set, asked of the set
+    itself before its mask is built; then the flood fill, then domination.
+    Most budget-size dominating sets the guard check meets have such a vertex.
     """
     if len(d) != inst.k:
         return False
     g = inst.graph
+    if inst.connected and len(d) > 1:
+        adj = g.adj
+        for v in d:
+            if d.isdisjoint(adj[v]):
+                return False
     dmask = mask_of(d)
-    if inst.connected:
-        if len(d) > 1:
-            nbr = g.nbr_mask
-            for v in d:
-                if not nbr[v] & dmask:
-                    return False
-        if component_of(g, dmask) != dmask:
-            return False
+    if inst.connected and component_of(g, dmask) != dmask:
+        return False
     if _core_mask(inst) & ~closed_mask_of(g, d):
         return False
     if inst.partition is not None:

@@ -90,6 +90,8 @@ class Graph:
 
     @property
     def adj(self) -> list[tuple[int, ...]]:
+        """Ascending neighbour tuples, built once; ``dsr.is_feasible`` asks a
+        set against them before it builds the set's mask."""
         if self._adj is None:
             self._adj = [tuple(bits(nb)) for nb in self.nbr_mask]
         return self._adj
@@ -239,20 +241,32 @@ def find_reducible_vertex(g: Graph, x: Iterable[int]) -> Optional[int]:
 def degeneracy(g: Graph) -> tuple[int, list[int]]:
     """Exact degeneracy with a witness elimination order.
 
-    Repeatedly deleting a minimum-degree vertex is optimal; the order returned
-    gives every vertex at most d neighbors among its successors.
+    Repeatedly deleting a minimum-degree vertex, the lowest on a tie, is
+    optimal; the order returned gives every vertex at most d neighbors among
+    its successors.  One vertex mask per degree holds the live vertices of
+    that degree; a deletion lowers its neighbours' degrees by one, so the
+    lowest nonempty mask drops by at most one per step.  O(n + m) mask moves.
     """
-    alive = [True] * g.n
-    deg = [g.degree(v) for v in range(g.n)]
-    order, d = [], 0
+    nbr = g.nbr_mask
+    deg = [nb.bit_count() for nb in nbr]
+    bucket = [0] * (max(deg, default=0) + 1)
+    for v, dv in enumerate(deg):
+        bucket[dv] |= 1 << v
+    alive, low, d, order = g.full_mask, 0, 0, []
     for _ in range(g.n):
-        u = min((v for v in range(g.n) if alive[v]), key=lambda v: (deg[v], v))
-        d = max(d, deg[u])
-        alive[u] = False
+        while not bucket[low]:
+            low += 1
+        b = bucket[low]
+        bucket[low] = b & (b - 1)
+        u = (b & -b).bit_length() - 1
+        alive ^= 1 << u
         order.append(u)
-        for w in g.adj[u]:
-            if alive[w]:
-                deg[w] -= 1
+        d = max(d, low)
+        for w in bits(nbr[u] & alive):
+            bucket[deg[w]] ^= 1 << w
+            deg[w] -= 1
+            bucket[deg[w]] |= 1 << w
+        low = max(low - 1, 0)
     return d, order
 
 

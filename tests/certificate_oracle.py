@@ -1,6 +1,8 @@
 """Reference certificate verifiers: subset enumeration, recursive generators
 and list traversals.
 
+``graphs.degeneracy`` keeps one vertex mask per degree; ``degeneracy`` here
+is the minimum-degree scan it replaced.
 ``graphs.min_feedback_vertex_set`` branches on short cycles,
 ``graphs.find_biclique`` searches a-sets by common neighbourhood,
 ``dsr.enumerate_dominating_sets`` runs on one explicit stack and prunes with a
@@ -92,6 +94,23 @@ def is_tree(nbags: int, edges) -> bool:
             return False
         parent[ri] = rj
     return True
+
+
+def degeneracy(g: Graph) -> tuple[int, list[int]]:
+    """Delete a minimum-degree vertex, the lowest on a tie, found by a scan
+    of every live vertex per step; O(n^2)."""
+    alive = [True] * g.n
+    deg = [g.degree(v) for v in range(g.n)]
+    order, d = [], 0
+    for _ in range(g.n):
+        u = min((v for v in range(g.n) if alive[v]), key=lambda v: (deg[v], v))
+        d = max(d, deg[u])
+        alive[u] = False
+        order.append(u)
+        for w in g.adj[u]:
+            if alive[w]:
+                deg[w] -= 1
+    return d, order
 
 
 def min_feedback_vertex_set(g: Graph) -> frozenset[int]:

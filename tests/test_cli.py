@@ -9,7 +9,7 @@ import pytest
 
 from helpers import fan, grid, wheel
 from reconflab import serialize
-from reconflab.cli import main
+from reconflab.cli import SUBCOMMANDS, build_parser, main
 from reconflab.dsr import JUMP, SLIDE, DsrInstance, solve
 from reconflab.errors import MalformedInput
 from reconflab.graphs import Graph, cycle_graph, path_graph
@@ -714,6 +714,27 @@ def test_alphabet_is_capped_before_any_letter_is_decoded(tmp_path, capsys, monke
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in SUBCOMMANDS), [], ["--help"], ["frobnicate"], ["solve"],
+    ["verify-witness", "i.json"], ["gen"], ["reduce", "i.json"], ["solve", "i.json", "--bogus"],
+    ["kernelize", "i.json", "extra"], ["solve", "i.json", "--state-cap", "-1"],
+    ["verify-reduction", "i.json", "--construction", "x", "--state-cap", "ten"],
+], ids=" ".join)
+def test_one_subparser_parses_as_the_full_tree(capsys, argv):
+    """``main`` builds only the subparser ``argv[0]`` names; help, usage and
+    errors match the full tree's, whose usage line lists every subcommand."""
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    assert main(argv) == (2 if full.value.code else 0)
+    assert capsys.readouterr() == (out, err)
+    if "unrecognized arguments" in err:
+        assert err.startswith("usage: reconflab [-h]") and "{" + ",".join(SUBCOMMANDS) + "}" in err
+    if argv and argv[0] in SUBCOMMANDS:
+        sub = next(a for a in build_parser(argv[0])._actions if a.dest == "command")
+        assert list(sub.choices) == [argv[0]]
 
 
 # --------------------------------------------------------------- size fields bounded at entry

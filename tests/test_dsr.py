@@ -168,13 +168,18 @@ def test_is_feasible_matches_the_plain_order():
 
 def test_is_feasible_rejects_an_isolated_vertex_before_the_flood_fill(monkeypatch):
     """{1, 3} dominates the path 0-4 and neither vertex has a neighbour in
-    it, so a connected instance refuses it without calling ``component_of``."""
+    it, so a connected instance refuses it on the set itself, without
+    building its mask (``mask_of``) or calling ``component_of``."""
     inst = DsrInstance(path_graph(5), 2, frozenset(), frozenset(), connected=True)
 
     def flood_fill(g, within):
         raise AssertionError("component_of called")
 
+    def mask(vertices):
+        raise AssertionError("mask_of called")
+
     monkeypatch.setattr(dsr, "component_of", flood_fill)
+    monkeypatch.setattr(dsr, "mask_of", mask)
     assert not is_feasible(inst, frozenset({1, 3}))
     assert not is_feasible(replace(inst, k=3), frozenset({0, 1, 3}))
 
