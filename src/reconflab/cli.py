@@ -43,8 +43,8 @@ def _emit(payload: dict) -> None:
 
 def _reach_result(res, witness: bool, config_json) -> dict:
     """The solve-result document of one search; ``config_json`` lists a configuration."""
-    out = {"kind": "solve-result", "version": serialize.VERSION, "reachable": res.reachable,
-           "explored": res.explored}
+    out = serialize.envelope("solve-result", {"reachable": res.reachable,
+                                              "explored": res.explored})
     if res.witness is not None:
         out["witnessLength"] = len(res.witness) - 1
         if witness:
@@ -72,7 +72,7 @@ def _cmd_solve_tape(args) -> int:
         out = _reach_result(solve_tape(inst, args.state_cap), args.witness, list)
     elif isinstance(inst, MultiTapeInstance):
         res = solve_multi(inst, args.state_cap)
-        out = {"kind": "solve-result", "version": serialize.VERSION, "positive": res.positive}
+        out = serialize.envelope("solve-result", {"positive": res.positive})
         if res.selection is not None:
             out["selection"] = list(res.selection)
     else:
@@ -161,7 +161,7 @@ def _cmd_verify_witness(args) -> int:
     if not isinstance(configs, list):
         raise MalformedInput("verify-witness expects a witness document as its second file")
     ok = verify_witness(inst, configs)
-    _emit({"kind": "verification", "version": serialize.VERSION, "valid": ok})
+    _emit(serialize.envelope("verification", {"valid": ok}))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -174,7 +174,7 @@ def _cmd_verify_reduction(args) -> int:
     inst = _load(args.instance)
     _check_input(con, inst, args.k, f"{args.construction} verification")
     _, agree = con.replay(inst, args.k, args.state_cap)
-    _emit({"kind": "verification", "version": serialize.VERSION, "agree": agree})
+    _emit(serialize.envelope("verification", {"agree": agree}))
     return EXIT_OK if agree else EXIT_NEGATIVE
 
 
@@ -194,16 +194,11 @@ def _cmd_gen(args) -> int:
 def _cmd_acceptance(args) -> int:
     from .acceptance import run_all
     results = run_all(quick=args.quick, log=sys.stderr, trials=args.trials)
-    _emit({
-        "kind": "acceptance-report",
-        "version": serialize.VERSION,
-        "results": [
-            {"criterion": r.ident, "title": r.title, "passed": r.passed,
-             "details": r.details}
-            for r in results
-        ],
+    _emit(serialize.envelope("acceptance-report", {
+        "results": [{"criterion": r.ident, "title": r.title, "passed": r.passed,
+                     "details": r.details} for r in results],
         "allPassed": all(r.passed for r in results),
-    })
+    }))
     return EXIT_OK if all(r.passed for r in results) else EXIT_NEGATIVE
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import MalformedInput
-from .graphs import Graph, component_of
+from .graphs import Graph, check_vertices, component_of
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,8 @@ def verify_decomposition(g: Graph, td: TreeDecomposition, s: Optional[int] = Non
     """
     held = [0] * g.n  # per vertex, the mask of the bags that hold it
     for i, bag in enumerate(td.bags):
+        check_vertices(g, bag, "bag vertex")
         for v in bag:
-            if not (0 <= v < g.n):
-                raise MalformedInput(f"bag vertex {v} out of range")
             held[v] |= 1 << i
     for i, j in td.tree:
         if not (0 <= i < len(td.bags) and 0 <= j < len(td.bags)):

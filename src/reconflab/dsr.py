@@ -12,7 +12,9 @@ u's part for partitioned instances.  For connected instances that mask is
 ANDed with the vertices adjacent to every component of D - u, found once per
 token with ``graphs.component_of``, the one connectivity primitive.
 Successors are still expanded in lexicographic order of their sorted vertex
-lists, so witnesses are reproducible byte for byte.
+lists, so witnesses are reproducible byte for byte.  The per-vertex move
+table ``_move_masks`` has a second reader, ``verify_witness``, so a witness
+is checked against the very moves the search made.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Optional
 
 from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
 from . import graphs
-from .graphs import Graph, bits, closed_mask_of, component_of, mask_of, set_of
+from .graphs import Graph, bits, check_vertices, closed_mask_of, component_of, mask_of, set_of
 
 SLIDE = "slide"
 JUMP = "jump"
@@ -88,9 +90,7 @@ def check_token_sets(inst) -> None:
     for name, s in (("source", inst.source), ("target", inst.target)):
         if len(s) != inst.k:
             raise MalformedInput(f"{name} has size {len(s)}, expected k={inst.k}")
-        for v in s:
-            if not (0 <= v < inst.graph.n):
-                raise MalformedInput(f"{name} vertex {v} out of range")
+        check_vertices(inst.graph, s, f"{name} vertex")
 
 
 def validate_instance(inst: DsrInstance) -> None:
@@ -98,16 +98,11 @@ def validate_instance(inst: DsrInstance) -> None:
     if inst.rule not in (SLIDE, JUMP):
         raise MalformedInput(f"unknown rule {inst.rule!r}")
     check_token_sets(inst)
-    if inst.core is not None:
-        for v in inst.core:
-            if not (0 <= v < g.n):
-                raise MalformedInput(f"core vertex {v} out of range")
+    check_vertices(g, inst.core or (), "core vertex")
     if inst.partition is not None:
         seen: set[int] = set()
         for part in inst.partition:
-            for v in part:
-                if not (0 <= v < g.n):
-                    raise MalformedInput(f"partition vertex {v} out of range")
+            check_vertices(g, part, "partition vertex")
             if seen & part:
                 raise MalformedInput("partition parts overlap")
             seen |= part
@@ -164,19 +159,14 @@ def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
     return True
 
 
-def _part_of(inst: DsrInstance, v: int) -> Optional[frozenset[int]]:
-    for part in inst.partition or ():
-        if v in part:
-            return part
-    return None
-
-
 def _move_masks(inst: DsrInstance) -> list[int]:
     """Per vertex u, where a token on u may go before domination is checked.
 
     Sliding allows N(u), jumping every vertex.  Under a partition a token
     stays in its part; a token on a vertex outside every part may only go to
     another such vertex, since any other move leaves a part empty or doubled.
+    The one table of legal moves: ``_bfs`` expands along it and
+    ``verify_witness`` replays a witness against it.
     """
     g = inst.graph
     moves = list(g.nbr_mask) if inst.rule == SLIDE else [g.full_mask] * g.n
@@ -268,37 +258,25 @@ def solve(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResu
     return ReconfigResult(True, tuple(witness), explored)
 
 
-def is_legal_move(inst: DsrInstance, a: frozenset[int], b: frozenset[int]) -> bool:
-    """Single-token move check, written independently of successors()."""
-    gone, new = a - b, b - a
-    if len(gone) != 1 or len(new) != 1:
-        return False
-    (u,), (v,) = gone, new
-    if inst.rule == SLIDE and not inst.graph.has_edge(u, v):
-        return False
-    if inst.partition is not None:
-        pu = _part_of(inst, u)
-        if pu is None or v not in pu:
-            return False
-    return True
-
-
 def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
-    """Replay ``seq``; an invalid instance or a vertex outside the graph is
-    malformed input, not a bad move."""
+    """Replay ``seq``: every configuration feasible, and each step one token
+    moved from u to v with v in ``_move_masks``'s entry for u, the table the
+    search expands along.  An invalid instance or a vertex outside the graph
+    is malformed input, not a bad move."""
     validate_instance(inst)
-    bad = [v for d in seq for v in d if not 0 <= v < inst.graph.n]
-    if bad:
-        raise MalformedInput(f"witness vertex {bad[0]} out of range")
-    if not seq:
+    check_vertices(inst.graph, itertools.chain.from_iterable(seq), "witness vertex")
+    seq = [frozenset(d) for d in seq]
+    if not seq or seq[0] != inst.source or seq[-1] != inst.target:
         return False
-    if frozenset(seq[0]) != inst.source or frozenset(seq[-1]) != inst.target:
+    if not all(is_feasible(inst, d) for d in seq):
         return False
-    for d in seq:
-        if not is_feasible(inst, frozenset(d)):
-            return False
+    moves = _move_masks(inst)
     for a, b in zip(seq, seq[1:]):
-        if not is_legal_move(inst, frozenset(a), frozenset(b)):
+        gone, new = a - b, b - a
+        if len(gone) != 1 or len(new) != 1:
+            return False
+        (u,), (v,) = gone, new
+        if not moves[u] >> v & 1:
             return False
     return True
 

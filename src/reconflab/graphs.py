@@ -27,6 +27,14 @@ def check_vertex_count(n: int) -> None:
         raise SizeCapExceeded(f"{n} vertices exceed the cap of {VERTEX_CAP}")
 
 
+def check_vertices(g: Graph, vertices: Iterable[int], what: str) -> None:
+    """Refuse the first of ``vertices`` outside g as "``what`` v out of range":
+    the range check of dsr instances and witnesses, tape ends and bags."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise MalformedInput(f"{what} {v} out of range")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -180,12 +188,6 @@ def quotient(g: Graph, onto: dict[int, Optional[int]]) -> tuple[Graph, dict[int,
 # ---------------------------------------------------------------------------
 # domination and neighborhood classes
 
-def _check_subset(g: Graph, s: frozenset[int] | set[int], what: str) -> None:
-    for v in s:
-        if not (0 <= v < g.n):
-            raise MalformedInput(f"{what} contains out-of-range vertex {v}")
-
-
 def closed_mask_of(g: Graph, d: Iterable[int]) -> int:
     m = 0
     for v in d:
@@ -196,8 +198,8 @@ def closed_mask_of(g: Graph, d: Iterable[int]) -> int:
 def dominates(g: Graph, d: Iterable[int], x: Iterable[int]) -> bool:
     """True iff every vertex of ``x`` lies in the closed neighborhood of ``d``."""
     d, x = set(d), set(x)
-    _check_subset(g, d, "dominating set")
-    _check_subset(g, x, "target set")
+    check_vertices(g, d, "dominating set vertex")
+    check_vertices(g, x, "target set vertex")
     return mask_of(x) & ~closed_mask_of(g, d) == 0
 
 
@@ -207,7 +209,7 @@ def neighborhood_classes(g: Graph, x: Iterable[int]) -> dict[frozenset[int], fro
     The key of a class is the common trace Y; its ``type`` is len(Y).
     """
     x = set(x)
-    _check_subset(g, x, "class anchor set")
+    check_vertices(g, x, "class anchor vertex")
     xmask = mask_of(x)
     classes: dict[int, list[int]] = {}
     for v in range(g.n):

@@ -106,12 +106,21 @@ def partitioned_dsr_to_sync_stars(inst: DsrInstance) -> TapeInstance:
     Each part becomes a subdivided star tape with one branch per candidate
     vertex; an extra star with one branch per token arbitrates which token is
     allowed to travel through its center.  Marks on branch cells encode
-    closed domination exactly as in ds_to_sync_multi.
+    closed domination exactly as in ds_to_sync_multi.  The tapes encode
+    neither connectivity, nor a core short of V, nor a token outside every
+    part, so such an instance is refused.
     """
     if inst.partition is None:
         raise MalformedInput("instance carries no partition")
     if inst.rule != JUMP:
         raise MalformedInput("the star encoding targets the jumping rule")
+    if inst.connected:
+        raise MalformedInput("the star encoding does not encode connectivity")
+    if inst.core is not None and mask_of(inst.core) != inst.graph.full_mask:
+        raise MalformedInput("the star encoding dominates every vertex, not a core")
+    if inst.k != len(inst.partition):
+        raise MalformedInput(f"the star encoding needs one token per part, "
+                             f"not {inst.k} tokens on {len(inst.partition)} parts")
     g, k = inst.graph, inst.k
     if k == 0:
         raise MalformedInput("the arbiter star needs at least one token")

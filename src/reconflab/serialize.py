@@ -25,7 +25,8 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _envelope(kind: str, payload: dict) -> dict:
+def envelope(kind: str, payload: dict) -> dict:
+    """The document of ``kind``: every artifact and every CLI report is one."""
     return {"kind": kind, "version": VERSION, **payload}
 
 
@@ -36,7 +37,7 @@ def graph_to_json(g: Graph) -> dict:
     payload: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
     if g.labels:
         payload["labels"] = {str(v): lab for v, lab in sorted(g.labels.items())}
-    return _envelope("graph", payload)
+    return envelope("graph", payload)
 
 
 def tape_to_json(t: Tape) -> dict:
@@ -51,28 +52,24 @@ def tape_to_json(t: Tape) -> dict:
     return out
 
 
-def tape_instance_to_json(inst: TapeInstance) -> dict:
-    payload = {
-        "sigma": inst.sigma,
-        "tapes": [tape_to_json(t) for t in inst.tapes],
-        "cs": list(inst.cs),
-        "ct": list(inst.ct),
-        "sync": inst.sync,
-    }
+def _header_to_json(inst: TapeInstance | MultiTapeInstance) -> dict:
+    """The fields tape and multi-tape documents share: sigma, sync, r."""
+    payload = {"sigma": inst.sigma, "sync": inst.sync}
     if inst.r is not None:
         payload["r"] = inst.r
-    return _envelope("tape-instance", payload)
+    return payload
+
+
+def tape_instance_to_json(inst: TapeInstance) -> dict:
+    return envelope("tape-instance", {**_header_to_json(inst),
+                                      "tapes": [tape_to_json(t) for t in inst.tapes],
+                                      "cs": list(inst.cs), "ct": list(inst.ct)})
 
 
 def multi_to_json(inst: MultiTapeInstance) -> dict:
-    payload = {
-        "sigma": inst.sigma,
-        "tuples": [[tape_to_json(t) for t in tup] for tup in inst.tuples],
-        "sync": inst.sync,
-    }
-    if inst.r is not None:
-        payload["r"] = inst.r
-    return _envelope("multi-tape-instance", payload)
+    return envelope("multi-tape-instance", {
+        **_header_to_json(inst),
+        "tuples": [[tape_to_json(t) for t in tup] for tup in inst.tuples]})
 
 
 def _tokens_to_json(inst: DsrInstance | DcrInstance) -> dict:
@@ -88,11 +85,11 @@ def dsr_to_json(inst: DsrInstance) -> dict:
     payload = {**_tokens_to_json(inst), "rule": inst.rule, "connected": inst.connected}
     if inst.partition is not None:
         payload["partition"] = [sorted(p) for p in inst.partition]
-    return _envelope("dsr-instance", payload)
+    return envelope("dsr-instance", payload)
 
 
 def dcr_to_json(inst: DcrInstance) -> dict:
-    return _envelope("dcr-instance", {**_tokens_to_json(inst), "d": inst.d, "family": inst.family})
+    return envelope("dcr-instance", {**_tokens_to_json(inst), "d": inst.d, "family": inst.family})
 
 
 def formula_to_json(phi: NormalizedFormula) -> dict:
@@ -101,7 +98,7 @@ def formula_to_json(phi: NormalizedFormula) -> dict:
             return ["var", nd[1]]
         return [nd[0], [node(c) for c in nd[1]]]
 
-    return _envelope("formula", {"vars": phi.nvars, "tree": node(phi.root)})
+    return envelope("formula", {"vars": phi.nvars, "tree": node(phi.root)})
 
 
 # keyed by type name, so that encoding imports no module
@@ -178,32 +175,32 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
     )
 
 
-def tape_instance_from_json(payload: dict) -> TapeInstance:
-    from .tapes import TapeInstance, check_alphabet
+def _header_from_json(payload: dict) -> dict:
+    """``_header_to_json``'s fields, as keyword arguments of either class;
+    the alphabet is checked before any letter is decoded into a sigma-bit mask."""
+    from .tapes import check_alphabet
     sigma = _int(_need(payload, "sigma"))
-    check_alphabet(sigma)  # before any letter is decoded into a sigma-bit mask
+    check_alphabet(sigma)
+    return {"sigma": sigma, "sync": _bool(payload.get("sync", False)),
+            "r": _int(payload["r"]) if payload.get("r") is not None else None}
+
+
+def tape_instance_from_json(payload: dict) -> TapeInstance:
+    from .tapes import TapeInstance
+    header = _header_from_json(payload)
     return TapeInstance(
-        sigma=sigma,
-        tapes=tuple(tape_from_json(t, sigma) for t in _need(payload, "tapes")),
+        **header,
+        tapes=tuple(tape_from_json(t, header["sigma"]) for t in _need(payload, "tapes")),
         cs=tuple(_int(c) for c in _need(payload, "cs")),
         ct=tuple(_int(c) for c in _need(payload, "ct")),
-        sync=_bool(payload.get("sync", False)),
-        r=_int(payload["r"]) if payload.get("r") is not None else None,
     )
 
 
 def multi_from_json(payload: dict) -> MultiTapeInstance:
-    from .tapes import MultiTapeInstance, check_alphabet
-    sigma = _int(_need(payload, "sigma"))
-    check_alphabet(sigma)
-    return MultiTapeInstance(
-        sigma=sigma,
-        tuples=tuple(
-            tuple(tape_from_json(t, sigma) for t in tup) for tup in _need(payload, "tuples")
-        ),
-        sync=_bool(payload.get("sync", False)),
-        r=_int(payload["r"]) if payload.get("r") is not None else None,
-    )
+    from .tapes import MultiTapeInstance
+    header = _header_from_json(payload)
+    return MultiTapeInstance(**header, tuples=tuple(
+        tuple(tape_from_json(t, header["sigma"]) for t in tup) for tup in _need(payload, "tuples")))
 
 
 def _tokens_from_json(payload: dict) -> dict:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .dsr import DEFAULT_STATE_CAP, ReconfigResult, bfs
 from .errors import MalformedInput, SizeCapExceeded, StateCapExceeded
-from .graphs import Graph, bits, set_of
+from .graphs import Graph, bits, check_vertices, set_of
 
 # Letter sets are sigma-bit masks, so sigma is checked against this where an
 # instance is built.  No construction here names 100 letters.
@@ -48,9 +48,7 @@ class Tape:
     def __post_init__(self):
         if len(self.content) != self.cells.n:
             raise MalformedInput("content length does not match cell count")
-        for c in (self.start, self.end):
-            if not (0 <= c < self.cells.n):
-                raise MalformedInput(f"start/end cell {c} out of range")
+        check_vertices(self.cells, (self.start, self.end), "start/end cell")
         if self.number is not None and len(self.number) != self.cells.n:
             raise MalformedInput("numbering length does not match cell count")
 

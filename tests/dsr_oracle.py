@@ -5,6 +5,8 @@ the direct construction it replaced, which builds every candidate
 configuration and asks ``plain_is_feasible`` about it, as the oracle the
 kernel is compared against.  ``plain_is_feasible`` is ``dsr.is_feasible`` as
 it was before it tested connectivity first: domination, then one flood fill.
+``is_legal_move`` states the move rule on one pair of configurations, apart
+from ``dsr._move_masks``, the table the search and ``dsr.verify_witness`` read.
 ``solve_per_component`` is ``dsr.solve``'s split of a disconnected sliding
 instance as it was before it searched each component on the input graph: on
 a relabelled subgraph per component, mapped back.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from reconflab.dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs, _part_of
+from reconflab.dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs
 from reconflab.errors import MalformedInput, StateCapExceeded
 from reconflab.graphs import component_of, mask_of, quotient
 
@@ -41,25 +43,38 @@ def plain_is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
     return True
 
 
+def part_of(inst: DsrInstance, v: int) -> Optional[frozenset[int]]:
+    """The part that holds v, or None when v lies in no part."""
+    for part in inst.partition or ():
+        if v in part:
+            return part
+    return None
+
+
+def is_legal_move(inst: DsrInstance, a: frozenset[int], b: frozenset[int]) -> bool:
+    """One token moves from u to v: along an edge when sliding, and under a
+    partition within u's part, or from outside every part to outside every
+    part.  Domination is not asked."""
+    gone, new = a - b, b - a
+    if len(gone) != 1 or len(new) != 1:
+        return False
+    (u,), (v,) = gone, new
+    if inst.rule == SLIDE and not inst.graph.has_edge(u, v):
+        return False
+    return inst.partition is None or part_of(inst, u) == part_of(inst, v)
+
+
 def successors(inst: DsrInstance, d: frozenset[int]) -> list[frozenset[int]]:
     """All feasible configurations one legal move away, sorted canonically."""
     if not plain_is_feasible(inst, d):
         raise MalformedInput("successors called on an infeasible configuration")
-    g = inst.graph
     out = []
-    for u in sorted(d):
-        if inst.rule == SLIDE:
-            targets = (v for v in g.neighbors(u) if v not in d)
-        else:
-            targets = (v for v in range(g.n) if v not in d)
-        part = _part_of(inst, u) if inst.partition is not None else None
-        for v in targets:
-            if part is not None and v not in part:
-                continue
-            nxt = (d - {u}) | {v}
-            if plain_is_feasible(inst, nxt):
+    for u in d:
+        for v in range(inst.graph.n):
+            nxt = d - {u} | {v}
+            if v not in d and is_legal_move(inst, d, nxt) and plain_is_feasible(inst, nxt):
                 out.append(nxt)
-    return sorted(set(out), key=sorted)
+    return sorted(out, key=sorted)
 
 
 def bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:

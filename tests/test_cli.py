@@ -228,6 +228,33 @@ def test_sync_stars_without_tokens_exits_2(tmp_path, capsys, argv):
     assert "arbiter" in capsys.readouterr().err
 
 
+# P4 with one part {0, 1} and two tokens: the token on 2 lies outside every part
+P4_OUTSIDE_PART = dict(graph=path_graph(4), k=2, source=frozenset({0, 2}),
+                       target=frozenset({0, 3}), partition=(frozenset({0, 1}),))
+
+
+@pytest.mark.parametrize("inst,argv", [
+    (DsrInstance(Graph(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+                           (2, 5), (4, 5)]), 2, frozenset({0, 3}), frozenset({1, 4}), JUMP,
+                 connected=True, partition=(frozenset({0, 4, 5}), frozenset({1, 2, 3}))),
+     ["verify-reduction", "--construction", "sync-stars"]),
+    (DsrInstance(Graph(5, [(0, 2), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)]), 1,
+                 frozenset({3}), frozenset({2}), JUMP, core=frozenset({0, 4}),
+                 partition=(frozenset(range(5)),)),
+     ["verify-reduction", "--construction", "sync-stars"]),
+    (DsrInstance(**P4_OUTSIDE_PART, rule=JUMP), ["reduce", "--to", "sync-stars"]),
+], ids=["connected", "core", "token-outside-every-part"])
+def test_sync_stars_refuses_what_the_stars_do_not_encode(tmp_path, capsys, inst, argv):
+    """The stars dominate every vertex, ignore connectivity and hold one token
+    per part; on any other instance the answers could differ, or the tape
+    instance would start off a valid configuration."""
+    path = write(tmp_path, "x.json", serialize.dsr_to_json(inst))
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "star encoding" in captured.err
+
+
 def test_verify_reduction_dominating_set(tmp_path, capsys):
     path = write(tmp_path, "g.json", serialize.graph_to_json(cycle_graph(5)))
     code, doc = run(capsys, "verify-reduction", path, "--construction",
@@ -350,6 +377,16 @@ def test_verify_witness_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "b.json", witness_doc([[0, 1], [1, 2]]))
     code, doc = run(capsys, "verify-witness", ipath, bad)
     assert code == 1 and doc["valid"] is False
+
+
+def test_witness_that_moves_a_token_outside_every_part_verifies(tmp_path, capsys):
+    """``verify-witness`` accepts the move ``solve`` made: the token on 2 slides to 3."""
+    ipath = write(tmp_path, "i.json", serialize.dsr_to_json(DsrInstance(**P4_OUTSIDE_PART)))
+    code, doc = run(capsys, "solve", ipath, "--witness")
+    assert code == 0 and doc["witness"] == [[0, 2], [0, 3]]
+    wpath = write(tmp_path, "w.json", witness_doc(doc["witness"]))
+    code, doc = run(capsys, "verify-witness", ipath, wpath)
+    assert code == 0 and doc["valid"] is True
 
 
 @pytest.mark.parametrize("bad", [[0, -1], [0, 3]], ids=["negative", "past-n"])

@@ -403,6 +403,57 @@ def test_verify_witness_rejects_undominated_step():
     assert not verify_witness(inst, [frozenset({0, 1}), frozenset({1, 2})])  # not one slide
 
 
+def oracle_verify(inst, seq):
+    """``verify_witness`` on the oracle's feasibility test and move rule."""
+    return (bool(seq) and seq[0] == inst.source and seq[-1] == inst.target
+            and all(dsr_oracle.plain_is_feasible(inst, d) for d in seq)
+            and all(dsr_oracle.is_legal_move(inst, a, b) for a, b in zip(seq, seq[1:])))
+
+
+def witness_mutants(rng, inst, seq):
+    """``seq`` with one step dropped, two steps swapped, and one vertex moved
+    to a vertex that is no neighbour of it or lies in another part."""
+    out = []
+    if len(seq) > 2:
+        i = rng.randrange(1, len(seq) - 1)
+        out.append(seq[:i] + seq[i + 1:])
+    if len(seq) > 1:
+        i, j = sorted(rng.sample(range(len(seq)), 2))
+        out.append(seq[:i] + [seq[j]] + seq[i + 1:j] + [seq[i]] + seq[j + 1:])
+    g, i = inst.graph, rng.randrange(len(seq))
+    u = rng.choice(sorted(seq[i]))
+    far = [v for v in range(g.n) if v not in seq[i] and (
+        not g.has_edge(u, v) or dsr_oracle.part_of(inst, u) != dsr_oracle.part_of(inst, v))]
+    if far:
+        out.append(seq[:i] + [seq[i] - {u} | {rng.choice(far)}] + seq[i + 1:])
+    return out
+
+
+def outside_part_case(rng):
+    """A partitioned ``kernel_case`` with a token outside every part."""
+    while (inst := kernel_case(rng, "partitioned")).k == len(inst.partition):
+        pass
+    return inst
+
+
+@pytest.mark.parametrize("kind", ["slide", "jump", "core", "connected-slide", "connected-jump",
+                                  "partitioned", "disconnected", "tj-cdsr", "outside-part"])
+def test_verify_witness_agrees_with_an_oracle_replay(kind):
+    """On the solver's witnesses, the source-target jump and mutants of both."""
+    rng = random.Random(f"replay-{kind}")
+    verdicts = set()
+    for _ in range(30):
+        inst = (tj_cdsr_case(rng) if kind == "tj-cdsr" else outside_part_case(rng)
+                if kind == "outside-part" else kernel_case(rng, kind))
+        res = solve(inst)
+        seqs = [[inst.source, inst.target]] + ([list(res.witness)] if res.reachable else [])
+        for seq in seqs + [m for seq in seqs for m in witness_mutants(rng, inst, seq)]:
+            verdict = verify_witness(inst, seq)
+            assert verdict == oracle_verify(inst, seq), (inst, seq)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 @given(st.integers(0, 2**15 - 1))
 @settings(max_examples=80, deadline=None)
 def test_witnesses_verify_and_match_dfs_oracle(seed):
