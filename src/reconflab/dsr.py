@@ -115,15 +115,38 @@ def validate_instance(inst: DsrInstance) -> None:
             raise MalformedInput(f"{name} is not a feasible configuration")
 
 
-def _joins_every_component(g: Graph, rest: int) -> int:
-    """The vertices in or next to every component of G[rest], as a mask (-1
-    when rest is empty); outside rest they are exactly the v for which
-    rest + v induces a connected graph."""
-    common = -1
+def _joins_every_component(g: Graph, rest: int, common: int = -1) -> int:
+    """The vertices of ``common`` (every vertex by default, as -1) in or next
+    to every component of G[rest], as a mask; ``common`` itself when rest is
+    empty.  Outside rest they are exactly the v for which rest + v induces a
+    connected graph.  Stops peeling components once none of common is left."""
     while common and (comp := component_of(g, rest)):
         rest ^= comp
         common &= closed_mask_of(g, bits(comp))
     return common
+
+
+def _first_picks(g: Graph, chosen: int, pool: int, picks: int) -> int:
+    """A mask holding every vertex of ``pool`` that can be the lowest of
+    ``picks`` >= 1 vertices of pool whose addition makes G[chosen] connected
+    (pool disjoint from chosen).  The lowest pick leaves picks - 1 of pool
+    above it.  Each component of G[chosen] needs a pick next to it, so the
+    lowest is at most the highest pool vertex next to it, and components
+    whose neighbours in pool are pairwise disjoint need one pick each: more
+    of them than ``picks`` leave no vertex."""
+    room = list(bits(pool))
+    if len(room) < picks:
+        return 0
+    top = (2 << room[-picks]) - 1
+    need = seen = 0
+    while top and (comp := component_of(g, chosen)):
+        chosen ^= comp
+        near = closed_mask_of(g, bits(comp)) & pool
+        top &= (1 << near.bit_length()) - 1
+        if not near & seen:
+            need += 1
+            seen |= near
+    return pool & top if need <= picks else 0
 
 
 def _core_mask(inst: DsrInstance) -> int:
@@ -136,16 +159,17 @@ def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
     Callers range-check ``d`` first (``validate_instance``, ``verify_witness``).
     Cheapest rejection first: on connected instances, a set of two or more
     vertices with one that has no neighbour in the set, asked of the set
-    itself before its mask is built; then the flood fill, then domination.
-    Most budget-size dominating sets the guard check meets have such a vertex.
+    itself before its mask is built (``d.isdisjoint(g.nbr_sets[v])`` probes
+    min(|d|, deg v) vertices); then the flood fill, then domination.  Most
+    budget-size dominating sets a plain enumeration meets have such a vertex.
     """
     if len(d) != inst.k:
         return False
     g = inst.graph
     if inst.connected and len(d) > 1:
-        adj = g.adj
+        nbr_sets = g.nbr_sets
         for v in d:
-            if d.isdisjoint(adj[v]):
+            if d.isdisjoint(nbr_sets[v]):
                 return False
     dmask = mask_of(d)
     if inst.connected and component_of(g, dmask) != dmask:
@@ -211,7 +235,7 @@ def _bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
                 priv ^= low
             rest = cur ^ (1 << u)
             if connected and dest:
-                dest &= _joins_every_component(g, rest)
+                dest = _joins_every_component(g, rest, dest)
             ru = rank[u]
             while dest:
                 low = dest & -dest
@@ -282,10 +306,11 @@ def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
 
 
 def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
-                              forced: int = 0, banned: int = 0):
+                              forced: int = 0, banned: int = 0, connected: bool = False):
     """Yield every set of exactly ``size`` vertices that dominates ``target``
     (a vertex mask, all of V by default), holds every vertex of ``forced`` and
-    none of ``banned``; each set once.
+    none of ``banned``; each set once.  With ``connected`` only the sets that
+    induce a connected graph, and in the same order as without it.
 
     Branches on the undominated target x whose N[x] has the fewest vertices
     neither chosen nor banned (the lowest x on a tie; one left ends the scan);
@@ -304,13 +329,22 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     dominated the remaining slots are filled by one ``itertools.combinations``
     over the vertices neither chosen nor banned.  One explicit stack, children
     pushed in reverse, so the sets come out in depth-first order.
+
+    A connected query cuts at the leaves: the last slot's mask is ANDed with
+    the vertices that join every component of the chosen set.  Its fill
+    picks one free vertex per node instead, ascending, with every vertex
+    below a pick banned from the pick's child, until one slot is left for
+    that mask; the picks ascend as ``combinations``'s do, so the order is
+    kept.  A fill node pushes only the picks ``_first_picks`` leaves, and a
+    branching node for which it leaves none is cut: the lowest vertex of any
+    completion that connects the chosen set is among them.
     Output-sensitive, so it stays usable where scanning all n-choose-size
-    subsets would not; past ``graphs.ENUM_CAP`` nodes branched on in one call
-    it raises SizeCapExceeded.
+    subsets would not; past ``graphs.ENUM_CAP`` nodes branched on or filled
+    in one call it raises SizeCapExceeded.
     """
+    full, closed = g.full_mask, g.closed_mask
     if target is None:
-        target = g.full_mask
-    closed = g.closed_mask
+        target = full
     d = tuple(bits(forced))
     covered = closed_mask_of(g, d)
     missing = target & ~covered
@@ -324,15 +358,22 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
         d, dmask, covered, banned = stack.pop()
         missing = target & ~covered
         if not missing:
-            free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
-            yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
-            continue
+            if not connected:
+                free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
+                yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
+                continue
+            if len(d) == size:
+                if component_of(g, dmask) == dmask:
+                    yield frozenset(d)
+                continue
         if len(d) + 1 == size:  # the last vertex must dominate all that is missing
-            last = ~(dmask | banned)
+            last = full & ~(dmask | banned)
             while missing and last:
                 low = missing & -missing
                 last &= closed[low.bit_length() - 1]
                 missing ^= low
+            if connected and last:
+                last = _joins_every_component(g, dmask, last)
             chosen = frozenset(d)
             yield from (chosen | {u} for u in bits(last))
             continue
@@ -340,6 +381,14 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
         if nodes > cap:
             raise SizeCapExceeded(f"dominating-set enumeration passed {cap} nodes")
         slots = size - len(d) - 1
+        if connected:
+            first = _first_picks(g, dmask, full & ~(dmask | banned), slots + 1)
+            if not missing:  # fill: the next vertex, above the ones before it
+                stack.extend((d + (u,), dmask | 1 << u, covered, banned | (2 << u) - 1)
+                             for u in reversed(list(bits(first))))
+                continue
+            if not first:
+                continue
         room = slots * maxcov
         avail, fewest = ~(dmask | banned), g.n + 1
         for x in bits(missing):

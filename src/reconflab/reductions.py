@@ -753,13 +753,15 @@ def check_guard_containment(inst: DsrInstance) -> bool:
 
     Every connected dominating set of the budget size must hold every guard
     and exactly one of the hub and its leaf.  The negation is asked as
-    disjoint constrained enumerations; any feasible set found is a violation.
+    disjoint connected enumerations; any feasible set found is a violation.
     Query i bans guard i and forces the guards before it, and finds each set
     whose first missing guard is i; a set with every guard can fail only on
     hub and leaf, so the both-forced and both-banned queries force every
     guard.  The queries partition the union of the plain ones' sets (guard i
     banned, both forced, both banned), so the verdict is unchanged, and the
-    forced guards seed the enumerator's covered mask.
+    forced guards seed the enumerator's covered mask.  The enumerator yields
+    only the connected sets, the ones ``is_feasible`` could accept, and
+    ``is_feasible`` stays the final check.
     """
     prov = inst.provenance or {}
     if prov.get("construction") != "tj-cdsr":
@@ -771,7 +773,8 @@ def check_guard_containment(inst: DsrInstance) -> bool:
     return not any(
         is_feasible(inst, d)
         for forced, banned in queries + [(every | ends, 0), (every, ends)]
-        for d in enumerate_dominating_sets(inst.graph, inst.k, forced=forced, banned=banned)
+        for d in enumerate_dominating_sets(inst.graph, inst.k, forced=forced, banned=banned,
+                                           connected=True)
     )
 
 

@@ -130,6 +130,17 @@ def _int(x) -> int:
     return x
 
 
+def _vertices(raw, what: str) -> frozenset[int]:
+    """A JSON list of vertices as a set; a vertex listed twice is malformed
+    (canonical output lists each once, sorted)."""
+    out: set[int] = set()
+    for v in map(_int, raw):
+        if v in out:
+            raise MalformedInput(f"{what} lists vertex {v} twice")
+        out.add(v)
+    return frozenset(out)
+
+
 def _bool(x) -> bool:
     if type(x) is not bool:
         raise MalformedInput(f"expected true or false, got {x!r}")
@@ -208,9 +219,9 @@ def _tokens_from_json(payload: dict) -> dict:
     return {
         "graph": graph_from_json(_need(payload, "graph")),
         "k": _int(_need(payload, "k")),
-        "source": frozenset(_int(v) for v in _need(payload, "source")),
-        "target": frozenset(_int(v) for v in _need(payload, "target")),
-        "core": frozenset(_int(v) for v in payload["core"]) if "core" in payload else None,
+        "source": _vertices(_need(payload, "source"), "source"),
+        "target": _vertices(_need(payload, "target"), "target"),
+        "core": _vertices(payload["core"], "core") if "core" in payload else None,
     }
 
 
@@ -219,7 +230,7 @@ def dsr_from_json(payload: dict) -> DsrInstance:
         **_tokens_from_json(payload),
         rule=str(payload.get("rule", SLIDE)),
         connected=_bool(payload.get("connected", False)),
-        partition=tuple(frozenset(_int(v) for v in p) for p in payload["partition"])
+        partition=tuple(_vertices(p, "partition part") for p in payload["partition"])
         if "partition" in payload
         else None,
     )
@@ -245,7 +256,7 @@ def formula_from_json(payload: dict) -> NormalizedFormula:
 
 
 def witness_from_json(payload: dict) -> list[frozenset[int]]:
-    return [frozenset(_int(v) for v in c) for c in _need(payload, "configs")]
+    return [_vertices(c, "witness configuration") for c in _need(payload, "configs")]
 
 
 DECODERS = {

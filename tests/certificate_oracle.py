@@ -17,7 +17,8 @@ every query mode must match set for set and in order.  Both branch as the
 enumerator does, on the undominated vertex with the fewest dominators left;
 with ``lowest=True`` the stack branches on the lowest undominated vertex, the
 enumerator's earlier rule, and every query must give the same sets as that
-one, in any order.  ``plain_guard_queries``
+one, in any order.  ``connected_dominating_sets`` filters the unpruned stack
+by connectivity, for the enumerator's connected queries.  ``plain_guard_queries``
 is the overlapping query list the guard check asked before its queries were
 made disjoint.  ``contract_class_components`` is ``kernel``'s class
 contraction as it was before it became one ``graphs.quotient``: the first
@@ -200,6 +201,17 @@ def unpruned_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
                 kids.append((d + (u,), dmask | 1 << u, cov, banned))
             banned |= 1 << u
         stack.extend(reversed(kids))
+
+
+def connected_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
+                              forced: int = 0, banned: int = 0):
+    """``unpruned_dominating_sets`` filtered by ``graphs.component_of``: the
+    sets ``dsr.enumerate_dominating_sets`` yields with ``connected=True``,
+    in its order."""
+    for d in unpruned_dominating_sets(g, size, target, forced, banned):
+        m = mask_of(d)
+        if component_of(g, m) == m:
+            yield d
 
 
 def plain_guard_queries(prov: dict) -> list[tuple[int, int]]:

@@ -443,6 +443,45 @@ def test_verify_witness_rejects_a_second_file_of_another_kind(tmp_path, capsys):
     assert "witness document" in captured.err
 
 
+@pytest.mark.parametrize("field,what", [("source", "source"), ("target", "target"),
+                                        ("core", "core"), ("partition", "partition part")])
+def test_an_instance_that_lists_a_vertex_twice_is_malformed(tmp_path, capsys, field, what):
+    """A list read into a set would drop the repeat: ``solve`` on source
+    [1, 1] at k = 1 answered as if it read [1]."""
+    doc = serialize.dsr_to_json(DsrInstance(path_graph(3), 1, frozenset({1}), frozenset({1}),
+                                            core=frozenset({0, 1, 2}),
+                                            partition=(frozenset({0, 1, 2}),)))
+    ipath = write(tmp_path, "ok.json", doc)
+    assert main(["solve", ipath]) == 0
+    capsys.readouterr()
+    if field == "partition":
+        doc["partition"] = [doc["partition"][0] + [1]]
+    else:
+        doc[field] = doc[field] + [1]
+    ipath = write(tmp_path, "i.json", doc)
+    code = main(["solve", ipath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{what} lists vertex 1 twice" in captured.err
+
+
+@pytest.mark.parametrize("source,target,configs", [
+    ({1}, {1}, [[1, 1]]),
+    ({0, 1}, {1, 2}, [[0, 1], [1, 1], [1, 2]]),
+], ids=["k1", "k2"])
+def test_a_witness_that_lists_a_vertex_twice_is_malformed(tmp_path, capsys, source, target,
+                                                          configs):
+    """[1, 1] read as {1} was a valid witness at k = 1 (exit 0) and a wrong
+    size at k = 2 (exit 1); either way the document itself is malformed."""
+    inst = DsrInstance(path_graph(3), len(source), frozenset(source), frozenset(target))
+    ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
+    wpath = write(tmp_path, "w.json", {"kind": "witness", "version": 1, "configs": configs})
+    code = main(["verify-witness", ipath, wpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "witness configuration lists vertex 1 twice" in captured.err
+
+
 def test_unknown_construction_lists_every_construction(tmp_path, capsys):
     from reconflab.reductions import CONSTRUCTIONS
 

@@ -116,9 +116,10 @@ def random_instance(rng, n_max=6, k_max=3, rule=None, connected_flag=False):
 def feasibility_cases() -> list[tuple[DsrInstance, frozenset[int]]]:
     """(instance, set) pairs: seeded graphs with n = 0-8, connected on and
     off, with and without a core and a partition, k = 0-4, and every set of
-    size k - 1, k and k + 1; then every set acceptance C06's guard check
-    enumerates on its six artifacts, and every budget-size dominating set of
-    its two-tape artifact."""
+    size k - 1, k and k + 1; then every set of acceptance C06's six artifacts
+    that its guard queries' (forced, banned) masks give without the
+    connected cut, and every budget-size dominating set of its two-tape
+    artifacts."""
     from reconflab import reductions
 
     rng = random.Random(1707)
@@ -139,8 +140,14 @@ def feasibility_cases() -> list[tuple[DsrInstance, frozenset[int]]]:
         cases += [(inst, frozenset(c)) for size in range(max(k - 1, 0), k + 2)
                   for c in itertools.combinations(range(n), size)]
     rng = random.Random(7601)  # acceptance C06's seed
+
+    def guard_sets(g, size, forced, banned, connected):
+        cases.extend((cd, d) for d in enumerate_dominating_sets(g, size, forced=forced,
+                                                                banned=banned))
+        return iter(())
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reductions, "is_feasible", lambda inst, d: cases.append((inst, d)) and False)
+        mp.setattr(reductions, "enumerate_dominating_sets", guard_sets)
         for _ in range(6):
             _, art = _small_irreducible(rng, cells=2, sigma=2)
             cd = tape_to_tj_cdsr(art)
@@ -591,7 +598,8 @@ def c06_two_tape_artifacts():
 def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
     """(graph, size, target, forced, banned) queries for the order oracle:
     ``enumerator_cases`` with masks drawn per case in every mode; the masks
-    ``check_guard_containment`` asks and the plain guard queries it replaced,
+    ``check_guard_containment`` asks (as plain queries here) and the plain
+    guard queries it replaced,
     on acceptance C06's two-tape artifacts at their budget; seeded graphs with
     n up to 14; and the queries ``kernel.compute_core`` asks on fans and
     wheels (target X - v, banned N[v]), recorded from real calls with and
@@ -618,7 +626,7 @@ def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
     for cd in c06_two_tape_artifacts():
         asked = []
 
-        def record(g, size, forced, banned):
+        def record(g, size, forced, banned, connected):
             asked.append((g, size, None, forced, banned))
             return iter(())
 
@@ -659,6 +667,49 @@ def test_enumerator_keeps_the_unpruned_order():
         answered += bool(want)
         unanswered += not want
     assert answered > 900 and unanswered > 900
+
+
+def test_connected_mode_matches_the_oracle():
+    """``connected=True`` gives the plain sets that induce a connected graph,
+    in their order: on every order-oracle query, and on seeded graphs, sparse
+    to dense, with target, forced and banned masks drawn per query."""
+    rng = random.Random(4405)
+    queries = order_oracle_queries()
+    for _ in range(600):
+        n = rng.randint(2, 13)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rng.random() < rng.choice((0.15, 0.25, 0.4, 0.7))])
+
+        def draw(p):
+            return mask_of(v for v in range(n) if rng.random() < p)
+
+        queries.append((g, rng.randint(0, min(n, 7)), rng.choice((None, draw(0.6), 0)),
+                        draw(rng.choice((0, 0.1, 0.25))), draw(rng.choice((0, 0.15)))))
+    answered = unanswered = filled = 0
+    for g, size, target, forced, banned in queries:
+        want = list(certificate_oracle.connected_dominating_sets(g, size, target, forced, banned))
+        got = list(enumerate_dominating_sets(g, size, target, forced, banned, connected=True))
+        assert got == want, (g.edges, size, target, forced, banned)
+        answered += bool(want)
+        unanswered += not want
+        filled += any(len(d) > 2 for d in want) and target == 0
+    assert answered > 900 and unanswered > 1500 and filled > 60
+
+
+def test_connected_fill_counts_its_nodes_against_the_cap(monkeypatch):
+    """With nothing to dominate, a plain query fills its slots with one
+    ``combinations`` and branches on nothing; a connected one picks its slots
+    but the last one node at a time.  On K4 with three slots that is the
+    root, then the nodes with 0 and 1 picked: a cap of 3 passes, 2 stops it."""
+    g = complete_graph(4)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 0)
+    want = list(enumerate_dominating_sets(g, 3, target=0))
+    assert len(want) == 4
+    monkeypatch.setattr(graphs, "ENUM_CAP", 3)
+    assert list(enumerate_dominating_sets(g, 3, target=0, connected=True)) == want
+    monkeypatch.setattr(graphs, "ENUM_CAP", 2)
+    with pytest.raises(SizeCapExceeded):
+        list(enumerate_dominating_sets(g, 3, target=0, connected=True))
 
 
 def test_enumerator_gives_the_lowest_vertex_sets():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import certificate_oracle
 from reconflab import graphs
 from reconflab.acceptance import _small_irreducible
-from reconflab.dsr import _joins_every_component
+from reconflab.dsr import _first_picks, _joins_every_component
 from reconflab.errors import MalformedInput, SizeCapExceeded
 from reconflab.graphs import (
     Graph,
@@ -121,17 +121,53 @@ def test_component_of_peels_the_oracle_components():
 
 
 def test_joins_every_component_matches_the_oracle():
-    """Outside rest, the mask holds exactly the v for which rest + v is connected."""
+    """Outside rest, the mask holds exactly the v for which rest + v is
+    connected; given a mask to start from, it is that mask ANDed in."""
     rng = random.Random(4343)
     for _ in range(3000):
         g, rest = _random_within(rng)
         got = _joins_every_component(g, rest)
+        common = rng.randrange(1 << g.n) if g.n else 0
+        assert _joins_every_component(g, rest, common) == got & common
         if not rest:
             assert got == -1
             continue
         want = mask_of(v for v in range(g.n) if not rest >> v & 1
                        and len(certificate_oracle.components(g, rest | 1 << v)) == 1)
         assert got & ~rest == want, (g.edges, rest)
+
+
+def test_first_picks_keeps_every_lowest_pick_of_a_connecting_set():
+    """Every lowest vertex of ``picks`` pool vertices that make chosen
+    connected is in the mask, on seeded graphs against a scan of the pool's
+    subsets; and the mask cuts, or the connected fill would not pay."""
+    rng = random.Random(4344)
+    cut = 0
+    for _ in range(1500):
+        g, chosen = _random_within(rng)
+        pool = rng.randrange(1 << g.n) & ~chosen if g.n else 0
+        picks = rng.randint(1, 4)
+        got = _first_picks(g, chosen, pool, picks)
+        assert got & ~pool == 0
+        want = 0
+        for s in itertools.combinations(bits(pool), picks):
+            m = chosen | mask_of(s)
+            if len(certificate_oracle.components(g, m)) == 1:
+                want |= 1 << s[0]
+        assert want & ~got == 0, (g.edges, chosen, pool, picks)
+        cut += bool(pool & ~got)
+    assert cut > 600
+
+
+def test_nbr_sets_match_adj_are_built_once_and_stay_out_of_equality():
+    rng = random.Random(4345)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        h = Graph(g.n, g.edges)
+        sets = g.nbr_sets
+        assert g.nbr_sets is sets
+        assert all(sets[v] == set(g.adj[v]) for v in range(g.n)) and len(sets) == g.n
+        assert g == h and hash(g) == hash(h) == hash((g.n, g.edges))
 
 
 def test_delete_and_merge_helpers():

@@ -735,6 +735,23 @@ def test_tj_cdsr_equivalence_and_guard_containment():
         check_guard_containment(tape_to_ts_dsr(art))
 
 
+def test_guard_containment_certifies_a_three_tape_artifact():
+    """A seeded three-tape source, four tapes once desynchronized (88
+    vertices and k = 13 after the reduction).  Joining the hub to tape 0's
+    subdivided vertices lets a connected dominating set drop guard 0, and
+    the check sees it."""
+    from reconflab.generators import gen_random_tape_instance
+
+    src = gen_random_tape_instance(0, tapes=3, cells=2, sigma=2, sync=True)
+    cd = tape_to_tj_cdsr(desynchronize_triangle(src))
+    assert (cd.graph.n, cd.k, len(cd.provenance["guards"])) == (88, 13, 4)
+    assert check_guard_containment(cd)
+    prov, labels = cd.provenance, cd.graph.labels
+    mids = [v for v, lab in labels.items() if lab == "mid:0"]
+    joined = Graph(cd.graph.n, [*cd.graph.edges, *((prov["hub"], v) for v in mids)], labels)
+    assert not check_guard_containment(replace(cd, graph=joined))
+
+
 def plain_guard_violations(cd: DsrInstance) -> set[frozenset[int]]:
     """Oracle for the disjoint guard queries: the budget-size connected
     dominating sets the plain query list finds."""
