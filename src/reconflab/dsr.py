@@ -3,6 +3,8 @@
 Configurations are exact-k vertex sets (no token stacking, no null moves).
 ``bfs`` is the package's one breadth-first search: the token search here and
 the head search of ``tapes`` both run on it, each with its own successors.
+It grows from both ends, which token moves allow since they are reversible,
+and returns the witness a search from the source alone returns.
 Inside the token search a configuration D is an int bitmask, and the legal
 destinations of the token on u come out as one mask: with ``priv(u)`` the
 core vertices that u alone dominates (one pass over the tokens finds the
@@ -19,7 +21,6 @@ is checked against the very moves the search made.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,31 +58,73 @@ class ReconfigResult:
 
 
 def bfs(start, goal, successors, state_cap: int):
-    """Shortest path from ``start`` to ``goal`` (None if none) and the number of states seen.
+    """Shortest path from ``start`` to ``goal`` (None if none) and the number of states stored.
 
-    ``successors(state, visited)`` lists the states one move away in discovery
-    order; it may leave out states already in ``visited``.  The goal is tested
-    before the cap.  Token and tape searches both run on this loop.
+    ``successors(state, visited)`` lists the states one move away in a fixed
+    order; it may leave out states already in ``visited``.  Moves must be
+    reversible (y among x's successors iff x among y's), as token and head
+    moves are: both ends of a legal move are feasible, or valid.
+
+    The search grows whole levels from both ends, always the smaller frontier
+    (the start side on a tie), and stops at the first state one side generates
+    that the other has stored.  Then, with a the start side's last complete
+    level and b the goal side's, every path is at least a + b + 1 moves long,
+    and one through that state is that long.  The returned path is the one
+    a search from ``start`` alone returns: the lexicographically first
+    shortest path, each step labelled by its position in the successor list,
+    since such a search queues a level in that order and keeps a state's
+    first-queued neighbour as its parent.  The start side grows exactly those
+    levels, so the path is the parent chain of the first state x of level a
+    with a successor on goal level b, then from x's first such successor down
+    the goal side, each time to the first successor one level closer to the
+    goal.
+
+    The count is the states the two sides stored, start and goal included
+    and the meeting state not; ``state_cap`` bounds that count, tested after
+    the meeting.  Token and tape searches both run on this function.
     """
     if start == goal:
         return (start,), 1
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in successors(cur, parents):
-            if nxt in parents:
-                continue
-            parents[nxt] = cur
-            if nxt == goal:
-                path = [nxt]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                return tuple(reversed(path)), len(parents)
-            if len(parents) > state_cap:
-                raise StateCapExceeded(f"search passed {state_cap} configurations")
-            queue.append(nxt)
-    return None, len(parents)
+    parent, dist = {start: None}, {goal: 0}  # start side: parent; goal side: moves to the goal
+    front, back = [start], [goal]
+    while front and back:
+        forward = len(front) <= len(back)
+        own, other = (parent, dist) if forward else (dist, parent)
+        level = []
+        for cur in front if forward else back:
+            tag = cur if forward else dist[cur] + 1
+            for nxt in successors(cur, own):
+                if nxt in own:
+                    continue
+                if nxt in other:
+                    if not forward:  # front's first state with a successor on cur's level
+                        depth = dist[cur]
+                        cur, nxt = next((x, y) for x in front for y in successors(x, parent)
+                                        if dist.get(y) == depth)
+                    return _join(cur, nxt, parent, dist, successors), len(parent) + len(dist)
+                own[nxt] = tag
+                if len(parent) + len(dist) > state_cap:
+                    raise StateCapExceeded(f"search passed {state_cap} configurations")
+                level.append(nxt)
+        if forward:
+            front = level
+        else:
+            back = level
+    return None, len(parent) + len(dist)
+
+
+def _join(x, y, parent, dist, successors):
+    """The start side's parent chain to x, then y and the goal side's first
+    successors down to the goal.  Goal-side states are never in ``parent``,
+    so the successors may leave out its states."""
+    path = [x]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    path.append(y)
+    for depth in range(dist[y] - 1, -1, -1):
+        path.append(next(z for z in successors(path[-1], parent) if dist.get(z) == depth))
+    return tuple(path)
 
 
 def check_token_sets(inst) -> None:

@@ -164,11 +164,15 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
     content = [0] * cells.n
     for cell, letters in _need(payload, "content").items():
         c = int(cell)
+        if str(c) != cell:  # "00" or " 1" would merge into another key's cell
+            raise MalformedInput(f"content key {cell!r} is not the id of cell {c}")
         if not (0 <= c < cells.n):
             raise MalformedInput(f"content on unknown cell {c}")
         for letter in map(_int, letters):
             if not (0 <= letter < sigma):
                 raise MalformedInput(f"letter {letter} on cell {c} outside alphabet of {sigma}")
+            if content[c] >> letter & 1:
+                raise MalformedInput(f"cell {c} lists letter {letter} twice")
             content[c] |= 1 << letter
     number = None
     if "number" in payload:

@@ -8,7 +8,8 @@ additionally keep all head numbers within one step of each other modulo r.
 Input is checked once, where it enters: ``solve_tape`` rejects an instance
 that ``validate_instance`` finds a problem with, and ``solve_multi`` one that
 ``validate_multi`` does.  The search, on ``dsr.bfs``, then meets only valid
-configurations and re-checks none.  It holds a configuration as one
+configurations and re-checks none; head moves are reversible, as ``dsr.bfs``
+needs, since both ends of a move are valid.  It holds a configuration as one
 mixed-radix int and tests a moved head with one AND of a table mask against
 the letters no other head covers and the window of the heads' numbers.
 """

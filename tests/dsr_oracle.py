@@ -3,7 +3,9 @@
 ``dsr._bfs`` finds each token's destinations as one bitmask; this module keeps
 the direct construction it replaced, which builds every candidate
 configuration and asks ``plain_is_feasible`` about it, as the oracle the
-kernel is compared against.  ``plain_is_feasible`` is ``dsr.is_feasible`` as
+kernel is compared against.  ``bfs`` takes its witness from a search from
+the source alone and its count from a search from both ends, the two
+``dsr.bfs`` returns.  ``plain_is_feasible`` is ``dsr.is_feasible`` as
 it was before it tested connectivity first: domination, then one flood fill.
 ``is_legal_move`` states the move rule on one pair of configurations, apart
 from ``dsr._move_masks``, the table the search and ``dsr.verify_witness`` read.
@@ -13,11 +15,11 @@ a relabelled subgraph per component, mapped back.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
+from helpers import one_sided_path, two_ended_count
 from reconflab.dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs
-from reconflab.errors import MalformedInput, StateCapExceeded
+from reconflab.errors import MalformedInput
 from reconflab.graphs import component_of, mask_of, quotient
 
 
@@ -78,27 +80,13 @@ def successors(inst: DsrInstance, d: frozenset[int]) -> list[frozenset[int]]:
 
 
 def bfs(inst: DsrInstance, state_cap: int) -> ReconfigResult:
-    """Breadth-first search over ``successors``, with ``dsr._bfs``'s signature."""
-    source, target = inst.source, inst.target
-    if source == target:
-        return ReconfigResult(True, (source,), 1)
-    parents: dict[frozenset[int], Optional[frozenset[int]]] = {source: None}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for nxt in successors(inst, cur):
-            if nxt in parents:
-                continue
-            parents[nxt] = cur
-            if nxt == target:
-                path = [nxt]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                return ReconfigResult(True, tuple(reversed(path)), len(parents))
-            if len(parents) > state_cap:
-                raise StateCapExceeded(f"search passed {state_cap} configurations")
-            queue.append(nxt)
-    return ReconfigResult(False, None, len(parents))
+    """Breadth-first search over ``successors`` from the source alone, with
+    ``dsr._bfs``'s signature; the count and the cap outcome are those of a
+    search from both ends."""
+    step = lambda d: successors(inst, d)
+    explored = two_ended_count(inst.source, inst.target, step, state_cap)
+    path = one_sided_path(inst.source, inst.target, step)
+    return ReconfigResult(path is not None, path, explored)
 
 
 def solve_per_component(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:

@@ -5,16 +5,20 @@ subdivided-stars encoding, and ``tape_is_subdivided_star`` is the shape that
 encoding promises; nothing in ``reconflab`` needs either.  ``successors``
 lists the tape search's moves from one configuration as tuples, in the order
 the search discovers them.  ``fan`` and ``wheel`` are planar families at a
-fixed k for the kernel and the enumerator.
+fixed k for the kernel and the enumerator.  ``one_sided_path`` is the path
+a breadth-first search from the start alone returns, and ``two_ended_count``
+the number of states ``dsr.bfs`` stores, and its cap outcome; the token and
+tape oracles answer with the two.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from reconflab import tapes
 from reconflab.dsr import JUMP, DsrInstance
-from reconflab.errors import RetryBudgetExceeded
+from reconflab.errors import RetryBudgetExceeded, StateCapExceeded
 from reconflab.generators import RETRY_BUDGET
 from reconflab.graphs import Graph, dominates
 from reconflab.kernel import DcrInstance
@@ -84,3 +88,50 @@ def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, .
     """The search kernel's successors of ``config``, decoded to tuples."""
     encode, decode, step = tapes._kernel(inst)
     return [decode(nxt) for nxt in step(encode(config), {})]
+
+
+def one_sided_path(start, goal, successors):
+    """The path from ``start`` to ``goal`` (None if none) of a search from
+    start alone, which keeps each state's first-queued neighbour as its
+    parent; ``successors(state)`` lists every state one move away."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue and goal not in parents:
+        cur = queue.popleft()
+        for nxt in successors(cur):
+            if nxt not in parents:
+                parents[nxt] = cur
+                queue.append(nxt)
+    if goal not in parents:
+        return None
+    path = [goal]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return tuple(reversed(path))
+
+
+def two_ended_count(start, goal, successors, state_cap: int) -> int:
+    """The states a search grown level by level from both ends stores, start
+    and goal included, before one side generates a state the other stored;
+    the smaller frontier grows, the start side on a tie.  ``successors(state)``
+    lists every state one move away, in the search's order.  Past
+    ``state_cap`` states it raises StateCapExceeded."""
+    if start == goal:
+        return 1
+    seen, fronts = ({start}, {goal}), [[start], [goal]]
+    while fronts[0] and fronts[1]:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        own, other = seen[side], seen[1 - side]
+        level = []
+        for cur in fronts[side]:
+            for nxt in successors(cur):
+                if nxt in own:
+                    continue
+                if nxt in other:
+                    return len(own) + len(other)
+                own.add(nxt)
+                if len(own) + len(other) > state_cap:
+                    raise StateCapExceeded(f"search passed {state_cap} configurations")
+                level.append(nxt)
+        fronts[side] = level
+    return len(seen[0]) + len(seen[1])

@@ -2,9 +2,11 @@
 
 ``tapes.solve_tape`` checks the instance once on entry and then tests a moved
 head only for coverage and the number window; this module keeps the direct
-loop it replaced, which validates each expanded configuration and each
+successors it replaced, which validate each expanded configuration and each
 successor with ``is_valid_configuration``, as the oracle the search is
-compared against.
+compared against.  The oracle's witness is a search from cs alone
+(``helpers.one_sided_path``) and its count a search from both ends
+(``helpers.two_ended_count``), as ``dsr.bfs`` returns them.
 
 ``tapes.is_irreducible`` searches only the letter masks its cells reach;
 ``is_irreducible`` here keeps the dense dynamic programme over every alphabet
@@ -20,8 +22,9 @@ import itertools
 from collections import deque
 from typing import Optional, Sequence
 
+from helpers import one_sided_path, two_ended_count
 from reconflab.dsr import ReconfigResult
-from reconflab.errors import MalformedInput, StateCapExceeded
+from reconflab.errors import MalformedInput
 from reconflab.tapes import (
     MultiTapeInstance,
     Tape,
@@ -45,31 +48,17 @@ def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, .
 
 
 def solve_tape(inst: TapeInstance, state_cap: int) -> ReconfigResult:
-    """Breadth-first search over ``successors``, with ``solve_tape``'s signature."""
+    """Breadth-first search over ``successors`` from cs alone, with
+    ``solve_tape``'s signature; the count and the cap outcome are those of a
+    search from both ends."""
     cs, ct = tuple(inst.cs), tuple(inst.ct)
     for name, config in (("cs", cs), ("ct", ct)):
         if not is_valid_configuration(inst, config):
             raise MalformedInput(f"{name} is not a valid configuration")
-    if cs == ct:
-        return ReconfigResult(True, (cs,), 1)
-    parents: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {cs: None}
-    queue = deque([cs])
-    while queue:
-        cur = queue.popleft()
-        for nxt in successors(inst, cur):
-            if nxt in parents:
-                continue
-            parents[nxt] = cur
-            if nxt == ct:
-                path = [nxt]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return ReconfigResult(True, tuple(path), len(parents))
-            if len(parents) > state_cap:
-                raise StateCapExceeded(f"tape search passed {state_cap} configurations")
-            queue.append(nxt)
-    return ReconfigResult(False, None, len(parents))
+    step = lambda c: successors(inst, c)
+    explored = two_ended_count(cs, ct, step, state_cap)
+    path = one_sided_path(cs, ct, step)
+    return ReconfigResult(path is not None, path, explored)
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,33 @@ def test_solve_tape_rejects_letters_outside_the_alphabet(tmp_path, capsys):
     assert code == 2 and out is None
 
 
+def _three_cell_tape_doc():
+    """One path tape over two letters, cells {0, 1}, {1}, {0, 1}."""
+    return serialize.tape_instance_to_json(TapeInstance(2, (path_tape([3, 2, 3]),), (0,), (2,)))
+
+
+def test_solve_tape_rejects_a_letter_listed_twice_on_a_cell(tmp_path, capsys):
+    """[0, 1, 0, 1] decoded like [0, 1], and solve-tape answered on it."""
+    doc = _three_cell_tape_doc()
+    doc["tapes"][0]["content"]["0"] = [0, 1, 0, 1]
+    code = main(["solve-tape", write(tmp_path, "t.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cell 0 lists letter 0 twice" in captured.err
+
+
+@pytest.mark.parametrize("key, cell", [("00", 0), ("+0", 0), (" 1", 1)])
+def test_solve_tape_rejects_a_content_key_that_is_not_a_cell_id(tmp_path, capsys, key, cell):
+    """Such a key was read with ``int`` and its letters merged into the cell
+    the canonical key names."""
+    doc = _three_cell_tape_doc()
+    doc["tapes"][0]["content"][key] = [0]
+    code = main(["solve-tape", write(tmp_path, "t.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"content key {key!r} is not the id of cell {cell}" in captured.err
+
+
 def test_multi_decoder_rejects_letters_outside_the_alphabet():
     multi = MultiTapeInstance(1, ((path_tape([1]), path_tape([0])),))
     doc = serialize.multi_to_json(multi)

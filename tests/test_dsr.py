@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import certificate_oracle
 import dsr_oracle
 from dsr_oracle import successors
-from helpers import fan, wheel
-from reconflab import dsr, graphs
+from helpers import fan, one_sided_path, two_ended_count, wheel
+from reconflab import dsr, graphs, tapes
 from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import (
     JUMP,
@@ -26,6 +26,7 @@ from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from reconflab.graphs import (Graph, complete_graph, cycle_graph, dominates, mask_of, path_graph,
                               set_of)
 from reconflab.reductions import tape_to_tj_cdsr
+from test_tapes import oracle_cases, wrapping_sync_instance
 
 
 # ------------------------------------------------------------------ oracle
@@ -394,6 +395,74 @@ def test_kernel_moves_tokens_outside_every_part():
                        partition=(frozenset({0, 1, 2}),))
     res = solve(inst)
     assert res.reachable and res == solve_with_oracle(inst)
+
+
+# ------------------------------------------------------------------ the search from both ends
+
+def test_bfs_returns_the_one_sided_path():
+    """On the vertices of seeded graphs, some disconnected, with each vertex's
+    successor list shuffled once: ``bfs`` returns the path of a search from
+    the start alone and stores what ``two_ended_count`` counts, and a cap one
+    below that count stops it exactly when it stored a state besides start
+    and goal."""
+    rng = random.Random("two-ended")
+    long_paths = disconnected = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.uniform(0.1, 0.5)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        disconnected += not g.is_connected()
+        order = [rng.sample(g.adj[v], len(g.adj[v])) for v in range(n)]
+
+        def step(v, visited):
+            return [w for w in order[v] if w not in visited]
+
+        for start, goal in itertools.product(range(n), repeat=2):
+            path, explored = dsr.bfs(start, goal, step, n)
+            assert path == one_sided_path(start, goal, order.__getitem__), (g.edges, order)
+            assert explored == two_ended_count(start, goal, order.__getitem__, n)
+            try:
+                dsr.bfs(start, goal, step, explored - 1)
+                capped = False
+            except StateCapExceeded:
+                capped = True
+            assert capped == (explored > len({start, goal}))
+            long_paths += path is not None and len(path) > 3
+    assert long_paths and disconnected
+
+
+def bfs_successors(inst: DsrInstance):
+    """The successor function ``dsr._bfs`` hands to ``dsr.bfs``."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsr, "bfs", lambda start, goal, successors, cap: got.append(successors)
+                   or (None, 0))
+        dsr._bfs(inst, 0)
+    return got[0]
+
+
+def test_moves_are_reversible():
+    """y is a successor of x iff x is one of y, on every state reachable from
+    the start, for token and head moves alike: the search from both ends
+    grows the goal side along successors."""
+    rng = random.Random("reversible")
+    searches = []
+    for kind in ["slide", "jump", "core", "connected-slide", "connected-jump", "partitioned",
+                 "disconnected", "tj-cdsr"]:
+        for _ in range(30):
+            inst = tj_cdsr_case(rng) if kind == "tj-cdsr" else kernel_case(rng, kind)
+            searches.append((mask_of(inst.source), bfs_successors(inst)))
+    for inst in oracle_cases() + [wrapping_sync_instance(rng) for _ in range(30)]:
+        encode, _, step = tapes._kernel(inst)
+        searches.append((encode(inst.cs), step))
+    for start, step in searches:
+        moves, todo = {}, [start]
+        while todo:
+            x = todo.pop()
+            if x not in moves:
+                moves[x] = set(step(x, {}))
+                todo += moves[x]
+        assert all(x in moves[y] for x in moves for y in moves[x])
 
 
 # ------------------------------------------------------------------ witnesses

@@ -182,13 +182,18 @@ def _oracle_multi(multi):
     return MultiResult(False, None)
 
 
-def test_solve_tape_matches_oracle():
-    # sigma 4 with sparse letters gives the unreachable cases
+def oracle_cases():
+    """Seeded instances, plain and synchronized, and star encodings; sigma 4
+    with sparse letters gives the unreachable cases."""
     cases = [gen_random_tape_instance(seed, 2 + seed % 3, 4, sigma, sync=seed % 2 == 0,
                                       content_prob=prob)
              for sigma, prob in ((2, 0.55), (4, 0.35)) for seed in range(60)]
     cases += [partitioned_dsr_to_sync_stars(partitioned_instance(seed)) for seed in range(20)]
-    cases += [replace(inst, ct=inst.cs) for inst in cases[:4]]
+    return cases + [replace(inst, ct=inst.cs) for inst in cases[:4]]
+
+
+def test_solve_tape_matches_oracle():
+    cases = oracle_cases()
     for inst in cases:
         assert solve_tape(inst) == tape_oracle.solve_tape(inst, DEFAULT_STATE_CAP)
     capped = 0
