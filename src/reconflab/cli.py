@@ -204,11 +204,16 @@ def _cmd_acceptance(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def state_cap(text):  # argparse names it in "invalid state_cap value"
-    cap = int(text)
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"state cap {cap} is negative")
-    return cap
+def _count(what: str):
+    """The argparse type of a count that may not be negative; argparse names
+    it in "invalid state_cap value" and the like."""
+    def parse(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} {value} is negative")
+        return value
+    parse.__name__ = what.replace(" ", "_")
+    return parse
 
 
 def _arg(*flags, **kwargs):
@@ -216,7 +221,7 @@ def _arg(*flags, **kwargs):
 
 
 _INSTANCE = _arg("instance")
-_CAP = _arg("--state-cap", type=state_cap, default=DEFAULT_STATE_CAP,
+_CAP = _arg("--state-cap", type=_count("state cap"), default=DEFAULT_STATE_CAP,
             help="abort searches beyond this many configurations")
 _K = _arg("--k", type=int, default=None)
 
@@ -244,7 +249,7 @@ SUBCOMMANDS = {
     "acceptance": (_cmd_acceptance, "run the full oracle-equivalence suite", [
         _arg("--quick", action="store_true",
              help="reduced trial counts (smoke test, not the official run)"),
-        _arg("--trials", type=int, default=0,
+        _arg("--trials", type=_count("trial count"), default=0,
              help="raise randomized criteria to at least this many trials")]),
 }
 

@@ -210,7 +210,7 @@ def is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
         return False
     g = inst.graph
     if inst.connected and len(d) > 1:
-        nbr_sets = g.nbr_sets
+        nbr_sets = g.nbr_sets or g.neighbor_sets()
         for v in d:
             if d.isdisjoint(nbr_sets[v]):
                 return False
@@ -350,10 +350,10 @@ def verify_witness(inst: DsrInstance, seq: list[frozenset[int]]) -> bool:
 
 def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
                               forced: int = 0, banned: int = 0, connected: bool = False):
-    """Yield every set of exactly ``size`` vertices that dominates ``target``
-    (a vertex mask, all of V by default), holds every vertex of ``forced`` and
-    none of ``banned``; each set once.  With ``connected`` only the sets that
-    induce a connected graph, and in the same order as without it.
+    """An iterator over every set of exactly ``size`` vertices that dominates
+    ``target`` (a vertex mask, all of V by default), holds every vertex of
+    ``forced`` and none of ``banned``; each set once.  With ``connected`` only
+    the sets that induce a connected graph, and in the same order as without it.
 
     Branches on the undominated target x whose N[x] has the fewest vertices
     neither chosen nor banned (the lowest x on a tie; one left ends the scan);
@@ -383,8 +383,17 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
     completion that connects the chosen set is among them.
     Output-sensitive, so it stays usable where scanning all n-choose-size
     subsets would not; past ``graphs.ENUM_CAP`` nodes branched on or filled
-    in one call it raises SizeCapExceeded.
+    in one call it raises SizeCapExceeded while being iterated.  The search
+    hands out blocks (a fill's ``combinations`` mapped to sets, a leaf's sets)
+    that ``chain.from_iterable`` flattens, so it resumes once per block, not
+    once per set.
     """
+    return itertools.chain.from_iterable(
+        _dominating_set_blocks(g, size, target, forced, banned, connected))
+
+
+def _dominating_set_blocks(g, size, target, forced, banned, connected):
+    """``enumerate_dominating_sets``'s search, yielding its sets in blocks."""
     full, closed = g.full_mask, g.closed_mask
     if target is None:
         target = full
@@ -402,12 +411,12 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
         missing = target & ~covered
         if not missing:
             if not connected:
-                free = [u for u in range(g.n) if not (dmask | banned) >> u & 1]
-                yield from map(frozenset(d).union, itertools.combinations(free, size - len(d)))
+                free = bits(full & ~(dmask | banned))
+                yield map(frozenset(d).union, itertools.combinations(free, size - len(d)))
                 continue
             if len(d) == size:
                 if component_of(g, dmask) == dmask:
-                    yield frozenset(d)
+                    yield (frozenset(d),)
                 continue
         if len(d) + 1 == size:  # the last vertex must dominate all that is missing
             last = full & ~(dmask | banned)
@@ -417,8 +426,8 @@ def enumerate_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
                 missing ^= low
             if connected and last:
                 last = _joins_every_component(g, dmask, last)
-            chosen = frozenset(d)
-            yield from (chosen | {u} for u in bits(last))
+            if last:
+                yield map(frozenset(d).union, zip(bits(last)))
             continue
         nodes += 1
         if nodes > cap:

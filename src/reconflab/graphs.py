@@ -57,15 +57,15 @@ def set_of(mask: int) -> frozenset[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1, stored as masks:
     ``nbr_mask``, ``closed_mask`` and ``full_mask``.  ``edges``, ``m`` and
-    ``degree`` are read off them; ``adj``, ``nbr_sets`` and the hash are
-    filled on first use with values the masks fix, so a graph stays safe to
-    share across threads, and none of them takes part in equality.
+    ``degree`` are read off them; ``adj``, the ``nbr_sets`` slot and the
+    hash are filled on first use with values the masks fix, so a graph stays
+    safe to share across threads, and none of them takes part in equality.
 
     ``labels`` carries optional role tags ("cell:2:0", "letter:1", ...) that
     reduction artifacts attach to their vertices.
     """
 
-    __slots__ = ("n", "labels", "nbr_mask", "closed_mask", "full_mask", "_adj", "_nbr_sets",
+    __slots__ = ("n", "labels", "nbr_mask", "closed_mask", "full_mask", "_adj", "nbr_sets",
                  "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Optional[dict[int, str]] = None):
@@ -87,7 +87,7 @@ class Graph:
                 if not (0 <= v < n):
                     raise MalformedInput(f"label on unknown vertex {v}")
         self.labels = dict(labels) if labels else {}
-        self._adj = self._nbr_sets = self._hash = None
+        self._adj = self.nbr_sets = self._hash = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -106,14 +106,15 @@ class Graph:
             self._adj = [tuple(bits(nb)) for nb in self.nbr_mask]
         return self._adj
 
-    @property
-    def nbr_sets(self) -> list[frozenset[int]]:
-        """Neighbour frozensets, built once; ``dsr.is_feasible`` asks a set
-        ``d`` whether ``d.isdisjoint(nbr_sets[v])`` before it builds the set's
-        mask, which probes min(|d|, deg v) vertices."""
-        if self._nbr_sets is None:
-            self._nbr_sets = [frozenset(bits(nb)) for nb in self.nbr_mask]
-        return self._nbr_sets
+    def neighbor_sets(self) -> list[frozenset[int]]:
+        """Neighbour frozensets, built at the first call and kept in the
+        ``nbr_sets`` slot (None until then), which a hot loop reads with no
+        call: ``dsr.is_feasible`` asks a set ``d`` whether
+        ``d.isdisjoint(nbr_sets[v])`` before it builds the set's mask, which
+        probes min(|d|, deg v) vertices."""
+        if self.nbr_sets is None:
+            self.nbr_sets = [frozenset(bits(nb)) for nb in self.nbr_mask]
+        return self.nbr_sets
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]

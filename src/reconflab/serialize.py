@@ -130,6 +130,15 @@ def _int(x) -> int:
     return x
 
 
+def _check_keys(raw: dict, what: str, noun: str) -> None:
+    """Refuse the first key of ``raw`` not written as ``str`` of the id it
+    names: "00" or " 1" would merge into another key's vertex or cell."""
+    for key in raw:
+        i = int(key)
+        if str(i) != key:
+            raise MalformedInput(f"{what} key {key!r} is not the id of {noun} {i}")
+
+
 def _vertices(raw, what: str) -> frozenset[int]:
     """A JSON list of vertices as a set; a vertex listed twice is malformed
     (canonical output lists each once, sorted)."""
@@ -152,7 +161,10 @@ def graph_from_json(payload: dict) -> Graph:
         raise MalformedInput("expected a graph document")
     n = _int(_need(payload, "n"))
     edges = [(_int(u), _int(v)) for u, v in _need(payload, "edges")]
-    labels = {int(v): str(lab) for v, lab in payload.get("labels", {}).items()}
+    raw = payload.get("labels", {})
+    labels = {int(v): str(lab) for v, lab in raw.items()}
+    if list(map(str, labels)) != list(raw):
+        _check_keys(raw, "label", "vertex")
     return Graph(n, edges, labels)
 
 
@@ -180,6 +192,10 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
         missing = [c for c in range(cells.n) if str(c) not in raw]
         if missing:
             raise MalformedInput(f"tape numbering misses cells {missing}")
+        if len(raw) != cells.n:  # every cell has its key, so some key names no cell
+            _check_keys(raw, "number", "cell")
+            extra = [c for c in map(int, raw) if not 0 <= c < cells.n]
+            raise MalformedInput(f"tape numbering names unknown cells {extra}")
         number = tuple(_int(raw[str(c)]) for c in range(cells.n))
     return Tape(
         cells=cells,

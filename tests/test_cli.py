@@ -580,6 +580,33 @@ def test_solve_tape_rejects_a_content_key_that_is_not_a_cell_id(tmp_path, capsys
     assert f"content key {key!r} is not the id of cell {cell}" in captured.err
 
 
+@pytest.mark.parametrize("key, message", [
+    ("00", "number key '00' is not the id of cell 0"),
+    (" 1", "number key ' 1' is not the id of cell 1"),
+    ("7", "tape numbering names unknown cells [7]"),
+    ("-1", "tape numbering names unknown cells [-1]"),
+])
+def test_solve_tape_rejects_a_number_key_that_names_no_cell(tmp_path, capsys, key, message):
+    """The decoder read each cell's canonical key and ignored any other."""
+    doc = serialize.tape_instance_to_json(TapeInstance(
+        2, (path_tape([3, 2, 3], number=[1, 2, 3]),), (0,), (2,), sync=True, r=3))
+    doc["tapes"][0]["number"][key] = 1
+    code = main(["solve-tape", write(tmp_path, "t.json", doc)])
+    assert code == 2 and capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("labels, key, vertex", [
+    ({"0": "a", "00": "b"}, "00", 0), ({" 1": "a"}, " 1", 1),
+])
+def test_solve_rejects_a_label_key_that_is_not_a_vertex_id(tmp_path, capsys, labels, key, vertex):
+    """``int`` read "00" as vertex 0, so two labels collapsed into one."""
+    doc = serialize.dsr_to_json(DsrInstance(path_graph(2), 1, frozenset({0}), frozenset({1})))
+    doc["graph"]["labels"] = labels
+    code = main(["solve", write(tmp_path, "i.json", doc)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: label key {key!r} is not the id of vertex {vertex}\n")
+
+
 def test_multi_decoder_rejects_letters_outside_the_alphabet():
     multi = MultiTapeInstance(1, ((path_tape([1]), path_tape([0])),))
     doc = serialize.multi_to_json(multi)
@@ -660,6 +687,13 @@ def test_negative_state_cap_exits_2(tmp_path, capsys, command, kind):
     assert main([command, write(tmp_path, "in.json", doc), *options, "--state-cap", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith("error: argument --state-cap: state cap -1 is negative\n")
+
+
+def test_negative_trial_count_exits_2(capsys):
+    """The suite clamped a negative count to none and ran in full."""
+    assert main(["acceptance", "--trials", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument --trials: trial count -5 is negative\n")
 
 
 def _sync_multi_doc():

@@ -821,6 +821,20 @@ def test_enumerator_counts_its_branching_nodes_against_the_cap(monkeypatch):
     assert list(enumerate_dominating_sets(g, 2)) == want == [{0, 3}, {1, 3}, {1, 4}]
 
 
+def test_enumerator_stays_lazy(monkeypatch):
+    """On the star with centre 0 and leaves 1-4, size 3 branches at the root
+    on N[1] = {0, 1}.  Its first child, 0, dominates everything and is filled
+    with pairs of leaves; its second, 1, is a second branching node.  With a
+    cap of 1 the call raises nothing, the fill's first set comes out, and only
+    iterating on to that second node raises."""
+    g = Graph(5, [(0, v) for v in range(1, 5)])
+    monkeypatch.setattr(graphs, "ENUM_CAP", 1)
+    sets = enumerate_dominating_sets(g, 3)
+    assert next(sets) == {0, 1, 2}
+    with pytest.raises(SizeCapExceeded):
+        list(sets)
+
+
 def test_coverage_bound_ignores_banned_vertices(monkeypatch):
     """With wheel(33)'s rim vertex 1 and its closed neighbourhood, the hub
     included, banned, every vertex left dominates 4 of the 32 targets, so two

@@ -164,8 +164,9 @@ def test_nbr_sets_match_adj_are_built_once_and_stay_out_of_equality():
     for _ in range(300):
         g = random_graph(rng, rng.randint(0, 12), rng.random())
         h = Graph(g.n, g.edges)
-        sets = g.nbr_sets
-        assert g.nbr_sets is sets
+        assert g.nbr_sets is None
+        sets = g.neighbor_sets()
+        assert g.nbr_sets is sets and g.neighbor_sets() is sets
         assert all(sets[v] == set(g.adj[v]) for v in range(g.n)) and len(sets) == g.n
         assert g == h and hash(g) == hash(h) == hash((g.n, g.edges))
 
