@@ -158,11 +158,11 @@ def validate_instance(inst: DsrInstance) -> None:
             raise MalformedInput(f"{name} is not a feasible configuration")
 
 
-def _joins_every_component(g: Graph, rest: int, common: int = -1) -> int:
-    """The vertices of ``common`` (every vertex by default, as -1) in or next
-    to every component of G[rest], as a mask; ``common`` itself when rest is
-    empty.  Outside rest they are exactly the v for which rest + v induces a
-    connected graph.  Stops peeling components once none of common is left."""
+def _joins_every_component(g: Graph, rest: int, common: int) -> int:
+    """The vertices of the mask ``common`` in or next to every component of
+    G[rest], as a mask; all of ``common`` when rest is empty.  A vertex v of
+    common outside rest is kept exactly when rest + v induces a connected
+    graph.  Stops peeling components once none of common is left."""
     while common and (comp := component_of(g, rest)):
         rest ^= comp
         common &= closed_mask_of(g, bits(comp))

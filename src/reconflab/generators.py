@@ -152,22 +152,18 @@ def gen_sync_path_instance(seed: int, tapes: int, cells: int, sigma: int) -> Tap
     raise RetryBudgetExceeded("no synchronized path instance within the retry budget")
 
 
-def gen_random_multi(seed: int, tuples: int, members: int, cells: int,
-                     sigma: int = 1) -> MultiTapeInstance:
+def gen_random_multi(seed: int, tuples: int, members: int, cells: int) -> MultiTapeInstance:
     from .tapes import MultiTapeInstance, path_tape
     rng = random.Random(seed)
     shape = []
     for _ in range(rng.randint(1, tuples)):
         shape.append(
             tuple(
-                path_tape(
-                    [sum(1 << l for l in range(sigma) if rng.random() < 0.6)
-                     for _ in range(rng.randint(1, cells))]
-                )
+                path_tape([int(rng.random() < 0.6) for _ in range(rng.randint(1, cells))])
                 for _ in range(rng.randint(1, members))
             )
         )
-    return MultiTapeInstance(sigma=sigma, tuples=tuple(shape))
+    return MultiTapeInstance(sigma=1, tuples=tuple(shape))
 
 
 def gen_random_dsr_instance(seed: int, n_max: int = 6, k_max: int = 3) -> DsrInstance:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, enumerate_dominating_sets,
-                  has_dominating_set, is_feasible, minimum_dominating_sets, solve)
+                  has_dominating_set, is_feasible, minimum_dominating_sets, solve,
+                  validate_instance)
 from . import graphs
 from .errors import MalformedInput, SizeCapExceeded
 from .graphs import Graph, complete_graph, mask_of
@@ -25,6 +26,7 @@ from .tapes import (
     is_irreducible,
     path_order,
     path_tape,
+    require_valid,
     solve_multi,
     solve_tape,
     tape_is_path,
@@ -781,68 +783,63 @@ def check_guard_containment(inst: DsrInstance) -> bool:
 # ---------------------------------------------------------------------------
 # the construction table: every reduction with an exact solver for each side
 
-def _reachable(inst: DsrInstance, cap: int) -> bool:
-    return solve(inst, cap).reachable
-
-
-def _tape_reachable(inst: TapeInstance, cap: int) -> bool:
-    return solve_tape(inst, cap).reachable
-
-
-def _selectable(inst: MultiTapeInstance, cap: int) -> bool:
-    return solve_multi(inst, cap).positive
-
-
-def _has_dominating_set(g: Graph, k: int, cap: int) -> bool:
-    return has_dominating_set(g, k)
-
-
-def _weighted_satisfiable(phi: NormalizedFormula, k: int, cap: int) -> bool:
-    return weighted_satisfiable(phi, k)
+def answer(inst, k: int | None = None, cap: int = DEFAULT_STATE_CAP) -> bool:
+    """The exact answer of any instance a construction reads or builds,
+    solved by its type; a graph is asked for a dominating set of at most
+    ``k`` vertices and a formula for a satisfying set of ``k`` variables."""
+    if isinstance(inst, DsrInstance):
+        return solve(inst, cap).reachable
+    if isinstance(inst, TapeInstance):
+        return solve_tape(inst, cap).reachable
+    if isinstance(inst, MultiTapeInstance):
+        return solve_multi(inst, cap).positive
+    if isinstance(inst, Graph):
+        return has_dominating_set(inst, k)
+    if isinstance(inst, NormalizedFormula):
+        return weighted_satisfiable(inst, k)
+    raise MalformedInput(f"no exact solver for a {type(inst).__name__}")
 
 
 class Construction(NamedTuple):
-    """One reduction: what it reads, the ``reduce --to`` name of what it
-    builds, and how each side is solved.  ``transform`` and ``source_answer``
-    take ``(inst, k)`` when ``needs_k`` is set and ``(inst,)`` otherwise; both
-    answers also take the state cap.  A NamedTuple rather than a dataclass:
-    the table is built on every CLI start, and a frozen dataclass costs about
-    a millisecond more to create."""
+    """One reduction: the type it reads, the ``reduce --to`` name of what it
+    builds, and the transform.  A graph or formula source also takes ``k``.
+    A NamedTuple rather than a dataclass: the table is built on every CLI
+    start, and a frozen dataclass costs about a millisecond more to create."""
 
     source: type
     to: str
     transform: Callable
-    needs_k: bool
-    source_answer: Callable[..., bool]
-    target_answer: Callable[..., bool]
-
-    def _args(self, inst, k: int | None) -> tuple:
-        return (inst, k) if self.needs_k else (inst,)
 
     def build(self, inst, k: int | None = None):
-        return self.transform(*self._args(inst, k))
+        """The output on ``inst``, which must be a valid instance of the
+        source type, with ``k`` when that type needs it."""
+        name = self.transform.__name__
+        if not isinstance(inst, self.source):
+            raise MalformedInput(f"{name} expects a {self.source.__name__}, "
+                                 f"not a {type(inst).__name__}")
+        if self.source in (Graph, NormalizedFormula):
+            if k is None:
+                raise MalformedInput(f"{name} needs k (--k)")
+            return self.transform(inst, k)
+        if isinstance(inst, DsrInstance):
+            validate_instance(inst)
+        else:
+            require_valid(inst)
+        return self.transform(inst)
 
     def replay(self, inst, k: int | None = None, cap: int = DEFAULT_STATE_CAP):
         """Build the output and solve both sides: ``(output, answers agree)``."""
         out = self.build(inst, k)
-        return out, self.target_answer(out, cap) == self.source_answer(*self._args(inst, k), cap)
+        return out, answer(out, cap=cap) == answer(inst, k, cap)
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    "dominating-set": Construction(Graph, "sync-multi", ds_to_sync_multi, True,
-                                   _has_dominating_set, _selectable),
-    "sync-stars": Construction(DsrInstance, "sync-stars", partitioned_dsr_to_sync_stars,
-                               False, _reachable, _tape_reachable),
-    "triangle": Construction(TapeInstance, "tape", desynchronize_triangle, False,
-                             _tape_reachable, _tape_reachable),
-    "path": Construction(TapeInstance, "path-tape", desynchronize_path, False,
-                         _tape_reachable, _tape_reachable),
-    "selector": Construction(MultiTapeInstance, "path-tape", select_from_tuples, False,
-                             _selectable, _tape_reachable),
-    "ts-dsr": Construction(TapeInstance, "ts-dsr", tape_to_ts_dsr, False,
-                           _tape_reachable, _reachable),
-    "tj-cdsr": Construction(TapeInstance, "tj-cdsr", tape_to_tj_cdsr, False,
-                            _tape_reachable, _reachable),
-    "formula": Construction(NormalizedFormula, "multi-tape", formula_to_multi, True,
-                            _weighted_satisfiable, _selectable),
+    "dominating-set": Construction(Graph, "sync-multi", ds_to_sync_multi),
+    "sync-stars": Construction(DsrInstance, "sync-stars", partitioned_dsr_to_sync_stars),
+    "triangle": Construction(TapeInstance, "tape", desynchronize_triangle),
+    "path": Construction(TapeInstance, "path-tape", desynchronize_path),
+    "selector": Construction(MultiTapeInstance, "path-tape", select_from_tuples),
+    "ts-dsr": Construction(TapeInstance, "ts-dsr", tape_to_ts_dsr),
+    "tj-cdsr": Construction(TapeInstance, "tj-cdsr", tape_to_tj_cdsr),
+    "formula": Construction(NormalizedFormula, "multi-tape", formula_to_multi),
 }

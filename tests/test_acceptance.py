@@ -1,8 +1,8 @@
 """Runs every acceptance criterion at its official trial counts.
 
 One test per criterion so the report shows a pass/fail line for each; the
-suite is the exit gate and runs in full (a few minutes, dominated by the
-token-jumping enumeration)."""
+suite is the exit gate and runs in full, in about a second
+(``reconflab acceptance`` took 0.8-1.1 s on a 2-core VM)."""
 import io
 import re
 import sys

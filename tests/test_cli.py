@@ -780,6 +780,29 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["solve", str(p)]) == 2
 
 
+_UNREADABLE = {
+    "long-integer": b"1" + b"0" * 5000,
+    "deep-nesting": b"[" * 5000 + b"]" * 5000,
+    "not-utf8": b'{"kind": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("content", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+def test_a_file_the_json_reader_cannot_read_exits_2(tmp_path, capsys, content):
+    """Python's int-digit limit, its recursion limit and a byte that is not
+    UTF-8 make ``json.load`` raise a ValueError or RecursionError other than a
+    syntax error; each is malformed input, in either file slot."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    inst = DsrInstance(path_graph(3), 2, frozenset({0, 1}), frozenset({1, 2}), SLIDE)
+    ipath = write(tmp_path, "i.json", serialize.dsr_to_json(inst))
+    for argv in (["solve", str(bad)], ["verify-witness", ipath, str(bad)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+
+
 def test_state_cap_exits_3(tmp_path, capsys):
     from reconflab.graphs import complete_graph
 

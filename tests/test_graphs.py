@@ -126,7 +126,7 @@ def test_joins_every_component_matches_the_oracle():
     rng = random.Random(4343)
     for _ in range(3000):
         g, rest = _random_within(rng)
-        got = _joins_every_component(g, rest)
+        got = _joins_every_component(g, rest, -1)
         common = rng.randrange(1 << g.n) if g.n else 0
         assert _joins_every_component(g, rest, common) == got & common
         if not rest:

@@ -12,6 +12,7 @@ from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
 from reconflab.errors import MalformedInput, StateCapExceeded
 from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feedback_vertex_set
 from reconflab.reductions import (
+    CONSTRUCTIONS,
     NormalizedFormula,
     and_compose,
     check_guard_containment,
@@ -915,3 +916,30 @@ def test_path_desynchronizer_rejects_a_wrapping_path():
     assert solve_tape(desynchronize_triangle(inst)).reachable
     with pytest.raises(MalformedInput, match="^tape 0 numbering climbs by more than 1 between"):
         desynchronize_path(inst)
+
+
+# ------------------------------------------------------------- the table's entry check
+
+_HEAD_OFF_TAPE = TapeInstance(2, (path_tape([1, 1]), path_tape([2, 2])), (5, 0), (1, 1))
+_P4_MISSING_3 = DsrInstance(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2, frozenset({0, 1}),
+                            frozenset({2, 3}), JUMP,
+                            partition=(frozenset({0, 3}), frozenset({1, 2})))
+
+
+@pytest.mark.parametrize("name,inst,message", [
+    ("ts-dsr", _HEAD_OFF_TAPE, "cs has a cell out of range"),
+    ("tj-cdsr", _HEAD_OFF_TAPE, "cs has a cell out of range"),
+    ("sync-stars", _P4_MISSING_3, "source is not a feasible configuration"),
+    ("dominating-set", cycle_graph(5), "needs k"),
+    ("ts-dsr", _P4_MISSING_3, "expects a TapeInstance, not a DsrInstance"),
+], ids=["ts-dsr-head-off-tape", "tj-cdsr-head-off-tape", "sync-stars-source-misses-3",
+        "dominating-set-without-k", "ts-dsr-from-a-dsr-instance"])
+def test_the_table_checks_its_input(name, inst, message):
+    """``build`` and ``replay`` refuse input of the wrong type, a missing k
+    and an instance its validator rejects.  Called directly, ts-dsr put head
+    0 on cell 5 of a 2-cell tape, a letter vertex of its output, and
+    sync-stars encoded a source that does not dominate."""
+    con = CONSTRUCTIONS[name]
+    for call in (con.build, con.replay):
+        with pytest.raises(MalformedInput, match=message):
+            call(inst)

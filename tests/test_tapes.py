@@ -10,7 +10,7 @@ from helpers import partitioned_instance, successors, tape_is_subdivided_star
 from reconflab import tapes
 from reconflab.dsr import DEFAULT_STATE_CAP
 from reconflab.errors import MalformedInput, StateCapExceeded
-from reconflab.generators import gen_random_multi, gen_random_tape_instance
+from reconflab.generators import gen_random_tape_instance
 from reconflab.graphs import Graph, complete_graph, cycle_graph
 from reconflab.reductions import ds_to_sync_multi, partitioned_dsr_to_sync_stars
 from reconflab.tapes import (
@@ -182,6 +182,17 @@ def _oracle_multi(multi):
     return MultiResult(False, None)
 
 
+def two_letter_multi(seed):
+    """A seeded multi-tape instance of 1-3 tuples of 1-3 path tapes of 1-3
+    cells over two letters, each letter on a cell with probability 0.6."""
+    rng = random.Random(seed)
+    shape = [tuple(path_tape([sum(1 << l for l in range(2) if rng.random() < 0.6)
+                              for _ in range(rng.randint(1, 3))])
+                   for _ in range(rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))]
+    return MultiTapeInstance(sigma=2, tuples=tuple(shape))
+
+
 def oracle_cases():
     """Seeded instances, plain and synchronized, and star encodings; sigma 4
     with sparse letters gives the unreachable cases."""
@@ -208,7 +219,7 @@ def test_solve_tape_matches_oracle():
     multis = [ds_to_sync_multi(Graph(n, [e for e in itertools.combinations(range(n), 2)
                                          if rng.random() < 0.4]), k)
               for n, k in ((4, 1), (4, 2), (5, 2), (5, 3), (6, 2))]
-    multis += [gen_random_multi(seed, 3, 3, 3, sigma=2) for seed in range(20)]
+    multis += [two_letter_multi(seed) for seed in range(20)]
     for multi in multis:
         assert solve_multi(multi) == _oracle_multi(multi)
         for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
