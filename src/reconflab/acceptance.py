@@ -58,17 +58,10 @@ class CriterionResult:
     details: str
 
 
-def _count(full: int, quick: bool, floor: int, quick_min: int = 10) -> int:
-    """Trials to run: the official ``full``, a tenth of it (at least
-    ``quick_min``) when quick, and never fewer than ``floor``."""
-    base = max(quick_min, full // 10) if quick else full
-    return max(base, floor)
-
-
 # ---------------------------------------------------------------- criterion 1
 
-def _c01_check_encoding(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(200, quick, floor)
+def _c01_check_encoding() -> tuple[bool, str]:
+    trials = 200
     rng = random.Random(7101)
     bad = 0
     for _ in range(trials):
@@ -83,7 +76,7 @@ def _c01_check_encoding(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 2
 
-def _c02_drawn_pattern(quick: bool, floor: int = 0) -> tuple[bool, str]:
+def _c02_drawn_pattern() -> tuple[bool, str]:
     inst = ds_to_sync_multi(cycle_graph(5), 2)
     marks = ["".join("x" if c else "." for c in t.content) for t in inst.tuples[0]]
     expected = ["xx..x", "xxx..", ".xxx.", "..xxx", "x..xx"]
@@ -100,8 +93,8 @@ def _c02_drawn_pattern(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 3
 
-def _c03_triangle_desync(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(100, quick, floor)
+def _c03_triangle_desync() -> tuple[bool, str]:
+    trials = 100
     rng = random.Random(7301)
     for i in range(trials):
         inst = gen_random_tape_instance(
@@ -120,8 +113,8 @@ def _c03_triangle_desync(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 4
 
-def _c04_path_desync_and_selector(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(100, quick, floor)
+def _c04_path_desync_and_selector() -> tuple[bool, str]:
+    trials = 100
     rng = random.Random(7401)
     for i in range(trials):
         inst = gen_sync_path_instance(
@@ -152,11 +145,11 @@ def _small_irreducible(rng, cells: int, sigma: int):
     return inst, desynchronize_triangle(inst)
 
 
-def _c05_sliding_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(100, quick, floor)
+def _c05_sliding_reduction() -> tuple[bool, str]:
+    trials = 100
     rng = random.Random(7501)
     for i in range(trials):
-        src, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
+        _, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
         if not is_irreducible(art):
             return False, f"artifact {i} not irreducible"
         dsr, agree = CONSTRUCTIONS["ts-dsr"].replay(art)
@@ -164,16 +157,17 @@ def _c05_sliding_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
             return False, f"answer changed on artifact {i}"
         if not check_min_ds_structure(dsr):
             return False, f"minimum dominating sets lost their shape on artifact {i}"
-        d_in = degeneracy(extended_graph(art))[0]
+        ext = extended_graph(art)
+        d_in = degeneracy(ext)[0]
         if degeneracy(dsr.graph)[0] > d_in + 2:
             return False, f"degeneracy bound violated on artifact {i}"
         k = len(art.tapes)
-        f_in = len(min_feedback_vertex_set(extended_graph(art)))
+        f_in = len(min_feedback_vertex_set(ext))
         if len(min_feedback_vertex_set(dsr.graph)) > f_in + k + 1:
             return False, f"feedback vertex set bound violated on artifact {i}"
         td_in = derive_decomposition(art, "tree")
         s = k  # single-bag fallback touches every tape
-        rep_in = verify_decomposition(extended_graph(art), td_in, s=s)
+        rep_in = verify_decomposition(ext, td_in, s=s)
         td_out = derive_decomposition(dsr, "tree")
         rep_out = verify_decomposition(dsr.graph, td_out, s=s)
         if not (rep_in.valid and rep_out.valid and rep_out.structured):
@@ -185,9 +179,9 @@ def _c05_sliding_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 6
 
-def _c06_jumping_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(100, quick, floor)
-    enum_trials = 6 if not quick else 2
+def _c06_jumping_reduction() -> tuple[bool, str]:
+    trials = 100
+    enum_trials = 6
     rng = random.Random(7601)
     for i in range(trials):
         _, art = _small_irreducible(rng, cells=2, sigma=2)
@@ -241,11 +235,9 @@ def _formula_corpus(rng) -> list[tuple[NormalizedFormula, int]]:
     return corpus
 
 
-def _c07_formula_pipeline(quick: bool, floor: int = 0) -> tuple[bool, str]:
+def _c07_formula_pipeline() -> tuple[bool, str]:
     rng = random.Random(7701)
     corpus = _formula_corpus(rng)
-    if quick:
-        corpus = corpus[:10] + corpus[40:44]
     for i, (phi, k) in enumerate(corpus):
         _, agree = CONSTRUCTIONS["formula"].replay(phi, k)
         if not agree:
@@ -255,8 +247,8 @@ def _c07_formula_pipeline(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 8
 
-def _c08_tape_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(200, quick, floor)
+def _c08_tape_reduction() -> tuple[bool, str]:
+    trials = 200
     rng = random.Random(7801)
     for i in range(trials):
         sigma = rng.randint(1, 3)
@@ -277,8 +269,8 @@ def _c08_tape_reduction(quick: bool, floor: int = 0) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------- criterion 9
 
-def _c09_kernelization(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(100, quick, floor)
+def _c09_kernelization() -> tuple[bool, str]:
+    trials = 100
     rng = random.Random(7901)
     fired = dict.fromkeys(("compute-core", "contract-class-components", "reduce-twins"), 0)
     whole_core = 0  # draws whose core is every vertex: no rule has a class to act on
@@ -342,8 +334,8 @@ def _dfs_reachability_oracle(inst: DsrInstance) -> bool:
     return dfs(inst.source)
 
 
-def _c10_engine_consistency(quick: bool, floor: int = 0) -> tuple[bool, str]:
-    trials = _count(500, quick, floor, quick_min=50)
+def _c10_engine_consistency() -> tuple[bool, str]:
+    trials = 500
     rng = random.Random(9001)
     for i in range(trials):
         inst = gen_random_dsr_instance(rng.randrange(2**31), n_max=6, k_max=3)
@@ -374,14 +366,13 @@ CRITERIA = [
 ]
 
 
-def run_all(quick: bool = False, log=None, trials: int = 0) -> list[CriterionResult]:
-    """Run every criterion; ``trials`` raises the per-criterion counts (it can
-    never lower them below the official numbers unless quick is set).  With a
-    ``log``, each criterion writes one PASS/FAIL line with its seconds."""
+def run_all(log=None) -> list[CriterionResult]:
+    """Run every criterion at its official counts.  With a ``log``, each
+    criterion writes one PASS/FAIL line with its seconds."""
     results = []
     for ident, title, fn in CRITERIA:
         start = time.perf_counter()
-        passed, details = fn(quick, max(0, trials))
+        passed, details = fn()
         results.append(CriterionResult(ident, title, passed, details))
         if log is not None:
             status = "PASS" if passed else "FAIL"

@@ -37,6 +37,18 @@ def _load(path: str):
     return serialize.decode(_read(path))
 
 
+def _load_dsr(path: str, command: str) -> DsrInstance:
+    """The instance in ``path`` as a DsrInstance: a dcr-instance becomes its
+    sliding instance by ``kernel.as_dsr``."""
+    inst = _load(path)
+    if isinstance(inst, DsrInstance):
+        return inst
+    from .kernel import DcrInstance, as_dsr
+    if not isinstance(inst, DcrInstance):
+        raise MalformedInput(f"{command} expects a dsr-instance or dcr-instance")
+    return as_dsr(inst)
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(serialize.canonical_dumps(payload))
 
@@ -56,14 +68,7 @@ def _reach_result(res, witness: bool, config_json) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load(args.instance)
-    if isinstance(inst, DsrInstance):
-        res = solve(inst, args.state_cap)
-    else:
-        from .kernel import DcrInstance, solve_dcr
-        if not isinstance(inst, DcrInstance):
-            raise MalformedInput("solve expects a dsr-instance or dcr-instance")
-        res = solve_dcr(inst, args.state_cap)
+    res = solve(_load_dsr(args.instance, "solve"), args.state_cap)
     _emit(_reach_result(res, args.witness, sorted))
     return EXIT_OK
 
@@ -138,13 +143,8 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_verify_witness(args) -> int:
-    inst = _load(args.instance)
+    inst = _load_dsr(args.instance, "verify-witness")
     configs = _load(args.witness)
-    if not isinstance(inst, DsrInstance):
-        from .kernel import DcrInstance, as_dsr
-        if not isinstance(inst, DcrInstance):
-            raise MalformedInput("verify-witness expects a dsr or dcr instance")
-        inst = as_dsr(inst)
     if not isinstance(configs, list):
         raise MalformedInput("verify-witness expects a witness document as its second file")
     ok = verify_witness(inst, configs)
@@ -178,7 +178,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_acceptance(args) -> int:
     from .acceptance import run_all
-    results = run_all(quick=args.quick, log=sys.stderr, trials=args.trials)
+    results = run_all(log=sys.stderr)
     _emit(serialize.envelope("acceptance-report", {
         "results": [{"criterion": r.ident, "title": r.title, "passed": r.passed,
                      "details": r.details} for r in results],
@@ -189,16 +189,11 @@ def _cmd_acceptance(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _count(what: str):
-    """The argparse type of a count that may not be negative; argparse names
-    it in "invalid state_cap value" and the like."""
-    def parse(text):
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{what} {value} is negative")
-        return value
-    parse.__name__ = what.replace(" ", "_")
-    return parse
+def state_cap(text: str) -> int:  # argparse names it in "invalid state_cap value"
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"state cap {cap} is negative")
+    return cap
 
 
 def _arg(*flags, **kwargs):
@@ -206,7 +201,7 @@ def _arg(*flags, **kwargs):
 
 
 _INSTANCE = _arg("instance")
-_CAP = _arg("--state-cap", type=_count("state cap"), default=DEFAULT_STATE_CAP,
+_CAP = _arg("--state-cap", type=state_cap, default=DEFAULT_STATE_CAP,
             help="abort searches beyond this many configurations")
 _K = _arg("--k", type=int, default=None)
 
@@ -230,11 +225,7 @@ SUBCOMMANDS = {
              help="none | connected | k3d-free:<d> | connected-k3d-free:<d>"),
         _arg("--tapes", type=int, default=2), _arg("--cells", type=int, default=4),
         _arg("--sigma", type=int, default=2), _arg("--sync", action="store_true")]),
-    "acceptance": (_cmd_acceptance, "run the full oracle-equivalence suite", [
-        _arg("--quick", action="store_true",
-             help="reduced trial counts (smoke test, not the official run)"),
-        _arg("--trials", type=_count("trial count"), default=0,
-             help="raise randomized criteria to at least this many trials")]),
+    "acceptance": (_cmd_acceptance, "run the full oracle-equivalence suite", []),
 }
 
 

@@ -116,9 +116,6 @@ class Graph:
             self.nbr_sets = [frozenset(bits(nb)) for nb in self.nbr_mask]
         return self.nbr_sets
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return self.nbr_mask[v].bit_count()
 

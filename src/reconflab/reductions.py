@@ -470,6 +470,11 @@ def or_compose(insts: Sequence[MultiTapeInstance]) -> MultiTapeInstance:
 
 Node = tuple  # ("var", i) | ("and", (nodes,)) | ("or", (nodes,))
 
+# Deepest and/or nesting a formula may have.  The tree walks below recurse a
+# few frames per level; at k >= 1 even a one-variable chain deeper than 54
+# levels overflows the alphabet cap of its tape encoding.
+FORMULA_DEPTH_CAP = 100
+
 
 @dataclass(frozen=True)
 class NormalizedFormula:
@@ -479,7 +484,7 @@ class NormalizedFormula:
     root: Node
 
     def __post_init__(self):
-        _check_node(self.root, expect="and", nvars=self.nvars)
+        _check_tree(self.root, self.nvars)
 
     def depth(self) -> int:
         return _depth(self.root)
@@ -488,20 +493,27 @@ class NormalizedFormula:
         return _eval(self.root, true_vars)
 
 
-def _check_node(node: Node, expect: str, nvars: int) -> None:
-    kind = node[0]
-    if kind == "var":
-        if not (0 <= node[1] < nvars):
-            raise MalformedInput(f"variable {node[1]} out of range")
-        return
-    if kind != expect:
-        raise MalformedInput(f"expected {expect!r} node, found {kind!r}")
-    children = node[1]
-    if not children:
-        raise MalformedInput(f"{kind} node with no children")
-    nxt = "or" if kind == "and" else "and"
-    for child in children:
-        _check_node(child, nxt, nvars)
+def _check_tree(root: Node, nvars: int) -> None:
+    """Check the alternating shape and the depth cap with an explicit stack,
+    nodes in preorder, so no nesting is too deep to check."""
+    stack = [(root, "and", 0)]
+    while stack:
+        node, expect, depth = stack.pop()
+        kind = node[0]
+        if kind == "var":
+            if not (0 <= node[1] < nvars):
+                raise MalformedInput(f"variable {node[1]} out of range")
+            continue
+        if depth == FORMULA_DEPTH_CAP:
+            raise SizeCapExceeded(f"formula nested deeper than the cap of "
+                                  f"{FORMULA_DEPTH_CAP} and/or levels")
+        if kind != expect:
+            raise MalformedInput(f"expected {expect!r} node, found {kind!r}")
+        children = node[1]
+        if not children:
+            raise MalformedInput(f"{kind} node with no children")
+        nxt = "or" if kind == "and" else "and"
+        stack.extend((child, nxt, depth + 1) for child in reversed(children))
 
 
 def _depth(node: Node) -> int:

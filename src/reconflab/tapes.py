@@ -143,7 +143,7 @@ def _kernel(inst: TapeInstance):
     A configuration is one mixed-radix int: the cell of tape i times the
     product of the earlier tapes' sizes.  A cell's row holds its letters and,
     above bit σ, its number's bit (numbers are ranked, so a huge r costs
-    nothing), and per neighbour, in ``cells.neighbors`` order, the int delta
+    nothing), and per neighbour, in ``cells.adj`` order, the int delta
     and what the neighbour lacks: the letters it does not hold and the numbers
     not mod-close to its own.  A move is legal iff that mask misses the letters
     of Σ under no other head and the heads' number window.  The window keeps
@@ -160,7 +160,7 @@ def _kernel(inst: TapeInstance):
                      for m, y in zip(t.content, t.number)]
         else:
             own, lacks = t.content, [~m for m in t.content]
-        rows = [(own[c], [((nb - c) * place, lacks[nb]) for nb in t.cells.neighbors(c)])
+        rows = [(own[c], [((nb - c) * place, lacks[nb]) for nb in t.cells.adj[c]])
                 for c in range(t.cells.n)]
         layout.append((place, t.cells.n, rows))
         place *= t.cells.n

@@ -40,7 +40,7 @@ def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, .
         raise MalformedInput("successors of an invalid configuration")
     out = []
     for i, tape in enumerate(inst.tapes):
-        for nb in tape.cells.neighbors(config[i]):
+        for nb in tape.cells.adj[config[i]]:
             nxt = config[:i] + (nb,) + config[i + 1 :]
             if is_valid_configuration(inst, nxt):
                 out.append(nxt)
@@ -99,7 +99,7 @@ def distances(g, source: int) -> list[float]:
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in g.adj[u]:
             if dist[w] == float("inf"):
                 dist[w] = dist[u] + 1
                 queue.append(w)

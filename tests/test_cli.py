@@ -689,11 +689,18 @@ def test_negative_state_cap_exits_2(tmp_path, capsys, command, kind):
     assert out == "" and err.endswith("error: argument --state-cap: state cap -1 is negative\n")
 
 
-def test_negative_trial_count_exits_2(capsys):
-    """The suite clamped a negative count to none and ran in full."""
-    assert main(["acceptance", "--trials", "-5"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith("error: argument --trials: trial count -5 is negative\n")
+def test_acceptance_reports_every_criterion_of_the_one_fixed_run(capsys):
+    """The counts are fixed: the suite has no option, so the report is
+    ``run_all``'s, in criterion order, and any option is refused."""
+    from reconflab.acceptance import run_all
+
+    code, out = run(capsys, "acceptance")
+    assert code == 0 and out["kind"] == "acceptance-report" and out["allPassed"] is True
+    assert [r["criterion"] for r in out["results"]] == [f"C{i:02d}" for i in range(1, 11)]
+    assert [r["details"] for r in out["results"]] == [r.details for r in run_all()]
+    for option in (["--quick"], ["--trials", "5"]):
+        assert main(["acceptance", *option]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def _sync_multi_doc():
@@ -850,6 +857,30 @@ def test_composed_formula_past_the_tape_cap_exits_3(tmp_path, capsys, monkeypatc
     path = write(tmp_path, "phi.json", serialize.formula_to_json(phi))
     assert main(["reduce", path, "--to", "multi-tape", "--k", "1"]) == 3
     assert capsys.readouterr().err == "cap exceeded: 8 tapes exceed the cap of 7\n"
+
+
+def _nested_formula_text(depth: int) -> str:
+    """A one-variable formula document nested ``depth`` and/or levels deep,
+    written as text: the JSON encoder recurses once per list."""
+    ops = ["and" if level % 2 == 0 else "or" for level in range(depth)]
+    tree = "".join(f'["{op}", [' for op in ops) + '["var", 0]' + "]]" * depth
+    return '{"kind": "formula", "version": 1, "vars": 1, "tree": ' + tree + "}"
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "--to", "multi-tape", "--k", "1"],
+    ["verify-reduction", "--construction", "formula", "--k", "0"],
+], ids=["reduce", "verify-reduction"])
+def test_formula_nested_past_the_depth_cap_exits_3(tmp_path, capsys, command):
+    """330 levels passed the JSON reader and then overflowed Python's stack in
+    the recursive tree walks; the cap refuses them before any walk."""
+    from reconflab.reductions import FORMULA_DEPTH_CAP
+
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_formula_text(330))
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert capsys.readouterr() == ("", f"cap exceeded: formula nested deeper than the cap of "
+                                       f"{FORMULA_DEPTH_CAP} and/or levels\n")
 
 
 @pytest.mark.parametrize("doc", [

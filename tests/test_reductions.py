@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 import certificate_oracle
 from helpers import grid, tape_is_subdivided_star
 from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
-from reconflab.errors import MalformedInput, StateCapExceeded
+from reconflab.errors import MalformedInput, SizeCapExceeded, StateCapExceeded
 from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feedback_vertex_set
 from reconflab.reductions import (
     CONSTRUCTIONS,
+    FORMULA_DEPTH_CAP,
     NormalizedFormula,
     and_compose,
     check_guard_containment,
@@ -589,6 +590,24 @@ def test_formula_rejects_broken_alternation():
         NormalizedFormula(2, AND(AND(VAR(0))))
     with pytest.raises(MalformedInput):
         NormalizedFormula(1, OR(VAR(0)))
+
+
+def test_formula_depth_is_capped_without_recursion():
+    """A chain at the cap builds and evaluates; one level more is refused by
+    the shape check, which keeps its own stack."""
+    def chain(depth):
+        node = VAR(0)
+        for level in reversed(range(depth)):
+            node = AND(node) if level % 2 == 0 else OR(node)
+        return node
+
+    phi = NormalizedFormula(1, chain(FORMULA_DEPTH_CAP))
+    assert phi.depth() == FORMULA_DEPTH_CAP and phi.evaluate(frozenset({0}))
+    assert weighted_satisfiable(phi, 0) is False
+    with pytest.raises(SizeCapExceeded):
+        NormalizedFormula(1, chain(FORMULA_DEPTH_CAP + 1))
+    with pytest.raises(SizeCapExceeded):
+        NormalizedFormula(1, chain(5000))
 
 
 def test_formula_two_nested_composition_rounds():
