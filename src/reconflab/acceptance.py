@@ -138,18 +138,17 @@ def _c04_path_desync_and_selector() -> tuple[bool, str]:
 # ---------------------------------------------------------------- criterion 5
 
 def _small_irreducible(rng, cells: int, sigma: int):
-    inst = gen_random_tape_instance(
+    return desynchronize_triangle(gen_random_tape_instance(
         rng.randrange(2**31), tapes=rng.randint(1, 2), cells=cells,
         sigma=rng.randint(1, sigma), sync=True,
-    )
-    return inst, desynchronize_triangle(inst)
+    ))
 
 
 def _c05_sliding_reduction() -> tuple[bool, str]:
     trials = 100
     rng = random.Random(7501)
     for i in range(trials):
-        _, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
+        art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
         if not is_irreducible(art):
             return False, f"artifact {i} not irreducible"
         dsr, agree = CONSTRUCTIONS["ts-dsr"].replay(art)
@@ -184,7 +183,7 @@ def _c06_jumping_reduction() -> tuple[bool, str]:
     enum_trials = 6
     rng = random.Random(7601)
     for i in range(trials):
-        _, art = _small_irreducible(rng, cells=2, sigma=2)
+        art = _small_irreducible(rng, cells=2, sigma=2)
         cd, agree = CONSTRUCTIONS["tj-cdsr"].replay(art)
         if not agree:
             return False, f"answer changed on artifact {i}"

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import InfeasibleInstance, MalformedInput, SizeCapExceeded, StateCapExceeded
+from .errors import MalformedInput, SizeCapExceeded, StateCapExceeded
 from . import graphs
 from .graphs import Graph, bits, check_vertices, closed_mask_of, component_of, mask_of, set_of
 
@@ -473,17 +473,3 @@ def has_dominating_set(g: Graph, k: int) -> bool:
 def dominating_sets_of_size(g: Graph, size: int) -> list[frozenset[int]]:
     """Every dominating set of exactly ``size`` vertices, in sorted order."""
     return sorted(enumerate_dominating_sets(g, size), key=sorted)
-
-
-def minimum_dominating_sets(g: Graph, k: int) -> list[frozenset[int]]:
-    """All minimum-cardinality dominating sets, searching sizes 0..k.
-
-    The returned sets have the domination number as their size; if that is
-    smaller than k the caller sees it directly from the result.  Raises when
-    no dominating set of size at most k exists.
-    """
-    for size in range(0, k + 1):
-        found = dominating_sets_of_size(g, size)
-        if found:
-            return found
-    raise InfeasibleInstance(f"no dominating set of size at most {k}")

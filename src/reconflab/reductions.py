@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, enumerate_dominating_sets,
-                  has_dominating_set, is_feasible, minimum_dominating_sets, solve,
-                  validate_instance)
+                  has_dominating_set, is_feasible, solve, validate_instance)
 from . import graphs
 from .errors import MalformedInput, SizeCapExceeded
 from .graphs import Graph, complete_graph, mask_of
@@ -735,31 +734,29 @@ def check_min_ds_structure(inst: DsrInstance) -> bool:
     """Certify the minimum-dominating-set shape of a sliding reduction output.
 
     All minimum dominating sets must have exactly guard-count+1 vertices,
-    hold the hub or its leaf, one cell per tape, and no letter vertex.
+    hold the hub or its leaf, one cell per tape, and no letter vertex.  No
+    set of guard-count vertices may dominate; each set of one more is
+    checked as the enumerator yields it, and at least one must exist.
     """
     prov = inst.provenance or {}
     if prov.get("construction") != "ts-dsr":
         raise MalformedInput("structure check needs a ts-dsr artifact")
     src: TapeInstance = prov["source"]
     k = len(src.tapes)
-    hub, leaf = prov["hub"], prov["leaf"]
-    cell_base, letter_base = prov["cell_base"], prov["letter_base"]
-    letters = set(range(letter_base, letter_base + src.sigma))
-    mins = minimum_dominating_sets(inst.graph, k + 1)
-    if not mins or len(next(iter(mins))) != k + 1:
+    if has_dominating_set(inst.graph, k):
         return False
-    spans = []
-    for i, t in enumerate(src.tapes):
-        spans.append(set(range(cell_base[i], cell_base[i] + t.cells.n)))
-    for d in mins:
-        if len(d & {hub, leaf}) != 1:
+    ends = 1 << prov["hub"] | 1 << prov["leaf"]
+    letters = ((1 << src.sigma) - 1) << prov["letter_base"]
+    spans = [((1 << t.cells.n) - 1) << base for t, base in zip(src.tapes, prov["cell_base"])]
+    found = False
+    for d in enumerate_dominating_sets(inst.graph, k + 1):
+        m = mask_of(d)
+        if (m & ends).bit_count() != 1 or m & letters:
             return False
-        if d & letters:
+        if any((m & span).bit_count() != 1 for span in spans):
             return False
-        for span in spans:
-            if len(d & span) != 1:
-                return False
-    return True
+        found = True
+    return found
 
 
 def check_guard_containment(inst: DsrInstance) -> bool:

@@ -131,9 +131,9 @@ def _int(x) -> int:
 
 
 def _check_keys(raw: dict, what: str, noun: str) -> None:
-    """Refuse the first key of ``raw`` not written as ``str`` of the id it
-    names: "00" or " 1" would merge into another key's vertex or cell."""
-    for key in raw:
+    """Refuse the first key of the object ``raw`` not written as ``str`` of
+    the id it names: "00" or " 1" would merge into another key's vertex or cell."""
+    for key in raw.keys():  # a list is no object: its items are not keys
         i = int(key)
         if str(i) != key:
             raise MalformedInput(f"{what} key {key!r} is not the id of {noun} {i}")
@@ -174,10 +174,10 @@ def tape_from_json(payload: dict, sigma: int) -> Tape:
     if not cells.is_connected():
         raise MalformedInput("tape cell graph is disconnected")
     content = [0] * cells.n
-    for cell, letters in _need(payload, "content").items():
+    raw = _need(payload, "content")
+    _check_keys(raw, "content", "cell")
+    for cell, letters in raw.items():
         c = int(cell)
-        if str(c) != cell:  # "00" or " 1" would merge into another key's cell
-            raise MalformedInput(f"content key {cell!r} is not the id of cell {c}")
         if not (0 <= c < cells.n):
             raise MalformedInput(f"content on unknown cell {c}")
         for letter in map(_int, letters):

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from . import graphs
 from .dsr import DEFAULT_STATE_CAP, ReconfigResult, bfs
 from .errors import MalformedInput, SizeCapExceeded, StateCapExceeded
 from .graphs import Graph, bits, check_vertices, set_of
@@ -26,9 +27,6 @@ from .graphs import Graph, bits, check_vertices, set_of
 # Letter sets are sigma-bit masks, so sigma is checked against this where an
 # instance is built.  No construction here names 100 letters.
 ALPHABET_CAP = 10_000
-# is_irreducible keeps one entry per letter mask its cells reach; it refuses an
-# alphabet with more masks than this before any search, whatever it would reach.
-IRREDUCIBILITY_CAP = 1 << 20
 
 
 def check_alphabet(sigma: int) -> None:
@@ -255,20 +253,25 @@ def is_irreducible(inst: TapeInstance | MultiTapeInstance) -> bool:
     notion has to rule out.  A sparse search over the letter masks reachable
     so far, each with its fewest cells, adding one tape at a time; with k
     tapes, a mask already built from k - 1 cells cannot grow into a smaller
-    cover.
+    cover.  The (stored mask, cell mask) pairs it tries, counted one stored
+    mask at a time and each weighted by the 64-bit words of a mask, bound
+    both its time and its dict; past ``graphs.ENUM_CAP`` it raises
+    SizeCapExceeded.  Below 65 letters the weight is 1.
     """
     tapes = _all_tapes(inst)
-    if 1 << inst.sigma > IRREDUCIBILITY_CAP:
-        raise SizeCapExceeded(f"alphabet of {inst.sigma} letters exceeds irreducibility cap")
     full, k = (1 << inst.sigma) - 1, len(tapes)
     if not full:
         return k == 0  # zero cells cover the empty alphabet
     fewest = {0: 0}
+    words, cap, width = 0, graphs.ENUM_CAP, (inst.sigma + 63) // 64  # 64-bit words per mask
     for t in tapes:  # each tape contributes at most one cell
         masks = {c & full for c in t.content} - {0}
         for m, d in list(fewest.items()):  # masks this tape reaches are not extended by it
             if d + 1 >= k:
                 continue
+            words += len(masks) * width
+            if words > cap:
+                raise SizeCapExceeded(f"irreducibility search passed {cap} mask words")
             for cm in masks:
                 nm = m | cm
                 if nm == full:

@@ -23,6 +23,9 @@ is the overlapping query list the guard check asked before its queries were
 made disjoint.  ``contract_class_components`` is ``kernel``'s class
 contraction as it was before it became one ``graphs.quotient``: the first
 class component found is merged, then every class is recomputed.
+``min_ds_structure`` is ``reductions.check_min_ds_structure`` as it was
+before it streamed one size from the enumerator: it lists every minimum
+dominating set with ``dsr_oracle.minimum_dominating_sets``, then checks each.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ import itertools
 from dataclasses import replace
 from typing import Optional
 
+from dsr_oracle import minimum_dominating_sets
+from reconflab.errors import InfeasibleInstance
 from reconflab.graphs import (Graph, bits, closed_mask_of, component_of, dominates, mask_of,
                               neighborhood_classes)
 
@@ -310,3 +315,20 @@ def contract_class_components(inst):
                        core=m(inst.core_set()))
         merged += 1
     return inst, merged
+
+
+def min_ds_structure(dsr) -> bool:
+    """Every minimum dominating set of a ts-dsr artifact has tape-count + 1
+    vertices: one of hub and leaf, one cell per tape, no letter."""
+    prov = dsr.provenance
+    src = prov["source"]
+    k = len(src.tapes)
+    try:
+        mins = minimum_dominating_sets(dsr.graph, k + 1)
+    except InfeasibleInstance:
+        return False
+    letters = set(range(prov["letter_base"], prov["letter_base"] + src.sigma))
+    spans = [set(range(base, base + t.cells.n)) for t, base in zip(src.tapes, prov["cell_base"])]
+    return len(mins[0]) == k + 1 and all(
+        len(d & {prov["hub"], prov["leaf"]}) == 1 and not d & letters
+        and all(len(d & span) == 1 for span in spans) for d in mins)

@@ -12,15 +12,19 @@ from ``dsr._move_masks``, the table the search and ``dsr.verify_witness`` read.
 ``solve_per_component`` is ``dsr.solve``'s split of a disconnected sliding
 instance as it was before it searched each component on the input graph: on
 a relabelled subgraph per component, mapped back.
+``minimum_dominating_sets`` lists every minimum dominating set, searching
+sizes 0..k in turn, as the sliding reduction's certificate did before it
+streamed the sets of one size from ``dsr.enumerate_dominating_sets``.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from helpers import one_sided_path, two_ended_count
-from reconflab.dsr import DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs
-from reconflab.errors import MalformedInput
-from reconflab.graphs import component_of, mask_of, quotient
+from reconflab.dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, _bfs,
+                          dominating_sets_of_size)
+from reconflab.errors import InfeasibleInstance, MalformedInput
+from reconflab.graphs import Graph, component_of, mask_of, quotient
 
 
 def plain_is_feasible(inst: DsrInstance, d: frozenset[int]) -> bool:
@@ -127,3 +131,17 @@ def solve_per_component(inst: DsrInstance, state_cap: int = DEFAULT_STATE_CAP) -
             witness_global.append(frozenset(current))
             prev = newpos
     return ReconfigResult(True, tuple(witness_global), explored)
+
+
+def minimum_dominating_sets(g: Graph, k: int) -> list[frozenset[int]]:
+    """All minimum-cardinality dominating sets, searching sizes 0..k.
+
+    The returned sets have the domination number as their size; if that is
+    smaller than k the caller sees it directly from the result.  Raises when
+    no dominating set of size at most k exists.
+    """
+    for size in range(0, k + 1):
+        found = dominating_sets_of_size(g, size)
+        if found:
+            return found
+    raise InfeasibleInstance(f"no dominating set of size at most {k}")

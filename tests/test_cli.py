@@ -580,6 +580,17 @@ def test_solve_tape_rejects_a_content_key_that_is_not_a_cell_id(tmp_path, capsys
     assert f"content key {key!r} is not the id of cell {cell}" in captured.err
 
 
+@pytest.mark.parametrize("content", [[[0, 1], [1], [0, 1]], [0, 1, 2]])
+def test_solve_tape_rejects_content_that_is_not_an_object(tmp_path, capsys, content):
+    """A list's items are not content keys, so no key is named in the error."""
+    doc = _three_cell_tape_doc()
+    doc["tapes"][0]["content"] = content
+    code = main(["solve-tape", write(tmp_path, "t.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: bad tape-instance document: ")
+
+
 @pytest.mark.parametrize("key, message", [
     ("00", "number key '00' is not the id of cell 0"),
     (" 1", "number key ' 1' is not the id of cell 1"),
@@ -818,13 +829,44 @@ def test_state_cap_exits_3(tmp_path, capsys):
     assert main(["solve", path, "--state-cap", "2"]) == 3
 
 
-def test_reduce_over_the_irreducibility_cap_exits_3(tmp_path, capsys):
-    """2^21 alphabet masks exceed ``tapes.IRREDUCIBILITY_CAP`` before any search."""
+def test_irreducibility_counts_its_mask_pairs_against_the_enumeration_cap(tmp_path, capsys,
+                                                                        monkeypatch):
+    """21 letters on one cell reduce: the alphabet's size is no cap.  The
+    7-tape seed-0 artifact's search tries 1,306 (stored mask, cell mask)
+    pairs, past an enumeration cap of 1,000."""
+    from reconflab import graphs
+    from reconflab.generators import gen_random_tape_instance
+    from reconflab.reductions import desynchronize_triangle
+
     sigma = 21
     inst = TapeInstance(sigma, (path_tape([(1 << sigma) - 1]),), (0,), (0,))
     path = write(tmp_path, "wide.json", serialize.tape_instance_to_json(inst))
+    assert main(["reduce", path, "--to", "ts-dsr"]) == 0
+    capsys.readouterr()
+    art = desynchronize_triangle(gen_random_tape_instance(0, tapes=7, cells=2, sigma=2, sync=True))
+    path = write(tmp_path, "art.json", serialize.tape_instance_to_json(art))
+    monkeypatch.setattr(graphs, "ENUM_CAP", 1_000)
     assert main(["reduce", path, "--to", "ts-dsr"]) == 3
     assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
+def test_a_tape_covering_every_letter_makes_a_wide_source_reducible(tmp_path, capsys):
+    """One more tape whose one cell holds all 23 letters covers the alphabet
+    with fewer cells than tapes, so the sliding reduction refuses it."""
+    from dataclasses import replace
+
+    from reconflab.generators import gen_random_tape_instance
+    from reconflab.reductions import desynchronize_triangle
+    from reconflab.tapes import is_irreducible
+
+    art = desynchronize_triangle(gen_random_tape_instance(0, tapes=7, cells=2, sigma=2, sync=True))
+    mutant = replace(art, tapes=art.tapes + (path_tape([(1 << art.sigma) - 1]),),
+                     cs=art.cs + (0,), ct=art.ct + (0,))
+    assert is_irreducible(art) and not is_irreducible(mutant)
+    path = write(tmp_path, "mutant.json", serialize.tape_instance_to_json(mutant))
+    assert main(["reduce", path, "--to", "ts-dsr"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "irreducible" in captured.err
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 import dsr_oracle
-from dsr_oracle import successors
+from dsr_oracle import minimum_dominating_sets, successors
 from helpers import fan, one_sided_path, two_ended_count, wheel
 from reconflab import dsr, graphs, tapes
 from reconflab.acceptance import _small_irreducible
@@ -18,7 +18,6 @@ from reconflab.dsr import (
     dominating_sets_of_size,
     enumerate_dominating_sets,
     is_feasible,
-    minimum_dominating_sets,
     solve,
     verify_witness,
 )
@@ -150,7 +149,7 @@ def feasibility_cases() -> list[tuple[DsrInstance, frozenset[int]]]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reductions, "enumerate_dominating_sets", guard_sets)
         for _ in range(6):
-            _, art = _small_irreducible(rng, cells=2, sigma=2)
+            art = _small_irreducible(rng, cells=2, sigma=2)
             cd = tape_to_tj_cdsr(art)
             assert reductions.check_guard_containment(cd)
             if len(art.tapes) == 2:
@@ -376,7 +375,7 @@ def kernel_case(rng, kind):
 def tj_cdsr_case(rng):
     """A ``tape_to_tj_cdsr`` output with its own source and target: 45+
     vertices, where D - u often splits into several components."""
-    _, art = _small_irreducible(rng, cells=2, sigma=2)
+    art = _small_irreducible(rng, cells=2, sigma=2)
     return tape_to_tj_cdsr(art)
 
 
@@ -609,7 +608,7 @@ def enumerator_cases() -> list[tuple[Graph, int]]:
     rng = random.Random(7601)  # acceptance C06's seed
     outputs: list[Graph] = []
     while len(outputs) < 3:  # the first artifact, then two distinct two-tape ones
-        _, art = _small_irreducible(rng, cells=2, sigma=2)
+        art = _small_irreducible(rng, cells=2, sigma=2)
         cd = tape_to_tj_cdsr(art)
         if cd.graph not in outputs and (not outputs or len(art.tapes) <= 2):
             outputs.append(cd.graph)
@@ -657,7 +656,7 @@ def c06_two_tape_artifacts():
     rng = random.Random(7601)
     artifacts = []
     while len(artifacts) < 2:
-        _, art = _small_irreducible(rng, cells=2, sigma=2)
+        art = _small_irreducible(rng, cells=2, sigma=2)
         cd = tape_to_tj_cdsr(art)
         if len(art.tapes) == 2 and all(cd.graph != a.graph for a in artifacts):
             artifacts.append(cd)

@@ -311,7 +311,7 @@ def test_degeneracy_matches_the_scan():
     cases += [Graph(n) for n in range(4)] + [complete_graph(n) for n in range(1, 9)]
     cases.append(Graph(7, [(1, 2), (2, 4), (1, 4)]))
     for i in range(40):
-        _, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
+        art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
         cases += [extended_graph(art), tape_to_ts_dsr(art).graph]
     assert sum(g.n and min(map(g.degree, range(g.n))) == 0 for g in cases) > 200
     for g in cases:
@@ -348,7 +348,7 @@ def fvs_cases() -> list[Graph]:
               for _ in range(200)]
     rng = random.Random(7501)  # acceptance C05's seed
     for i in range(12):
-        _, art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
+        art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
         graphs += [extended_graph(art), tape_to_ts_dsr(art).graph]
     forest = Graph(9, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)])
     # a triangle, a K4 sharing nothing with it, a pendant path and two isolated vertices

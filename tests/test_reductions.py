@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 from helpers import grid, tape_is_subdivided_star
+from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
 from reconflab.errors import MalformedInput, SizeCapExceeded, StateCapExceeded
 from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feedback_vertex_set
@@ -709,6 +710,50 @@ def test_check_min_ds_structure_fails_with_universal_vertex():
         g2, dsr.k, dsr.source, dsr.target, dsr.rule, provenance=dsr.provenance
     )
     assert not check_min_ds_structure(mutated)
+
+
+def test_check_min_ds_structure_agrees_with_the_all_minimum_sets_oracle():
+    """Artifacts and three mutants of each: an isolated vertex, a universal
+    vertex, and the hub-leaf edge moved onto a letter vertex."""
+    rng = random.Random(7501)
+    verdicts = set()
+    for i in range(12):
+        dsr = tape_to_ts_dsr(_small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2))
+        g, prov = dsr.graph, dsr.provenance
+        moved = [e for e in g.edges if set(e) != {prov["hub"], prov["leaf"]}]
+        for graph in (g, Graph(g.n + 1, g.edges, g.labels),
+                      Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)], g.labels),
+                      Graph(g.n, moved + [(prov["letter_base"], prov["leaf"])], g.labels)):
+            mutant = replace(dsr, graph=graph)
+            got = check_min_ds_structure(mutant)
+            assert got == certificate_oracle.min_ds_structure(mutant), (i, graph.edges)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_check_min_ds_structure_refuses_an_isolated_vertex():
+    """An isolated vertex lifts the domination number past guard-count+1,
+    so no set of that size dominates: not certified, not an error."""
+    ts = tape_to_ts_dsr(_small_irreducible(random.Random(7501), cells=3, sigma=2))
+    g = ts.graph
+    assert check_min_ds_structure(ts)
+    assert not check_min_ds_structure(replace(ts, graph=Graph(g.n + 1, g.edges, g.labels)))
+
+
+@pytest.mark.parametrize("tapes", [7, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sliding_reduction_certifies_sources_past_twenty_letters(tapes, seed):
+    """7 and 10 source tapes desynchronize to 23 and 32 letters; irreducibility,
+    the replay and the minimum-dominating-set certificate all still decide."""
+    from reconflab.generators import gen_random_tape_instance
+
+    art = desynchronize_triangle(gen_random_tape_instance(seed, tapes=tapes, cells=2, sigma=2,
+                                                          sync=True))
+    assert art.sigma > 20
+    assert is_irreducible(art)
+    dsr, agree = CONSTRUCTIONS["ts-dsr"].replay(art)
+    assert agree
+    assert check_min_ds_structure(dsr)
 
 
 def guards_contained(cd: DsrInstance) -> bool:

@@ -412,6 +412,27 @@ def test_irreducible_on_empty_alphabets_and_no_tapes():
     assert not is_irreducible(MultiTapeInstance(0, ((path_tape([0]), path_tape([0])),)))
 
 
+def test_irreducibility_weighs_each_mask_pair_by_its_words(monkeypatch):
+    """The 7-tape seed-0 artifact (23 letters) tries 1,306 mask pairs, each
+    one 64-bit word; under a 65-letter alphabet the same pairs weigh 2 words
+    each, so the dict of masks a wide alphabet stores stays within the cap too."""
+    from reconflab import graphs
+    from reconflab.errors import SizeCapExceeded
+    from reconflab.reductions import desynchronize_triangle
+
+    art = desynchronize_triangle(gen_random_tape_instance(0, tapes=7, cells=2, sigma=2, sync=True))
+    monkeypatch.setattr(graphs, "ENUM_CAP", 1_306)
+    assert is_irreducible(art)
+    assert is_irreducible(replace(art, sigma=64))
+    with pytest.raises(SizeCapExceeded):
+        is_irreducible(replace(art, sigma=65))
+    monkeypatch.setattr(graphs, "ENUM_CAP", 1_305)
+    with pytest.raises(SizeCapExceeded):
+        is_irreducible(art)
+    monkeypatch.setattr(graphs, "ENUM_CAP", 2 * 1_306)
+    assert is_irreducible(replace(art, sigma=65))
+
+
 def test_irreducible_agrees_with_the_dense_oracle():
     """5,000 seeded instances, sigma 0-9 and 0-6 tapes, single and multi-tape."""
     rng = random.Random(1414)
