@@ -56,7 +56,8 @@ def set_of(mask: int) -> frozenset[int]:
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1, stored as masks:
-    ``nbr_mask``, ``closed_mask`` and ``full_mask``.  ``edges``, ``m`` and
+    ``nbr_mask``, ``closed_mask`` and ``full_mask``.  ``edges`` (rebuilt on
+    every read, so a caller that reads it twice keeps it), ``m`` and
     ``degree`` are read off them; ``adj``, the ``nbr_sets`` slot and the
     hash are filled on first use with values the masks fix, so a graph stays
     safe to share across threads, and none of them takes part in equality.
@@ -91,8 +92,15 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges (u, v), u < v, ascending; rebuilt from the masks per read, O(n + m)."""
-        return tuple((u, v) for u, nb in enumerate(self.nbr_mask) for v in bits(nb >> u + 1 << u + 1))
+        """Edges (u, v), u < v, ascending, O(n + m) per read."""
+        out = []
+        for u, nb in enumerate(self.nbr_mask):
+            nb >>= u + 1
+            while nb:
+                low = nb & -nb
+                out.append((u, u + low.bit_length()))
+                nb ^= low
+        return tuple(out)
 
     @property
     def m(self) -> int:

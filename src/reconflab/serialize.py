@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Any
 
 from .dsr import SLIDE, DsrInstance
 from .errors import MalformedInput
-from .graphs import Graph
+from .graphs import Graph, bits
 
 if TYPE_CHECKING:
     from .kernel import DcrInstance
@@ -19,10 +19,11 @@ if TYPE_CHECKING:
     from .tapes import MultiTapeInstance, Tape, TapeInstance
 
 VERSION = 1
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one a call
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _CANONICAL.encode(obj) + "\n"
 
 
 def envelope(kind: str, payload: dict) -> dict:
@@ -34,7 +35,7 @@ def envelope(kind: str, payload: dict) -> dict:
 # encoders
 
 def graph_to_json(g: Graph) -> dict:
-    payload: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
+    payload: dict = {"n": g.n, "edges": list(map(list, g.edges))}
     if g.labels:
         payload["labels"] = {str(v): lab for v, lab in sorted(g.labels.items())}
     return envelope("graph", payload)
@@ -43,12 +44,12 @@ def graph_to_json(g: Graph) -> dict:
 def tape_to_json(t: Tape) -> dict:
     out = {
         "cells": graph_to_json(t.cells),
-        "content": {str(c): sorted(t.letters(c)) for c in range(t.cells.n) if t.content[c]},
+        "content": {str(c): list(bits(m)) for c, m in enumerate(t.content) if m},
         "start": t.start,
         "end": t.end,
     }
     if t.number is not None:
-        out["number"] = {str(c): t.number[c] for c in range(t.cells.n)}
+        out["number"] = dict(zip(map(str, range(t.cells.n)), t.number))
     return out
 
 
@@ -160,50 +161,53 @@ def graph_from_json(payload: dict) -> Graph:
     if payload.get("kind", "graph") != "graph":
         raise MalformedInput("expected a graph document")
     n = _int(_need(payload, "n"))
-    edges = [(_int(u), _int(v)) for u, v in _need(payload, "edges")]
+    edges = [(u, v) if type(u) is int is type(v) else (_int(u), _int(v))
+             for u, v in _need(payload, "edges")]
     raw = payload.get("labels", {})
     labels = {int(v): str(lab) for v, lab in raw.items()}
-    if list(map(str, labels)) != list(raw):
+    if labels and list(map(str, labels)) != list(raw):
         _check_keys(raw, "label", "vertex")
     return Graph(n, edges, labels)
 
 
-def tape_from_json(payload: dict, sigma: int) -> Tape:
+def tapes_from_json(raw: list, sigma: int) -> tuple[Tape, ...]:
+    """The tapes of a JSON list, each letter checked against ``sigma``."""
     from .tapes import Tape
-    cells = graph_from_json(_need(payload, "cells"))
-    if not cells.is_connected():
-        raise MalformedInput("tape cell graph is disconnected")
-    content = [0] * cells.n
-    raw = _need(payload, "content")
-    _check_keys(raw, "content", "cell")
-    for cell, letters in raw.items():
-        c = int(cell)
-        if not (0 <= c < cells.n):
-            raise MalformedInput(f"content on unknown cell {c}")
-        for letter in map(_int, letters):
-            if not (0 <= letter < sigma):
-                raise MalformedInput(f"letter {letter} on cell {c} outside alphabet of {sigma}")
-            if content[c] >> letter & 1:
-                raise MalformedInput(f"cell {c} lists letter {letter} twice")
-            content[c] |= 1 << letter
-    number = None
-    if "number" in payload:
-        raw = payload["number"]
-        missing = [c for c in range(cells.n) if str(c) not in raw]
-        if missing:
-            raise MalformedInput(f"tape numbering misses cells {missing}")
-        if len(raw) != cells.n:  # every cell has its key, so some key names no cell
-            _check_keys(raw, "number", "cell")
-            extra = [c for c in map(int, raw) if not 0 <= c < cells.n]
-            raise MalformedInput(f"tape numbering names unknown cells {extra}")
-        number = tuple(_int(raw[str(c)]) for c in range(cells.n))
-    return Tape(
-        cells=cells,
-        content=tuple(content),
-        start=_int(_need(payload, "start")),
-        end=_int(_need(payload, "end")),
-        number=number,
-    )
+    out = []
+    for payload in raw:
+        cells = graph_from_json(_need(payload, "cells"))
+        if not cells.is_connected():
+            raise MalformedInput("tape cell graph is disconnected")
+        n = cells.n
+        content = [0] * n
+        cmap = _need(payload, "content")
+        _check_keys(cmap, "content", "cell")
+        for cell, letters in cmap.items():
+            c, m = int(cell), 0  # the keys are canonical: no cell comes twice
+            if not (0 <= c < n):
+                raise MalformedInput(f"content on unknown cell {c}")
+            for letter in letters:
+                if type(letter) is not int or not 0 <= letter < sigma:
+                    _int(letter)
+                    raise MalformedInput(f"letter {letter} on cell {c} outside alphabet of {sigma}")
+                if m >> letter & 1:
+                    raise MalformedInput(f"cell {c} lists letter {letter} twice")
+                m |= 1 << letter
+            content[c] = m
+        number = None
+        if "number" in payload:
+            nmap, keys = payload["number"], list(map(str, range(n)))
+            missing = [c for c, key in enumerate(keys) if key not in nmap]
+            if missing:
+                raise MalformedInput(f"tape numbering misses cells {missing}")
+            if len(nmap) != n:  # every cell has its key, so some key names no cell
+                _check_keys(nmap, "number", "cell")
+                extra = [c for c in map(int, nmap) if not 0 <= c < n]
+                raise MalformedInput(f"tape numbering names unknown cells {extra}")
+            number = tuple(_int(nmap[key]) for key in keys)
+        out.append(Tape(cells=cells, content=tuple(content), start=_int(_need(payload, "start")),
+                        end=_int(_need(payload, "end")), number=number))
+    return tuple(out)
 
 
 def _header_from_json(payload: dict) -> dict:
@@ -221,7 +225,7 @@ def tape_instance_from_json(payload: dict) -> TapeInstance:
     header = _header_from_json(payload)
     return TapeInstance(
         **header,
-        tapes=tuple(tape_from_json(t, header["sigma"]) for t in _need(payload, "tapes")),
+        tapes=tapes_from_json(_need(payload, "tapes"), header["sigma"]),
         cs=tuple(_int(c) for c in _need(payload, "cs")),
         ct=tuple(_int(c) for c in _need(payload, "ct")),
     )
@@ -231,7 +235,7 @@ def multi_from_json(payload: dict) -> MultiTapeInstance:
     from .tapes import MultiTapeInstance
     header = _header_from_json(payload)
     return MultiTapeInstance(**header, tuples=tuple(
-        tuple(tape_from_json(t, header["sigma"]) for t in tup) for tup in _need(payload, "tuples")))
+        tapes_from_json(tup, header["sigma"]) for tup in _need(payload, "tuples")))
 
 
 def _tokens_from_json(payload: dict) -> dict:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import graphs
 from .dsr import DEFAULT_STATE_CAP, ReconfigResult, bfs
 from .errors import MalformedInput, SizeCapExceeded, StateCapExceeded
-from .graphs import Graph, bits, check_vertices, set_of
+from .graphs import Graph, bits, check_vertices
 
 # Letter sets are sigma-bit masks, so sigma is checked against this where an
 # instance is built.  No construction here names 100 letters.
@@ -50,9 +50,6 @@ class Tape:
         check_vertices(self.cells, (self.start, self.end), "start/end cell")
         if self.number is not None and len(self.number) != self.cells.n:
             raise MalformedInput("numbering length does not match cell count")
-
-    def letters(self, cell: int) -> frozenset[int]:
-        return set_of(self.content[cell])
 
     def alphabet_mask(self) -> int:
         m = 0
@@ -131,7 +128,7 @@ def is_valid_configuration(inst: TapeInstance, config: tuple[int, ...]) -> bool:
         covered |= tape.content[c]
     if covered & inst.full_mask != inst.full_mask:
         return False
-    nums = [t.number[c] for t, c in zip(inst.tapes, config)] if inst.sync else ()
+    nums = {t.number[c] for t, c in zip(inst.tapes, config)} if inst.sync else ()
     return all(_mod_close(a, b, inst.r) for a, b in itertools.combinations(nums, 2))
 
 
@@ -141,7 +138,7 @@ def _kernel(inst: TapeInstance):
     A configuration is one mixed-radix int: the cell of tape i times the
     product of the earlier tapes' sizes.  A cell's row holds its letters and,
     above bit σ, its number's bit (numbers are ranked, so a huge r costs
-    nothing), and per neighbour, in ``cells.adj`` order, the int delta
+    nothing), and per neighbour, in ascending order, the int delta
     and what the neighbour lacks: the letters it does not hold and the numbers
     not mod-close to its own.  A move is legal iff that mask misses the letters
     of Σ under no other head and the heads' number window.  The window keeps
@@ -158,16 +155,23 @@ def _kernel(inst: TapeInstance):
                      for m, y in zip(t.content, t.number)]
         else:
             own, lacks = t.content, [~m for m in t.content]
-        rows = [(own[c], [((nb - c) * place, lacks[nb]) for nb in t.cells.adj[c]])
-                for c in range(t.cells.n)]
+        rows = []
+        for c, mask in enumerate(t.cells.nbr_mask):
+            moves = []
+            while mask:  # the neighbours in ascending order
+                low = mask & -mask
+                nb = low.bit_length() - 1
+                moves.append(((nb - c) * place, lacks[nb]))
+                mask ^= low
+            rows.append((own[c], moves))
         layout.append((place, t.cells.n, rows))
         place *= t.cells.n
 
     def encode(config: Iterable[int]) -> int:
-        return sum(c * place for c, (place, _, _) in zip(config, layout))
+        return sum([c * place for c, (place, _, _) in zip(config, layout)])
 
     def decode(cur: int) -> tuple[int, ...]:
-        return tuple(cur // place % size for place, size, _ in layout)
+        return tuple([cur // place % size for place, size, _ in layout])
 
     def successors(cur: int, visited: dict) -> list[int]:
         held = []
@@ -214,8 +218,10 @@ def _search(inst: TapeInstance, state_cap: int) -> ReconfigResult:
 def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> MultiResult:
     """Try selections in lexicographic order; first positive one wins.
 
-    The instance is checked once, by ``validate_multi``.  A selection whose
-    start or end configuration is not valid is negative without a search.
+    The instance is checked once, by ``validate_multi``.  A selection is
+    negative without a search when its start or its end configuration leaves
+    a letter of Σ uncovered or, in a synchronized instance, does not put every
+    head on one number: ``solve_tape`` refuses such a selection.
     ``state_cap`` bounds the whole call: each selection tried costs the
     states its search explores, and at least 1.
     """
@@ -223,14 +229,22 @@ def solve_multi(inst: MultiTapeInstance, state_cap: int = DEFAULT_STATE_CAP) -> 
     if not inst.tuples:
         # zero tuples: the empty configuration covers nothing
         return MultiResult(inst.sigma == 0, ())
-    budget = state_cap
-    for indices in itertools.product(*(range(len(t)) for t in inst.tuples)):
-        sel = inst.select(indices)
-        if not (is_valid_configuration(sel, sel.cs) and is_valid_configuration(sel, sel.ct)):
+    # per member: the letters under its head at start and at end, and the two numbers
+    ends = [[(t.content[t.start], t.content[t.end],
+              (t.number[t.start], t.number[t.end]) if inst.sync else None) for t in tup]
+            for tup in inst.tuples]
+    budget, full = state_cap, inst.full_mask
+    selections = itertools.product(*(range(len(t)) for t in inst.tuples))
+    for indices, held in zip(selections, itertools.product(*ends)):
+        start = end = 0
+        for s, e, _ in held:
+            start |= s
+            end |= e
+        if start & end & full != full or len({nums for _, _, nums in held}) > 1:
             budget -= 1
         else:
             try:
-                res = _search(sel, budget)
+                res = _search(inst.select(indices), budget)
             except StateCapExceeded:
                 budget = -1
             else:
@@ -358,8 +372,10 @@ def tape_is_path(tape: Tape) -> bool:
         return False
 
 
-def _numbering_problems(named_tapes: Iterable[tuple[str, Tape]], sync: bool, r: Optional[int]) -> list[str]:
-    """Faults of the modulus and the numberings, before anything divides by r.
+def _numbering_problems(tapes: Sequence[Tape], name: Callable[[int], str], sync: bool,
+                        r: Optional[int]) -> list[str]:
+    """Faults of the modulus and the numberings, before anything divides by r;
+    ``name(i)`` names ``tapes[i]`` and is called only on a fault.
 
     A synchronized instance needs r >= 1 and a numbering on every tape;
     numbers lie in [1, r] and adjacent cells differ by at most one modulo r.
@@ -370,18 +386,19 @@ def _numbering_problems(named_tapes: Iterable[tuple[str, Tape]], sync: bool, r: 
         r = None
     elif sync and r is None:
         problems.append("synchronized instance without modulus r")
-    for name, t in named_tapes:
-        if t.number is None:
+    for i, t in enumerate(tapes):
+        number = t.number
+        if number is None:
             if sync:
-                problems.append(f"{name} lacks a numbering in a synchronized instance")
+                problems.append(f"{name(i)} lacks a numbering in a synchronized instance")
         elif r is not None:
-            if any(not (1 <= x <= r) for x in t.number):
-                problems.append(f"{name} numbering leaves [1,{r}]")
+            if min(number) < 1 or max(number) > r:  # a tape has a cell: start is one
+                problems.append(f"{name(i)} numbering leaves [1,{r}]")
             for u, v in t.cells.edges:
-                if not _mod_close(t.number[u], t.number[v], r):
+                if not _mod_close(number[u], number[v], r):
                     problems.append(
-                        f"{name} cells {u},{v} adjacent but numbered "
-                        f"{t.number[u]},{t.number[v]} (gap > 1 mod {r})"
+                        f"{name(i)} cells {u},{v} adjacent but numbered "
+                        f"{number[u]},{number[v]} (gap > 1 mod {r})"
                     )
     return problems
 
@@ -394,15 +411,13 @@ def validate_instance(inst: TapeInstance) -> list[str]:
     """
     if len(inst.cs) != len(inst.tapes) or len(inst.ct) != len(inst.tapes):
         return ["cs/ct do not hold one cell per tape"]
-    problems = []
+    problems, outside = [], ~inst.full_mask
     for i, t in enumerate(inst.tapes):
         if not t.cells.is_connected():
             problems.append(f"tape {i} cell graph is disconnected")
-        if t.alphabet_mask() & ~inst.full_mask:
+        if t.alphabet_mask() & outside:
             problems.append(f"tape {i} uses letters outside the alphabet")
-    numbering = _numbering_problems(
-        ((f"tape {i}", t) for i, t in enumerate(inst.tapes)), inst.sync, inst.r
-    )
+    numbering = _numbering_problems(inst.tapes, "tape {}".format, inst.sync, inst.r)
     problems += numbering
     if inst.sync and numbering:
         return problems  # cs and ct are not tested against a broken numbering
@@ -418,7 +433,7 @@ def validate_instance(inst: TapeInstance) -> list[str]:
 
 def validate_multi(inst: MultiTapeInstance) -> list[str]:
     """All violated invariants of a multi-tape instance; empty means sound."""
-    problems = []
+    problems, members = [], []
     for j, tup in enumerate(inst.tuples):
         if not tup:
             problems.append(f"tuple {j} is empty")
@@ -427,9 +442,9 @@ def validate_multi(inst: MultiTapeInstance) -> list[str]:
                 problems.append(f"tuple {j} member {i} is not a path with start/end endpoints")
             if t.alphabet_mask() & ~inst.full_mask:
                 problems.append(f"tuple {j} member {i} uses letters outside the alphabet")
-    named = ((f"tuple {j} member {i}", t)
-             for j, tup in enumerate(inst.tuples) for i, t in enumerate(tup))
-    return problems + _numbering_problems(named, inst.sync, inst.r)
+            members.append((j, i))
+    name = lambda k: "tuple {} member {}".format(*members[k])
+    return problems + _numbering_problems(_all_tapes(inst), name, inst.sync, inst.r)
 
 
 def require_valid(inst: TapeInstance | MultiTapeInstance) -> None:

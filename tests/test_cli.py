@@ -159,6 +159,37 @@ def test_kernelize_bytes_are_pinned(tmp_path, capsys):
     assert digests == KERNEL_DIGESTS
 
 
+# sha256 of stdout for each step of a tape document's round trip, recorded
+# before the tape codecs and the tape validation were rewritten for speed
+ROUND_TRIP_DIGESTS = {
+    "solve-tape --witness": "87c933d6de961aef8762effef109353773001856921759da58c402dfcc10109f",
+    "reduce --to tape": "3e255ed34bd08baee58c3452fdb94cae818ab27f04f254b505ef45482476a161",
+    "reduce-tapes": "b8d1068c49eccacb8a63c42eac0e2f617953376e53c6284bf45418ef7d52b59c",
+}
+
+
+def test_tape_round_trip_bytes_are_pinned(tmp_path, capsys):
+    """A generated synchronized tape document through ``solve-tape``,
+    ``reduce --to tape`` and ``reduce-tapes`` on the reduction's output: every
+    step exits 0 and prints the bytes recorded before the rewrite."""
+    assert main(["gen", "tape", "--seed", "3", "--tapes", "3", "--cells", "3", "--sigma", "2",
+                 "--sync"]) == 0
+    doc = tmp_path / "t.json"
+    doc.write_text(capsys.readouterr().out)
+    reduced = tmp_path / "a.json"
+    steps = {"solve-tape --witness": ["solve-tape", str(doc), "--witness"],
+             "reduce --to tape": ["reduce", str(doc), "--to", "tape"],
+             "reduce-tapes": ["reduce-tapes", str(reduced)]}
+    digests = {}
+    for name, argv in steps.items():
+        assert main(argv) == 0, name
+        out = capsys.readouterr().out
+        if name == "reduce --to tape":
+            reduced.write_text(out)
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == ROUND_TRIP_DIGESTS
+
+
 def test_kernelize_a_513_vertex_wheel(tmp_path, capsys):
     """Its core takes one enumerator query per vertex and pass, and its
     biclique check one short search per vertex; a scan of every 3-subset
@@ -934,11 +965,11 @@ def test_alphabet_is_capped_before_any_letter_is_decoded(tmp_path, capsys, monke
     from reconflab.errors import SizeCapExceeded
     from reconflab.tapes import ALPHABET_CAP
 
-    def unreachable(payload, sigma):
+    def unreachable(raw, sigma):
         raise AssertionError("a tape was decoded before the alphabet was checked")
 
     doc = {**doc, "sigma": ALPHABET_CAP + 1}
-    monkeypatch.setattr(serialize, "tape_from_json", unreachable)
+    monkeypatch.setattr(serialize, "tapes_from_json", unreachable)
     with pytest.raises(SizeCapExceeded):
         serialize.decode(doc)
     assert main(["solve-tape", write(tmp_path, "t.json", doc)]) == 3

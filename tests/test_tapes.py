@@ -173,12 +173,12 @@ def _outcome(solver, inst, cap):
 
 
 def _oracle_multi(multi):
+    """The first selection, in lexicographic order, that ``solve_tape`` accepts
+    (``validate_instance`` finds no problem) and the oracle search reaches."""
     for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
-        try:
-            if tape_oracle.solve_tape(multi.select(indices), DEFAULT_STATE_CAP).reachable:
-                return MultiResult(True, indices)
-        except MalformedInput:
-            continue
+        sel = multi.select(indices)
+        if not validate_instance(sel) and tape_oracle.solve_tape(sel, DEFAULT_STATE_CAP).reachable:
+            return MultiResult(True, indices)
     return MultiResult(False, None)
 
 
@@ -191,6 +191,24 @@ def two_letter_multi(seed):
                    for _ in range(rng.randint(1, 3)))
              for _ in range(rng.randint(1, 3))]
     return MultiTapeInstance(sigma=2, tuples=tuple(shape))
+
+
+def numbered_two_letter_multi(seed):
+    """``two_letter_multi`` synchronized, r in 3..5, each tape numbered by a
+    walk of steps -1, 0, +1 modulo r: many selections start or end with heads
+    on different numbers."""
+    rng = random.Random(f"numbered-{seed}")
+    r = rng.randint(3, 5)
+
+    def numbered(t):
+        walk = [rng.randint(1, r)]
+        for _ in range(t.cells.n - 1):
+            walk.append((walk[-1] - 1 + rng.choice((-1, 0, 1))) % r + 1)
+        return replace(t, number=tuple(walk))
+
+    multi = two_letter_multi(seed)
+    return replace(multi, tuples=tuple(tuple(map(numbered, tup)) for tup in multi.tuples),
+                   sync=True, r=r)
 
 
 def oracle_cases():
@@ -220,15 +238,23 @@ def test_solve_tape_matches_oracle():
                                          if rng.random() < 0.4]), k)
               for n, k in ((4, 1), (4, 2), (5, 2), (5, 3), (6, 2))]
     multis += [two_letter_multi(seed) for seed in range(20)]
+    # both heads cover Σ at start and at end, but on numbers 1 and 2, then 2 and 3
+    multis.append(MultiTapeInstance(1, ((path_tape([1, 1], number=[1, 2]),),
+                                        (path_tape([0, 0], number=[2, 3]),)), sync=True, r=3))
+    multis += [numbered_two_letter_multi(seed) for seed in range(40)]
+    off_number = 0
     for multi in multis:
+        assert validate_multi(multi) == []
         assert solve_multi(multi) == _oracle_multi(multi)
         for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
             sel = multi.select(indices)
-            try:
-                want = tape_oracle.solve_tape(sel, DEFAULT_STATE_CAP)
-            except MalformedInput:  # solve_multi skips the selection unsearched
+            problems = validate_instance(sel)
+            if problems:  # solve_multi skips the selection unsearched
+                off_number += any("one number" in p for p in problems)
                 continue
+            want = tape_oracle.solve_tape(sel, DEFAULT_STATE_CAP)
             assert tapes._search(sel, DEFAULT_STATE_CAP) == want
+    assert off_number
 
 
 def wrapping_sync_instance(rng, same_ends=False):
@@ -494,10 +520,29 @@ def test_validate_clean_instance():
     assert validate_instance(inst) == []
 
 
-def test_validate_broken_numbering():
-    t = single_letter_path(3, number=[1, 3, 1])
-    inst = instance([t], [0], [2], sync=True, r=4)
-    assert any("gap" in p for p in validate_instance(inst))
+NUMBERED = single_letter_path(3, number=[1, 2, 1])
+
+
+@pytest.mark.parametrize("tape, sync, r, problems", [
+    (NUMBERED, True, None, ["synchronized instance without modulus r"]),
+    (NUMBERED, False, 0, ["modulus r=0 is below 1"]),
+    (NUMBERED, True, -2, ["modulus r=-2 is below 1"]),
+    (single_letter_path(3), True, 4, ["{} lacks a numbering in a synchronized instance"]),
+    (single_letter_path(3, number=[1, 2, 5]), True, 4, ["{} numbering leaves [1,4]"]),
+    (single_letter_path(3, number=[0, 1, 1]), False, 4, ["{} numbering leaves [1,4]"]),
+    (single_letter_path(3, number=[1, 3, 1]), True, 4,
+     ["{} cells 0,1 adjacent but numbered 1,3 (gap > 1 mod 4)",
+      "{} cells 1,2 adjacent but numbered 3,1 (gap > 1 mod 4)"]),
+], ids=["no-modulus", "r-below-1", "r-below-1-sync", "no-numbering", "number-above-r",
+        "number-below-1", "adjacent-gap"])
+def test_validate_broken_numbering(tape, sync, r, problems):
+    """The exact text of each numbering fault, naming a tape of a tape
+    instance and a tuple member of a multi-tape instance."""
+    ok = single_letter_path(2, number=[1, 1])
+    inst = instance([ok, tape], [0, 0], [1, 2], sync=sync, r=r)
+    assert validate_instance(inst) == [p.format("tape 1") for p in problems]
+    multi = MultiTapeInstance(1, ((ok,), (ok, tape)), sync=sync, r=r)
+    assert validate_multi(multi) == [p.format("tuple 1 member 1") for p in problems]
 
 
 def test_validate_ct_not_covering():
