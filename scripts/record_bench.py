@@ -6,6 +6,12 @@
 Each run is one child ``perfbench/run.py --workload W --seed S --seconds T``,
 started from the root of the checkout it measures; its last stdout line, the
 result line ``{"correct", "attempted", "failed", "metrics"}``, is kept as is.
+``--workload acceptance`` instead starts one ``python -m reconflab.cli
+acceptance`` child per run, on the checkout's ``src``, and reads each
+criterion's seconds off its PASS/FAIL lines on stderr as a metric
+``<criterion>_s`` (lower is better); the criteria fix their own seeds, so
+``--seed`` and ``--seconds`` do not apply and the runs are filed under
+``"fixed"``.
 With ``--against DIR`` every run of this tree is paired with a run of the
 checkout in DIR, and the side that goes first alternates from pair to pair,
 so that a drift of the machine's speed falls on both sides alike.
@@ -23,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -30,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREE, PARENT = "tree", "parent"
+ACCEPTANCE = "acceptance"
+# one line per criterion, as ``acceptance.run_all`` logs it
+CRITERION_LINE = re.compile(r"(PASS|FAIL) (\S+) \[ *(\d+\.\d+)s\] ")
 
 
 def parse_result(stdout: str) -> dict:
@@ -57,6 +67,39 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "failed": result["failed"],
             "attempted": result.get("attempted"),
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def parse_acceptance(stderr: str) -> dict:
+    """``correct``, ``failed`` (the FAIL lines) and each criterion's seconds,
+    as ``<criterion>_s``, from the stderr of a ``reconflab acceptance`` child."""
+    metrics, failed = {}, 0
+    for line in stderr.splitlines():
+        match = CRITERION_LINE.match(line)
+        if match:
+            status, ident, seconds = match.groups()
+            metrics[f"{ident}_s"] = float(seconds)
+            failed += status == "FAIL"
+    if not metrics:
+        raise ValueError("the run printed no criterion line")
+    return {"correct": not failed, "failed": failed, "metrics": metrics}
+
+
+def run_acceptance(checkout: Path) -> dict:
+    """One ``reconflab acceptance`` child on ``checkout``'s source; a run that
+    exits nonzero is not correct, and one that logs no criterion counts as
+    one failed run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "reconflab.cli", ACCEPTANCE], cwd=checkout,
+                          capture_output=True, text=True, env=env)
+    try:
+        run = parse_acceptance(proc.stderr)
+    except ValueError as exc:
+        return {"correct": False, "failed": 1, "metrics": {},
+                "error": f"exit {proc.returncode}: {exc}; stderr: {proc.stderr[-500:]}"}
+    run["correct"] = run["correct"] and proc.returncode == 0
+    return run
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -114,19 +157,22 @@ def record(args, benchmark: dict) -> dict:
            "workloads": {}}
     for workload in args.workload:
         per_seed = doc["workloads"][workload] = {}
-        for seed in args.seed:
+        for seed in ["fixed"] if workload == ACCEPTANCE else args.seed:
             runs = {side: [] for side in sides}
             for i in range(args.runs):
                 order = list(sides) if i % 2 == 0 else list(reversed(sides))
                 for side in order:
-                    run = run_once(sides[side], workload, seed, args.seconds)
+                    run = (run_acceptance(sides[side]) if workload == ACCEPTANCE
+                           else run_once(sides[side], workload, seed, args.seconds))
                     runs[side].append(run)
                     print(f"{workload} seed {seed} run {i + 1}/{args.runs} {side}: "
                           f"correct={run['correct']} {run['metrics']}", file=sys.stderr)
             entry = per_seed[str(seed)] = {
                 side: {"runs": runs[side], "summary": summarize(runs[side])} for side in sides}
             if args.against is not None:
-                entry["tree_wins"] = pair_wins(runs[TREE], runs[PARENT], better)
+                direction = better if workload != ACCEPTANCE else {
+                    name: "lower" for run in runs[TREE] for name in run["metrics"]}
+                entry["tree_wins"] = pair_wins(runs[TREE], runs[PARENT], direction)
     return doc
 
 
@@ -135,7 +181,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
     p.add_argument("--workload", action="append",
-                   choices=[w["name"] for w in benchmark["workloads"]],
+                   choices=[w["name"] for w in benchmark["workloads"]] + [ACCEPTANCE],
                    help="repeat for several; default: every workload in BENCHMARK.json")
     p.add_argument("--seed", action="append", type=int, help="repeat for several; default: 1")
     p.add_argument("--runs", type=int, default=10, help="runs per seed and side")

@@ -339,12 +339,16 @@ def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
 
     Iterative deepening on the budget b = 0, 1, 2, ...; a search node strips
     the vertices of degree at most one and succeeds when nothing is left.
-    Otherwise it gives up if b deletions cannot bring m - n down to 0 (one
-    deletion lowers it by at most the largest degree minus one), and else
-    branches on the vertices of one shortest cycle, which every feedback
-    vertex set must hit (Cygan et al., *Parameterized Algorithms*, 2015,
-    section 3.3).  ``ENUM_CAP`` bounds the search nodes summed over all
-    budgets; past it SizeCapExceeded is raised.
+    Otherwise it gives up when the b largest values of deg - 1 over what is
+    left (all of them, if fewer) sum to less than m - n + 1: deleting a set F
+    lowers m - n by at most the sum of deg - 1 over F, and a nonempty forest
+    has m - n <= -1 (deleting everything is never cut, as after the strip
+    the sum over all is 2m - n >= m).  Else it branches on the vertices of
+    one shortest cycle, which every feedback vertex set must hit (Cygan et
+    al., *Parameterized Algorithms*, 2015, section 3.3).  The cut drops only
+    subtrees that hold no solution, so the set found is the one a weaker cut
+    finds.  ``ENUM_CAP`` bounds the search nodes summed over all budgets;
+    past it SizeCapExceeded is raised.
     """
     nbr = g.nbr_mask
     nodes, cap = 0, ENUM_CAP
@@ -359,11 +363,12 @@ def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
             return []
         if budget == 0:
             return None
-        deg = {v: (nbr[v] & alive).bit_count() for v in bits(alive)}
-        if budget * (max(deg.values()) - 1) * 2 < sum(deg.values()) - 2 * len(deg):
+        deg = [(nbr[v] & alive).bit_count() for v in bits(alive)]
+        top = sorted(deg, reverse=True)[:budget]
+        if sum(top) - len(top) <= sum(deg) // 2 - len(deg):
             return None
         cycle = _short_cycle(nbr, alive)
-        for v in sorted(bits(cycle), key=lambda v: -deg[v]):
+        for v in sorted(bits(cycle), key=lambda v: -(nbr[v] & alive).bit_count()):
             found = search(alive & ~(1 << v), budget - 1)
             if found is not None:
                 found.append(v)

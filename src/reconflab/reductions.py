@@ -12,16 +12,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, enumerate_dominating_sets,
-                  has_dominating_set, is_feasible, solve, validate_instance)
+from .dsr import (DEFAULT_STATE_CAP, SLIDE, JUMP, DsrInstance, has_dominating_set, solve,
+                  validate_instance)
 from . import graphs
 from .errors import MalformedInput, SizeCapExceeded
-from .graphs import Graph, complete_graph, mask_of
+from .graphs import Graph, bits, closed_mask_of, complete_graph, mask_of
 from .tapes import (
     MultiTapeInstance,
     Tape,
     TapeInstance,
     build_extended,
+    irreducible_masks,
     is_irreducible,
     path_order,
     path_tape,
@@ -731,62 +732,85 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
 
 
 def check_min_ds_structure(inst: DsrInstance) -> bool:
-    """Certify the minimum-dominating-set shape of a sliding reduction output.
+    """Certify, by counting on the graph, that every minimum dominating set
+    of a sliding reduction output holds one of the hub and its leaf, one
+    cell of each tape and no letter.
 
-    All minimum dominating sets must have exactly guard-count+1 vertices,
-    hold the hub or its leaf, one cell per tape, and no letter vertex.  No
-    set of guard-count vertices may dominate; each set of one more is
-    checked as the enumerator yields it, and at least one must exist.
+    N[guard i] must be guard i and tape i's cells, and N[leaf] = {hub,
+    leaf}; these k + 1 sets must be pairwise disjoint, so every dominating
+    set has a vertex in each, and the source, of k + 1 vertices, must
+    dominate.  So every minimum set has one vertex in each and none
+    elsewhere.  Letters must be adjacent only to cells, so a minimum set that
+    held guard i would cover the letters with fewer cells than tapes, one per
+    tape; the cells' letter neighbourhoods, read off the graph, must be
+    irreducible, which rules that out.  The provenance only names the
+    vertices, and False means "not certified".  The exhaustive form is
+    ``acceptance.enumerated_min_ds_structure``.
     """
     prov = inst.provenance or {}
     if prov.get("construction") != "ts-dsr":
         raise MalformedInput("structure check needs a ts-dsr artifact")
     src: TapeInstance = prov["source"]
-    k = len(src.tapes)
-    if has_dominating_set(inst.graph, k):
+    g, guards, base = inst.graph, prov["guards"], prov["letter_base"]
+    nbr, closed = g.nbr_mask, g.closed_mask
+    spans = [((1 << t.cells.n) - 1) << b for t, b in zip(src.tapes, prov["cell_base"])]
+    regions = [1 << guard | span for guard, span in zip(guards, spans)]
+    regions.append(1 << prov["hub"] | 1 << prov["leaf"])
+    if len(guards) != len(spans) or len(inst.source) != len(regions):
         return False
-    ends = 1 << prov["hub"] | 1 << prov["leaf"]
-    letters = ((1 << src.sigma) - 1) << prov["letter_base"]
-    spans = [((1 << t.cells.n) - 1) << base for t, base in zip(src.tapes, prov["cell_base"])]
-    found = False
-    for d in enumerate_dominating_sets(inst.graph, k + 1):
-        m = mask_of(d)
-        if (m & ends).bit_count() != 1 or m & letters:
+    if [closed[guard] for guard in guards] + [closed[prov["leaf"]]] != regions:
+        return False
+    seen = ((1 << src.sigma) - 1) << base  # the letters lie in no region
+    for region in regions:
+        if seen & region:
             return False
-        if any((m & span).bit_count() != 1 for span in spans):
-            return False
-        found = True
-    return found
+        seen |= region
+    cells = sum(spans)  # disjoint, as their regions are
+    if any(nbr[v] & ~cells for v in range(base, base + src.sigma)):
+        return False
+    if closed_mask_of(g, inst.source) != g.full_mask:
+        return False
+    return irreducible_masks(src.sigma, [[nbr[c] >> base for c in bits(span)] for span in spans])
 
 
 def check_guard_containment(inst: DsrInstance) -> bool:
-    """Certify the guard shape of a connected-jumping reduction output.
+    """Certify, by counting on the graph, that every connected dominating set
+    of a connected-jumping reduction output with its budget 3k + 1 holds
+    every guard and exactly one of the hub and its leaf.
 
-    Every connected dominating set of the budget size must hold every guard
-    and exactly one of the hub and its leaf.  The negation is asked as
-    disjoint connected enumerations; any feasible set found is a violation.
-    Query i bans guard i and forces the guards before it, and finds each set
-    whose first missing guard is i; a set with every guard can fail only on
-    hub and leaf, so the both-forced and both-banned queries force every
-    guard.  The queries partition the union of the plain ones' sets (guard i
-    banned, both forced, both banned), so the verdict is unchanged, and the
-    forced guards seed the enumerator's covered mask.  The enumerator yields
-    only the connected sets, the ones ``is_feasible`` could accept, and
-    ``is_feasible`` stays the final check.
+    Let S_i be guard i, its neighbours (tape i's subdivided vertices) and
+    theirs but the guard (tape i's cells).  N[leaf] must be {hub, leaf}, and
+    the S_i and {hub, leaf} pairwise disjoint, so a dominating set D holds
+    the hub or the leaf, outside every S_i.  If D is connected and holds
+    guard i, a path in D from guard i to the hub or leaf goes through a
+    subdivided vertex and leaves S_i from a vertex that is neither, as only
+    such have neighbours outside S_i: 3 vertices in S_i.  If D misses guard
+    i, it dominates tape i's subdivided vertices from S_i alone; four of them
+    whose closed neighbourhoods less guard i are pairwise disjoint, found
+    greedily in id order, need 4.  So a set of 3k + 1 holds every guard and
+    one of hub and leaf.  The provenance only names the vertices, and False
+    means "not certified".  The exhaustive form is
+    ``acceptance.enumerated_guard_containment``.
     """
     prov = inst.provenance or {}
     if prov.get("construction") != "tj-cdsr":
         raise MalformedInput("guard check needs a tj-cdsr artifact")
-    ends = 1 << prov["hub"] | 1 << prov["leaf"]
-    guards = prov["guards"]
-    every = mask_of(guards)
-    queries = [(mask_of(guards[:i]), 1 << guard) for i, guard in enumerate(guards)]
-    return not any(
-        is_feasible(inst, d)
-        for forced, banned in queries + [(every | ends, 0), (every, ends)]
-        for d in enumerate_dominating_sets(inst.graph, inst.k, forced=forced, banned=banned,
-                                           connected=True)
-    )
+    nbr, guards = inst.graph.nbr_mask, prov["guards"]
+    seen = 1 << prov["hub"] | 1 << prov["leaf"]
+    if inst.k != 3 * len(guards) + 1 or inst.graph.closed_mask[prov["leaf"]] != seen:
+        return False
+    for guard in guards:
+        region, packed, packing = 1 << guard, 0, 0
+        for mid in bits(nbr[guard]):
+            near = (nbr[mid] | 1 << mid) & ~(1 << guard)
+            region |= near
+            if not near & packed:
+                packed |= near
+                packing += 1
+        if region & seen or packing < 4:
+            return False
+        seen |= region
+    return True
 
 
 # ---------------------------------------------------------------------------

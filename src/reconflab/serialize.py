@@ -176,8 +176,6 @@ def tapes_from_json(raw: list, sigma: int) -> tuple[Tape, ...]:
     out = []
     for payload in raw:
         cells = graph_from_json(_need(payload, "cells"))
-        if not cells.is_connected():
-            raise MalformedInput("tape cell graph is disconnected")
         n = cells.n
         content = [0] * n
         cmap = _need(payload, "content")

@@ -264,22 +264,31 @@ def is_irreducible(inst: TapeInstance | MultiTapeInstance) -> bool:
 
     The per-tape restriction matters: tokens of the downstream reconfiguration
     encodings occupy at most one cell per tape, and that is the coverage the
-    notion has to rule out.  A sparse search over the letter masks reachable
-    so far, each with its fewest cells, adding one tape at a time; with k
-    tapes, a mask already built from k - 1 cells cannot grow into a smaller
-    cover.  The (stored mask, cell mask) pairs it tries, counted one stored
-    mask at a time and each weighted by the 64-bit words of a mask, bound
-    both its time and its dict; past ``graphs.ENUM_CAP`` it raises
-    SizeCapExceeded.  Below 65 letters the weight is 1.
+    notion has to rule out.  ``irreducible_masks`` decides it on the tapes'
+    contents.
     """
-    tapes = _all_tapes(inst)
-    full, k = (1 << inst.sigma) - 1, len(tapes)
+    return irreducible_masks(inst.sigma, [t.content for t in _all_tapes(inst)])
+
+
+def irreducible_masks(sigma: int, tapes: Sequence[Iterable[int]]) -> bool:
+    """No choice of one letter mask from each of fewer than ``len(tapes)``
+    of the lists in ``tapes`` covers the ``sigma`` letters.
+
+    A sparse search over the letter masks reachable so far, each with its
+    fewest cells, adding one tape at a time; with k tapes, a mask already
+    built from k - 1 cells cannot grow into a smaller cover.  The (stored
+    mask, cell mask) pairs it tries, counted one stored mask at a time and
+    each weighted by the 64-bit words of a mask, bound both its time and its
+    dict; past ``graphs.ENUM_CAP`` it raises SizeCapExceeded.  Below 65
+    letters the weight is 1.
+    """
+    full, k = (1 << sigma) - 1, len(tapes)
     if not full:
         return k == 0  # zero cells cover the empty alphabet
     fewest = {0: 0}
-    words, cap, width = 0, graphs.ENUM_CAP, (inst.sigma + 63) // 64  # 64-bit words per mask
-    for t in tapes:  # each tape contributes at most one cell
-        masks = {c & full for c in t.content} - {0}
+    words, cap, width = 0, graphs.ENUM_CAP, (sigma + 63) // 64  # 64-bit words per mask
+    for cells in tapes:  # each tape contributes at most one cell
+        masks = {c & full for c in cells} - {0}
         for m, d in list(fewest.items()):  # masks this tape reaches are not extended by it
             if d + 1 >= k:
                 continue

@@ -3,7 +3,9 @@ and list traversals.
 
 ``graphs.degeneracy`` keeps one vertex mask per degree; ``degeneracy`` here
 is the minimum-degree scan it replaced.
-``graphs.min_feedback_vertex_set`` branches on short cycles,
+``graphs.min_feedback_vertex_set`` branches on short cycles, and
+``max_degree_feedback_vertex_set`` is that search with the cut it had before
+it summed the largest degrees: b (max deg - 1) < m - n,
 ``graphs.find_biclique`` searches a-sets by common neighbourhood,
 ``dsr.enumerate_dominating_sets`` runs on one explicit stack and prunes with a
 distance-3 packing bound, ``kernel.compute_core`` asks that enumerator one
@@ -23,8 +25,8 @@ is the overlapping query list the guard check asked before its queries were
 made disjoint.  ``contract_class_components`` is ``kernel``'s class
 contraction as it was before it became one ``graphs.quotient``: the first
 class component found is merged, then every class is recomputed.
-``min_ds_structure`` is ``reductions.check_min_ds_structure`` as it was
-before it streamed one size from the enumerator: it lists every minimum
+``min_ds_structure`` is ``acceptance.enumerated_min_ds_structure`` as it
+was before it streamed one size from the enumerator: it lists every minimum
 dominating set with ``dsr_oracle.minimum_dominating_sets``, then checks each.
 """
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import Optional
 
 from dsr_oracle import minimum_dominating_sets
 from reconflab.errors import InfeasibleInstance
-from reconflab.graphs import (Graph, bits, closed_mask_of, component_of, dominates, mask_of,
-                              neighborhood_classes)
+from reconflab.graphs import (Graph, _short_cycle, _strip_acyclic, bits, closed_mask_of,
+                              component_of, dominates, mask_of, neighborhood_classes)
 
 
 def is_forest(n: int, edges, removed_mask: int = 0) -> bool:
@@ -126,6 +128,35 @@ def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
         for combo in itertools.combinations(range(g.n), size):
             if is_forest(g.n, edges, mask_of(combo)):
                 return frozenset(combo)
+    raise AssertionError("deleting every vertex leaves a forest")
+
+
+def max_degree_feedback_vertex_set(g: Graph) -> frozenset[int]:
+    """``graphs.min_feedback_vertex_set`` with its earlier cut: a node gives
+    up when its budget times the largest degree less one is below m - n.
+    No node cap."""
+    nbr = g.nbr_mask
+
+    def search(alive: int, budget: int) -> Optional[list[int]]:
+        alive = _strip_acyclic(nbr, alive)
+        if not alive:
+            return []
+        if budget == 0:
+            return None
+        deg = {v: (nbr[v] & alive).bit_count() for v in bits(alive)}
+        if budget * (max(deg.values()) - 1) * 2 < sum(deg.values()) - 2 * len(deg):
+            return None
+        for v in sorted(bits(_short_cycle(nbr, alive)), key=lambda v: -deg[v]):
+            found = search(alive & ~(1 << v), budget - 1)
+            if found is not None:
+                found.append(v)
+                return found
+        return None
+
+    for budget in range(g.n + 1):
+        found = search(g.full_mask, budget)
+        if found is not None:
+            return frozenset(found)
     raise AssertionError("deleting every vertex leaves a forest")
 
 
@@ -222,7 +253,7 @@ def connected_dominating_sets(g: Graph, size: int, target: Optional[int] = None,
 def plain_guard_queries(prov: dict) -> list[tuple[int, int]]:
     """The (forced, banned) masks of the plain guard check: each guard
     banned, then hub and leaf both forced, then both banned.  Their sets
-    overlap; ``reductions.check_guard_containment`` asks disjoint ones."""
+    overlap; ``acceptance.enumerated_guard_containment`` asks disjoint ones."""
     ends = 1 << prov["hub"] | 1 << prov["leaf"]
     return [(0, 1 << guard) for guard in prov["guards"]] + [(ends, 0), (0, ends)]
 

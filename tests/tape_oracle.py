@@ -50,11 +50,14 @@ def successors(inst: TapeInstance, config: tuple[int, ...]) -> list[tuple[int, .
 def solve_tape(inst: TapeInstance, state_cap: int) -> ReconfigResult:
     """Breadth-first search over ``successors`` from cs alone, with
     ``solve_tape``'s signature; the count and the cap outcome are those of a
-    search from both ends."""
+    search from both ends.  Like ``solve_tape`` it refuses cs or ct when it
+    is not a valid configuration or, synchronized, has heads on two numbers."""
     cs, ct = tuple(inst.cs), tuple(inst.ct)
     for name, config in (("cs", cs), ("ct", ct)):
         if not is_valid_configuration(inst, config):
             raise MalformedInput(f"{name} is not a valid configuration")
+        if inst.sync and len({t.number[c] for t, c in zip(inst.tapes, config)}) > 1:
+            raise MalformedInput(f"{name} heads are not all on one number")
     step = lambda c: successors(inst, c)
     explored = two_ended_count(cs, ct, step, state_cap)
     path = one_sided_path(cs, ct, step)

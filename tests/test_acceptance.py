@@ -38,4 +38,4 @@ def test_run_all_passes_trials_and_logs_seconds(monkeypatch):
     results = acceptance.run_all(log=log)
     assert seen == ["X01"]
     assert results == [CriterionResult("X01", "fake", True, "ok")]
-    assert re.fullmatch(r"PASS X01 \[ *\d+\.\ds\] fake: ok\n", log.getvalue())
+    assert re.fullmatch(r"PASS X01 \[ *\d+\.\d{3}s\] fake: ok\n", log.getvalue())

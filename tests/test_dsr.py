@@ -120,7 +120,7 @@ def feasibility_cases() -> list[tuple[DsrInstance, frozenset[int]]]:
     that its guard queries' (forced, banned) masks give without the
     connected cut, and every budget-size dominating set of its two-tape
     artifacts."""
-    from reconflab import reductions
+    from reconflab import acceptance
 
     rng = random.Random(1707)
     cases = []
@@ -147,11 +147,11 @@ def feasibility_cases() -> list[tuple[DsrInstance, frozenset[int]]]:
         return iter(())
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reductions, "enumerate_dominating_sets", guard_sets)
+        mp.setattr(acceptance, "enumerate_dominating_sets", guard_sets)
         for _ in range(6):
             art = _small_irreducible(rng, cells=2, sigma=2)
             cd = tape_to_tj_cdsr(art)
-            assert reductions.check_guard_containment(cd)
+            assert acceptance.enumerated_guard_containment(cd)
             if len(art.tapes) == 2:
                 cases += [(cd, d) for d in enumerate_dominating_sets(cd.graph, cd.k)]
     return cases
@@ -666,13 +666,13 @@ def c06_two_tape_artifacts():
 def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
     """(graph, size, target, forced, banned) queries for the order oracle:
     ``enumerator_cases`` with masks drawn per case in every mode; the masks
-    ``check_guard_containment`` asks (as plain queries here) and the plain
-    guard queries it replaced,
+    ``acceptance.enumerated_guard_containment`` asks (as plain queries here)
+    and the plain guard queries it replaced,
     on acceptance C06's two-tape artifacts at their budget; seeded graphs with
     n up to 14; and the queries ``kernel.compute_core`` asks on fans and
     wheels (target X - v, banned N[v]), recorded from real calls with and
     without the token sets forced into the core."""
-    from reconflab import kernel, reductions
+    from reconflab import acceptance, kernel
 
     rng = random.Random(4404)
 
@@ -698,12 +698,12 @@ def order_oracle_queries() -> list[tuple[Graph, int, int | None, int, int]]:
             asked.append((g, size, None, forced, banned))
             return iter(())
 
-        reductions_enum = reductions.enumerate_dominating_sets
-        reductions.enumerate_dominating_sets = record
+        acceptance_enum = acceptance.enumerate_dominating_sets
+        acceptance.enumerate_dominating_sets = record
         try:
-            assert reductions.check_guard_containment(cd)
+            assert acceptance.enumerated_guard_containment(cd)
         finally:
-            reductions.enumerate_dominating_sets = reductions_enum
+            acceptance.enumerate_dominating_sets = acceptance_enum
         plain = certificate_oracle.plain_guard_queries(cd.provenance)
         queries += asked + [(cd.graph, cd.k, None, f, b) for f, b in plain]
     asked = []

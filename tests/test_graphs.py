@@ -26,7 +26,8 @@ from reconflab.graphs import (
     path_graph,
     quotient,
 )
-from reconflab.reductions import tape_to_ts_dsr
+from reconflab.generators import gen_random_tape_instance
+from reconflab.reductions import desynchronize_triangle, tape_to_ts_dsr
 from reconflab.tapes import extended_graph
 
 
@@ -340,9 +341,15 @@ def test_fvs_cap(monkeypatch):
         min_feedback_vertex_set(complete_graph(12))
 
 
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def fvs_cases() -> list[Graph]:
     """Seeded random graphs, the first C05 artifacts (extended graph and
-    sliding-reduction output), K4, cycles, a forest and a disconnected graph."""
+    sliding-reduction output), the same graphs of two-tape sources shaped as
+    certify-reductions draws them (two cells, one or two letters), K4, K6,
+    the Petersen graph, cycles, a forest and a disconnected graph."""
     rng = random.Random(4401)
     graphs = [random_graph(rng, rng.randint(0, 10), rng.uniform(0.15, 0.7))
               for _ in range(200)]
@@ -350,6 +357,12 @@ def fvs_cases() -> list[Graph]:
     for i in range(12):
         art = _small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2)
         graphs += [extended_graph(art), tape_to_ts_dsr(art).graph]
+    for seed in range(6):
+        art = desynchronize_triangle(gen_random_tape_instance(seed, tapes=2, cells=2,
+                                                              sigma=1 + seed % 2, sync=True))
+        assert len(art.tapes) == 3
+        graphs += [extended_graph(art), tape_to_ts_dsr(art).graph]
+    graphs += [PETERSEN, complete_graph(6)]
     forest = Graph(9, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)])
     # a triangle, a K4 sharing nothing with it, a pendant path and two isolated vertices
     apart = Graph(11, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
@@ -369,6 +382,15 @@ def test_fvs_matches_oracle():
         got = min_feedback_vertex_set(g)
         assert len(got) == len(certificate_oracle.min_feedback_vertex_set(g)), g
         assert certificate_oracle.is_forest(g.n, g.edges, mask_of(got)), g
+
+
+def test_fvs_degree_sum_cut_returns_the_max_degree_cut_sets():
+    """The largest-degrees cut drops only subtrees without a solution, so
+    every case gets the very set the earlier max-degree cut finds."""
+    for g in fvs_cases():
+        assert min_feedback_vertex_set(g) == certificate_oracle.max_degree_feedback_vertex_set(g), g
+    assert len(min_feedback_vertex_set(PETERSEN)) == 3
+    assert len(min_feedback_vertex_set(complete_graph(6))) == 4
 
 
 # ---------------------------------------------------------------- bicliques

@@ -54,3 +54,26 @@ def test_pair_wins_follow_each_metrics_direction_and_ties_count_for_neither():
     wins = record_bench.pair_wins(tree, parent, {"items_per_s": "higher", "item_p50_ms": "lower"})
     assert wins == {"items_per_s": {"wins": 1, "pairs": 3},
                     "item_p50_ms": {"wins": 2, "pairs": 3}}
+
+
+ACCEPTANCE_STDERR = """\
+PASS C01 [  0.057s] dominating-set encoding soundness: 200/200 agree with subset enumeration
+PASS C02 [  0.000s] five-cycle pattern fidelity: per-cell marks exact
+FAIL C05 [ 12.345s] tape to token sliding: answer changed on artifact 3
+PASS C10 [  0.079s] engine self-consistency: 500/500 match the DFS oracle; [1.000s] in details
+"""
+
+
+def test_parse_acceptance_reads_each_criterions_seconds():
+    run = record_bench.parse_acceptance("warning: something\n" + ACCEPTANCE_STDERR)
+    assert run == {"correct": False, "failed": 1, "metrics": {
+        "C01_s": 0.057, "C02_s": 0.0, "C05_s": 12.345, "C10_s": 0.079}}
+    passing = "".join(line + "\n" for line in ACCEPTANCE_STDERR.splitlines() if "FAIL" not in line)
+    assert record_bench.parse_acceptance(passing)["correct"]
+
+
+@pytest.mark.parametrize("stderr", ["", "Traceback (most recent call last):\n", "PASS C01 fake\n",
+                                    "PASS C01 [  0.1s fake: ok\n"])
+def test_parse_acceptance_refuses_stderr_without_a_criterion_line(stderr):
+    with pytest.raises(ValueError):
+        record_bench.parse_acceptance(stderr)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 from helpers import grid, tape_is_subdivided_star
-from reconflab.acceptance import _small_irreducible
+from reconflab.acceptance import (_small_irreducible, enumerated_guard_containment,
+                                  enumerated_min_ds_structure)
 from reconflab.dsr import JUMP, DsrInstance, is_feasible, solve
 from reconflab.errors import MalformedInput, SizeCapExceeded, StateCapExceeded
 from reconflab.graphs import Graph, cycle_graph, degeneracy, dominates, min_feedback_vertex_set
@@ -653,7 +654,7 @@ def test_ts_dsr_equivalence_structure_and_bounds():
     for art in small_irreducible_instances(6, seed=42):
         dsr = tape_to_ts_dsr(art)
         assert solve(dsr).reachable == solve_tape(art).reachable
-        assert check_min_ds_structure(dsr)
+        assert check_min_ds_structure(dsr) and enumerated_min_ds_structure(dsr)
         d_in = degeneracy(extended_graph(art))[0]
         assert degeneracy(dsr.graph)[0] <= d_in + 2
         f_in = len(min_feedback_vertex_set(extended_graph(art)))
@@ -693,7 +694,7 @@ def test_check_min_ds_structure_single_tape_single_letter():
     inst = TapeInstance(1, (path_tape([1, 1]),), (0,), (1,))
     assert is_irreducible(inst)
     dsr = tape_to_ts_dsr(inst)
-    assert check_min_ds_structure(dsr)
+    assert check_min_ds_structure(dsr) and enumerated_min_ds_structure(dsr)
     assert solve(dsr).reachable
 
 
@@ -710,25 +711,46 @@ def test_check_min_ds_structure_fails_with_universal_vertex():
         g2, dsr.k, dsr.source, dsr.target, dsr.rule, provenance=dsr.provenance
     )
     assert not check_min_ds_structure(mutated)
+    assert not enumerated_min_ds_structure(mutated)
+
+
+def cell_letter_mutants(inst: DsrInstance) -> list[DsrInstance]:
+    """``inst`` with one more cell-letter edge, for each cell and letter not
+    yet joined."""
+    g, prov = inst.graph, inst.provenance
+    src = prov["source"]
+    base = prov["letter_base"]
+    cells = [c for t, b in zip(src.tapes, prov["cell_base"]) for c in range(b, b + t.cells.n)]
+    return [replace(inst, graph=Graph(g.n, [*g.edges, (c, v)], g.labels))
+            for c in cells for v in range(base, base + src.sigma) if not g.has_edge(c, v)]
 
 
 def test_check_min_ds_structure_agrees_with_the_all_minimum_sets_oracle():
-    """Artifacts and three mutants of each: an isolated vertex, a universal
-    vertex, and the hub-leaf edge moved onto a letter vertex."""
+    """Artifacts and mutants of each: an isolated vertex, a universal
+    vertex, the hub-leaf edge moved onto a letter vertex, and every added
+    cell-letter edge.  The enumerated form agrees with the oracle, and the
+    counting check certifies only what the enumeration certifies, every
+    artifact among it."""
     rng = random.Random(7501)
-    verdicts = set()
+    verdicts, counted = set(), set()
     for i in range(12):
         dsr = tape_to_ts_dsr(_small_irreducible(rng, cells=2 if i % 3 else 3, sigma=2))
         g, prov = dsr.graph, dsr.provenance
         moved = [e for e in g.edges if set(e) != {prov["hub"], prov["leaf"]}]
-        for graph in (g, Graph(g.n + 1, g.edges, g.labels),
-                      Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)], g.labels),
-                      Graph(g.n, moved + [(prov["letter_base"], prov["leaf"])], g.labels)):
-            mutant = replace(dsr, graph=graph)
-            got = check_min_ds_structure(mutant)
-            assert got == certificate_oracle.min_ds_structure(mutant), (i, graph.edges)
+        assert check_min_ds_structure(dsr)
+        mutants = [replace(dsr, graph=graph) for graph in (
+            g, Graph(g.n + 1, g.edges, g.labels),
+            Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)], g.labels),
+            Graph(g.n, moved + [(prov["letter_base"], prov["leaf"])], g.labels))]
+        for mutant in mutants + cell_letter_mutants(dsr):
+            got = enumerated_min_ds_structure(mutant)
+            assert got == certificate_oracle.min_ds_structure(mutant), (i, mutant.graph.edges)
             verdicts.add(got)
+            if check_min_ds_structure(mutant):
+                assert got, (i, mutant.graph.edges)
+                counted.add(mutant.graph != g)
     assert verdicts == {True, False}
+    assert counted == {False, True}  # some cell-letter mutants stay irreducible
 
 
 def test_check_min_ds_structure_refuses_an_isolated_vertex():
@@ -736,8 +758,9 @@ def test_check_min_ds_structure_refuses_an_isolated_vertex():
     so no set of that size dominates: not certified, not an error."""
     ts = tape_to_ts_dsr(_small_irreducible(random.Random(7501), cells=3, sigma=2))
     g = ts.graph
-    assert check_min_ds_structure(ts)
-    assert not check_min_ds_structure(replace(ts, graph=Graph(g.n + 1, g.edges, g.labels)))
+    isolated = replace(ts, graph=Graph(g.n + 1, g.edges, g.labels))
+    assert check_min_ds_structure(ts) and enumerated_min_ds_structure(ts)
+    assert not check_min_ds_structure(isolated) and not enumerated_min_ds_structure(isolated)
 
 
 @pytest.mark.parametrize("tapes", [7, 10])
@@ -753,12 +776,12 @@ def test_sliding_reduction_certifies_sources_past_twenty_letters(tapes, seed):
     assert is_irreducible(art)
     dsr, agree = CONSTRUCTIONS["ts-dsr"].replay(art)
     assert agree
-    assert check_min_ds_structure(dsr)
+    assert check_min_ds_structure(dsr) and enumerated_min_ds_structure(dsr)
 
 
 def guards_contained(cd: DsrInstance) -> bool:
-    """Oracle for ``check_guard_containment``: enumerate every dominating set
-    of the budget size and filter for the connected ones."""
+    """Oracle for both guard checks: enumerate every dominating set of the
+    budget size and filter for the connected ones."""
     from reconflab.dsr import enumerate_dominating_sets
 
     guards = set(cd.provenance["guards"])
@@ -777,7 +800,7 @@ def test_tj_cdsr_equivalence_and_guard_containment():
             if lab.startswith("mid:"):
                 assert cd.graph.degree(v) == 3
         assert guards_contained(cd)
-        assert check_guard_containment(cd)
+        assert check_guard_containment(cd) and enumerated_guard_containment(cd)
     # Joining the hub to every subdivided vertex lets hub + leaf + cells form
     # a connected dominating set without the guard: both checks must see it.
     labels = cd.graph.labels
@@ -795,7 +818,13 @@ def test_tj_cdsr_equivalence_and_guard_containment():
         mutated.append(replace(cd, provenance={**prov, **change}))
     for bad in mutated:
         assert not guards_contained(bad)
-        assert not check_guard_containment(bad)
+        assert not check_guard_containment(bad) and not enumerated_guard_containment(bad)
+    # A padding cell joined to a letter changes no guard region: still certified.
+    g = cd.graph
+    padded = max(v for v, lab in labels.items() if lab.startswith("cell:"))
+    joined = replace(cd, graph=Graph(g.n, [*g.edges, (padded, letters[0])], labels))
+    assert guards_contained(joined)
+    assert check_guard_containment(joined) and enumerated_guard_containment(joined)
     with pytest.raises(MalformedInput):
         check_guard_containment(tape_to_ts_dsr(art))
 
@@ -810,11 +839,65 @@ def test_guard_containment_certifies_a_three_tape_artifact():
     src = gen_random_tape_instance(0, tapes=3, cells=2, sigma=2, sync=True)
     cd = tape_to_tj_cdsr(desynchronize_triangle(src))
     assert (cd.graph.n, cd.k, len(cd.provenance["guards"])) == (88, 13, 4)
-    assert check_guard_containment(cd)
+    assert check_guard_containment(cd) and enumerated_guard_containment(cd)
     prov, labels = cd.provenance, cd.graph.labels
     mids = [v for v, lab in labels.items() if lab == "mid:0"]
     joined = Graph(cd.graph.n, [*cd.graph.edges, *((prov["hub"], v) for v in mids)], labels)
     assert not check_guard_containment(replace(cd, graph=joined))
+    assert not enumerated_guard_containment(replace(cd, graph=joined))
+
+
+@pytest.mark.parametrize("tapes", [10, 14])
+def test_guard_containment_certifies_ten_and_fourteen_tape_sources(tapes):
+    """Sources of 10 and 14 tapes reduce to tj-cdsr (235 and 319 vertices,
+    k = 34 and 46), far past any enumeration, and the counting check
+    certifies them.  Joining the hub to the last tape's subdivided vertices
+    lets a connected dominating set drop that guard: refused."""
+    from reconflab.generators import gen_random_tape_instance
+
+    src = gen_random_tape_instance(0, tapes=tapes, cells=2, sigma=2, sync=True)
+    cd = CONSTRUCTIONS["tj-cdsr"].build(desynchronize_triangle(src))
+    assert (cd.graph.n, cd.k) == {10: (235, 34), 14: (319, 46)}[tapes]
+    assert check_guard_containment(cd)
+    prov, labels = cd.provenance, cd.graph.labels
+    mids = [v for v, lab in labels.items() if lab == f"mid:{len(prov['guards']) - 1}"]
+    joined = Graph(cd.graph.n, [*cd.graph.edges, *((prov["hub"], v) for v in mids)], labels)
+    assert not check_guard_containment(replace(cd, graph=joined))
+
+
+def test_counting_checks_refuse_each_fact_broken_alone():
+    """Each fact a counting argument reads off the graph, broken while the
+    others still hold: the check refuses, whatever an enumeration says."""
+    rng = random.Random(7501)
+    ts = tape_to_ts_dsr(_small_irreducible(rng, cells=3, sigma=2))
+    g, prov = ts.graph, ts.provenance
+    hub, leaf, guard = prov["hub"], prov["leaf"], prov["guards"][0]
+    cell = min(ts.source - {hub})
+    rehung = [e for e in g.edges if leaf not in e] + [(leaf, cell)]
+    assert check_min_ds_structure(ts)
+    for mutant in (
+        replace(ts, graph=Graph(g.n, [*g.edges, (prov["letter_base"], hub)], g.labels)),
+        replace(ts, graph=Graph(g.n, [*g.edges, (guard, hub)], g.labels)),
+        replace(ts, graph=Graph(g.n, [*g.edges, (leaf, cell)], g.labels)),
+        # the leaf hung off a source cell named as the hub: regions meet
+        replace(ts, graph=Graph(g.n, rehung, g.labels), provenance={**prov, "hub": cell}),
+    ):
+        assert not check_min_ds_structure(mutant), mutant.graph.edges
+
+    cd = tape_to_tj_cdsr(_small_irreducible(rng, cells=3, sigma=2))
+    g, prov = cd.graph, cd.provenance
+    mids = [v for v in range(g.n) if g.has_edge(v, prov["guards"][0])]
+    cell = min(v for v, lab in g.labels.items() if lab.startswith("cell:"))
+    assert check_guard_containment(cd)
+    for mutant in (
+        replace(cd, k=cd.k + 1),
+        replace(cd, graph=Graph(g.n, [*g.edges, (prov["leaf"], cell)], g.labels)),
+        # one subdivided vertex joined to the hub: its guard's region meets the hub
+        replace(cd, graph=Graph(g.n, [*g.edges, (prov["hub"], mids[-1])], g.labels)),
+        # one new vertex dominates every subdivided vertex: no packing of 4
+        replace(cd, graph=Graph(g.n + 1, [*g.edges, *((g.n, v) for v in mids)], g.labels)),
+    ):
+        assert not check_guard_containment(mutant), (mutant.k, mutant.graph.edges)
 
 
 def plain_guard_violations(cd: DsrInstance) -> set[frozenset[int]]:
@@ -828,7 +911,7 @@ def plain_guard_violations(cd: DsrInstance) -> set[frozenset[int]]:
 
 
 def test_disjoint_guard_queries_match_the_plain_ones(monkeypatch):
-    """``check_guard_containment`` against the plain query list, on seeded
+    """``enumerated_guard_containment`` against the plain query list, on seeded
     tj-cdsr artifacts and on built violations: each guard in turn dropped
     (made redundant by joining the hub to its tape's subdivided vertices);
     the three relabelled provenances of the test above; and two letters
@@ -836,8 +919,9 @@ def test_disjoint_guard_queries_match_the_plain_ones(monkeypatch):
     (joined to every cell) is a near miss: one of the two still has to
     dominate the cells and the budget has no room for both.  With every set
     reported infeasible the check runs all its queries, so the feasible sets
-    it is shown are the union its queries find, each set once."""
-    from reconflab import reductions
+    it is shown are the union its queries find, each set once.  The counting
+    check certifies only cases the enumeration certifies."""
+    from reconflab import acceptance
 
     cases = [tape_to_tj_cdsr(art)
              for art in small_irreducible_instances(4, seed=1605, max_tapes=1, max_cells=3)]
@@ -857,12 +941,14 @@ def test_disjoint_guard_queries_match_the_plain_ones(monkeypatch):
     verdicts = []
     for case in cases:
         want = plain_guard_violations(case)
-        verdicts.append(check_guard_containment(case))
+        verdicts.append(enumerated_guard_containment(case))
         assert verdicts[-1] == (not want)
+        if check_guard_containment(case):
+            assert verdicts[-1]
         shown = []
-        monkeypatch.setattr(reductions, "is_feasible",
+        monkeypatch.setattr(acceptance, "is_feasible",
                             lambda inst, d: is_feasible(inst, d) and shown.append(d) and False)
-        assert check_guard_containment(case)
+        assert enumerated_guard_containment(case)
         monkeypatch.undo()
         assert len(shown) == len(set(shown)) and set(shown) == want
     assert verdicts == [True] * 4 + [False] * 2 + [True] + [False] * 4

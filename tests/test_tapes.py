@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -225,6 +226,12 @@ def test_solve_tape_matches_oracle():
     cases = oracle_cases()
     for inst in cases:
         assert solve_tape(inst) == tape_oracle.solve_tape(inst, DEFAULT_STATE_CAP)
+    # both heads cover Σ at start and at end, but on numbers 1 and 2, then 2 and 3
+    off = instance([path_tape([1, 1], number=[1, 2]), path_tape([0, 0], number=[2, 3])],
+                   [0, 0], [1, 1], sigma=1, sync=True, r=3)
+    for search in (solve_tape, lambda inst: tape_oracle.solve_tape(inst, DEFAULT_STATE_CAP)):
+        with pytest.raises(MalformedInput, match="cs heads are not all on one number"):
+            search(off)
     capped = 0
     for cap in range(1, 9):
         for inst in cases:
@@ -248,11 +255,13 @@ def test_solve_tape_matches_oracle():
         assert solve_multi(multi) == _oracle_multi(multi)
         for indices in itertools.product(*(range(len(t)) for t in multi.tuples)):
             sel = multi.select(indices)
-            problems = validate_instance(sel)
-            if problems:  # solve_multi skips the selection unsearched
-                off_number += any("one number" in p for p in problems)
+            try:
+                want = tape_oracle.solve_tape(sel, DEFAULT_STATE_CAP)
+            except MalformedInput as exc:  # solve_multi skips the selection unsearched
+                off_number += "one number" in str(exc)
+                with pytest.raises(MalformedInput, match=re.escape(str(exc))):
+                    solve_tape(sel)
                 continue
-            want = tape_oracle.solve_tape(sel, DEFAULT_STATE_CAP)
             assert tapes._search(sel, DEFAULT_STATE_CAP) == want
     assert off_number
 
