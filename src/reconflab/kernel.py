@@ -172,59 +172,69 @@ def contract_class_components(inst: DcrInstance) -> DcrInstance:
     return _quotient(inst, onto) if onto else inst
 
 
-def fat_pairs(inst: DcrInstance) -> list[tuple[frozenset, frozenset]]:
-    """Ordered class pairs joined by a matching larger than k * d."""
-    from .matching import max_bipartite_matching
-
-    classes = neighborhood_classes(inst.graph, inst.core_set())
-    keys = sorted(classes, key=sorted)
-    out = []
-    threshold = inst.k * inst.d
-    for a in keys:
-        for b in keys:
-            if a == b:
-                continue
-            left, right = sorted(classes[a]), sorted(classes[b])
-            edges = [
-                (u, v) for u in left for v in right if inst.graph.has_edge(u, v)
-            ]
-            if len(edges) <= threshold:
-                continue
-            if len(max_bipartite_matching(left, right, edges)) > threshold:
-                out.append((a, b))
-    return out
+def _matching_size(nbr_mask: list[int], left, right_mask: int) -> int:
+    """Size of a maximum matching between the vertices ``left`` and the
+    vertex mask ``right_mask``: one breadth-first search for an augmenting
+    path per left vertex, over neighbourhood masks, with no recursion."""
+    mate: dict[int, int] = {}  # right vertex -> left vertex, and back
+    for root in left:
+        parent, queue, seen, free = {}, [root], 0, None
+        for u in queue:
+            fresh = nbr_mask[u] & right_mask & ~seen
+            seen |= fresh
+            for v in bits(fresh):
+                parent[v] = u
+                if v not in mate:
+                    free = v
+                    break
+                queue.append(mate[v])
+            if free is not None:
+                break
+        while free is not None:
+            u = parent[free]
+            mate[free], mate[u], free = u, free, mate.get(u)
+    return len(mate) // 2
 
 
 def prune_three_classes(inst: DcrInstance) -> DcrInstance:
-    """Cut all edges between a 3-class and its fat partners (minor-free only).
+    """Cut all edges between a 3-class and a fat partner (minor-free only):
+    a class joined to it by a matching larger than k * d.
 
-    One pair at a time, refreshing fatness after each cut, since removals can
-    change the matchings of the remaining pairs.
+    Pairs are tried in order: each 3-class A, then each partner B != A,
+    both by ``sorted`` trace; the first fat pair is cut, and the classes
+    are recomputed before the next, since a cut can change the matchings
+    of the remaining pairs.
 
     Answer preservation rests on the promise: contracting the more than
     k * d disjoint edges of a fat pair (A, B) gives as many vertices next
     to both traces, so a fourth core vertex in B's trace would give a
     K_{4,d} minor.  B's trace thus lies inside A's, and no core vertex needs
     an A-B edge to be dominated.  That no sequence needs one to move is
-    checked by search on built fat pairs, not proved here.
+    checked by search on built fat pairs, not proved here.  Nor can a cut
+    disconnect the graph: each cut edge has a common core neighbour.  A
+    cut that does proves the promise or the core false, and is refused as
+    malformed input.
     """
     if inst.family != K4D_MINOR_FREE:
         raise MalformedInput("3-class pruning relies on the minor-free promise")
+    threshold = inst.k * inst.d
     while True:
+        nbr = inst.graph.nbr_mask
         classes = neighborhood_classes(inst.graph, inst.core_set())
-        gone = set()
-        for a, b in fat_pairs(inst):
-            if len(a) != 3:
-                continue
-            gone = {(min(u, v), max(u, v)) for u in classes[a] for v in classes[b]
-                    if inst.graph.has_edge(u, v)}
-            if gone:
-                break
-        if not gone:
+        keys = sorted(classes, key=sorted)
+        fat = next(((a, b) for a in keys if len(a) == 3 for b in keys if b != a
+                    if _matching_size(nbr, sorted(classes[a]), mask_of(classes[b])) > threshold),
+                   None)
+        if fat is None:
             return inst
+        a, b = fat
+        bmask = mask_of(classes[b])
+        gone = {(min(u, v), max(u, v)) for u in classes[a] for v in bits(nbr[u] & bmask)}
         g = Graph(inst.graph.n, [e for e in inst.graph.edges if e not in gone], inst.graph.labels)
         if not g.is_connected():
-            raise AssertionError("fat-pair pruning disconnected the graph")
+            raise MalformedInput(
+                f"{inst.family} promise or core {sorted(inst.core_set())} is false: cutting "
+                f"the fat pair {sorted(a)} / {sorted(b)} disconnected the graph")
         inst = replace(inst, graph=g)
 
 

@@ -28,6 +28,9 @@ class component found is merged, then every class is recomputed.
 ``min_ds_structure`` is ``acceptance.enumerated_min_ds_structure`` as it
 was before it streamed one size from the enumerator: it lists every minimum
 dominating set with ``dsr_oracle.minimum_dominating_sets``, then checks each.
+``max_bipartite_matching`` is the recursive augmenting-path matcher over an
+edge list that ``kernel._matching_size`` replaced with breadth-first searches
+over neighbourhood masks; it returns the matching itself.
 """
 from __future__ import annotations
 
@@ -363,3 +366,30 @@ def min_ds_structure(dsr) -> bool:
     return len(mins[0]) == k + 1 and all(
         len(d & {prov["hub"], prov["leaf"]}) == 1 and not d & letters
         and all(len(d & span) == 1 for span in spans) for d in mins)
+
+
+def max_bipartite_matching(left, right, edges) -> dict:
+    """Maximum-cardinality matching as a dict left element -> right element;
+    left vertices in list order, neighbours in first-seen edge order."""
+    lindex = {x: i for i, x in enumerate(left)}
+    rindex = {x: i for i, x in enumerate(right)}
+    adj: list[list[int]] = [[] for _ in left]
+    for u, v in dict.fromkeys(edges):
+        adj[lindex[u]].append(rindex[v])
+    match_l: list[Optional[int]] = [None] * len(left)
+    match_r: list[Optional[int]] = [None] * len(right)
+
+    def augment(u: int, visited: set[int]) -> bool:
+        for v in adj[u]:
+            if v in visited:
+                continue
+            visited.add(v)
+            if match_r[v] is None or augment(match_r[v], visited):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        return False
+
+    for u in range(len(left)):
+        augment(u, set())
+    return {left[u]: right[v] for u, v in enumerate(match_l) if v is not None}

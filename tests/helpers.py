@@ -5,7 +5,8 @@ subdivided-stars encoding, and ``tape_is_subdivided_star`` is the shape that
 encoding promises; nothing in ``reconflab`` needs either.  ``successors``
 lists the tape search's moves from one configuration as tuples, in the order
 the search discovers them.  ``fan`` and ``wheel`` are planar families at a
-fixed k for the kernel and the enumerator.  ``one_sided_path`` is the path
+fixed k for the kernel and the enumerator, and ``built_fat_pairs`` the
+minor-free instances on which the kernel's fat-pair cut fires.  ``one_sided_path`` is the path
 a breadth-first search from the start alone returns, and ``two_ended_count``
 the number of states ``dsr.bfs`` stores, and its cap outcome; the token and
 tape oracles answer with the two.
@@ -21,7 +22,7 @@ from reconflab.dsr import JUMP, DsrInstance
 from reconflab.errors import RetryBudgetExceeded, StateCapExceeded
 from reconflab.generators import RETRY_BUDGET
 from reconflab.graphs import Graph, dominates
-from reconflab.kernel import DcrInstance
+from reconflab.kernel import K4D_MINOR_FREE, DcrInstance
 from reconflab.tapes import Tape, TapeInstance
 
 
@@ -75,6 +76,33 @@ def wheel(n: int) -> DcrInstance:
     """A hub 0 joined to every vertex of the cycle 1..n-1; planar."""
     edges = [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)]
     return DcrInstance(Graph(n, edges), 2, frozenset({0, 1}), frozenset({0, n // 2}), d=3)
+
+
+def built_fat_pairs(seed: int = 4411, draws: int = 400) -> list[DcrInstance]:
+    """Random instances never hold a fat pair, so these are built: a core
+    X of 3-5 vertices, a 3-class A and a class B whose trace lies inside
+    A's (the minor-free promise forces that), k * d + 1 of each at d = 1,
+    joined by a perfect matching plus random edges.  Draws that are
+    disconnected or have fewer than two dominating k-sets of X are skipped."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        x, k = rng.randint(3, 5), rng.randint(1, 2)
+        a = list(range(x, x + k + 1))
+        b = [v + k + 1 for v in a]
+        ya = rng.sample(range(x), 3)
+        yb = rng.sample(ya, rng.randint(1, 2))
+        edges = {e for e in itertools.combinations(range(x), 2) if rng.random() < 0.5}
+        edges |= {(y, u) for u in a for y in ya} | {(y, v) for v in b for y in yb}
+        edges |= set(zip(a, b)) | {(u, v) for u in a for v in b if rng.random() < 0.2}
+        g = Graph(x + 2 * k + 2, sorted(edges))
+        core = frozenset(range(x))
+        doms = [frozenset(c) for c in itertools.combinations(core, k) if dominates(g, c, core)]
+        if len(doms) < 2 or not g.is_connected():
+            continue
+        src, tgt = rng.sample(doms, 2)
+        out.append(DcrInstance(g, k, src, tgt, d=1, family=K4D_MINOR_FREE, core=core))
+    return out
 
 
 def grid(rows: int, cols: int) -> Graph:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fan, grid, wheel
+from helpers import built_fat_pairs, fan, grid, wheel
 from reconflab import serialize
 from reconflab.cli import SUBCOMMANDS, build_parser, main
 from reconflab.dsr import JUMP, SLIDE, DsrInstance, solve
@@ -129,13 +129,16 @@ KERNEL_DIGESTS = {
     "no-core": "1065b1981e8ec0267c9dca5c8fa78b25e3dad599418b399a4b8c67b66f79579c",
     "minor-free": "7db7ca57dda6ba58e225302de65e43bc127c72185de8562f9c68c7ea199ec794",
     "fans-and-wheels": "5e02a38828c30cdd81c69f94994bf6687d2bdb28f32c97b9c9d03dce997abceb",
+    "fat-pairs": "195c268ec31aa4d854a267ad0b6e54da44c8bb38f8341f4d13771aab60581bb5",
 }
 
 
 def test_kernelize_bytes_are_pinned(tmp_path, capsys):
     """``kernelize``'s exit code and stdout (the kernel and its certificate),
     hashed per group, against digests recorded before every rule round became
-    one ``graphs.quotient``: a refactor of the rules keeps every byte."""
+    one ``graphs.quotient`` (the fat-pairs group: before fatness became a
+    matching over neighbourhood masks): a refactor of the rules keeps every
+    byte."""
     from dataclasses import replace
 
     from reconflab.generators import gen_dcr_instance
@@ -148,15 +151,34 @@ def test_kernelize_bytes_are_pinned(tmp_path, capsys):
         "minor-free": [replace(inst, family=K4D_MINOR_FREE) for inst in seeded],
         "fans-and-wheels": [fan(12), fan(20), fan(40), fan(80),
                             wheel(9), wheel(17), wheel(33), wheel(65)],
+        "fat-pairs": built_fat_pairs(),
     }
-    digests = {}
+    digests, pruned = {}, 0
     for name, insts in groups.items():
         h = hashlib.sha256()
         for inst in insts:
             code = main(["kernelize", write(tmp_path, "k.json", serialize.dcr_to_json(inst))])
-            h.update(f"{code}\n{capsys.readouterr().out}".encode())
+            out = capsys.readouterr().out
+            h.update(f"{code}\n{out}".encode())
+            if name == "fat-pairs" and out:
+                pruned += "prune-three-classes" in json.loads(out)["certificate"]["rulesApplied"]
         digests[name] = h.hexdigest()
     assert digests == KERNEL_DIGESTS
+    # seeded draws hold no fat pair; the built ones are where the cut fires
+    assert pruned > len(groups["fat-pairs"]) * 3 // 4, pruned
+
+
+def test_kernelize_refuses_a_broken_minor_free_promise(capsys):
+    """``k4d_broken_promise.json``: core {0, 1, 2, 3}, a 3-class 4..12 on
+    trace {0, 1, 2} and a 1-class 13..21 on trace {3}, joined by a perfect
+    matching of 9 > k * d = 8.  It holds no K_{4,4} subgraph, but
+    contracting the matching gives a K_{4,9} minor, and {4, 3} dominates
+    the core but not V.  Cutting the fat pair cuts 3's side off, which a
+    true promise and core rule out: exit 2, not a crash."""
+    path = Path(__file__).with_name("k4d_broken_promise.json")
+    assert main(["kernelize", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 # sha256 of stdout for each step of a tape document's round trip, recorded

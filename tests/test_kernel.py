@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
-from helpers import fan, wheel
+from helpers import built_fat_pairs, fan, wheel
 from reconflab import dsr, graphs
 from reconflab.dsr import enumerate_dominating_sets
 from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
@@ -26,7 +26,6 @@ from reconflab.kernel import (
     DcrInstance,
     compute_core,
     contract_class_components,
-    fat_pairs,
     kernelize,
     prune_three_classes,
     reduce_twins,
@@ -211,26 +210,65 @@ def test_class_contraction_matches_the_one_component_loop():
     assert several > 150
 
 
+def _three_and_one_class(ab_edges, d):
+    """Core {0, 1, 2, 3} around hub 0, a 3-class {4, 5, 6} on trace
+    {0, 1, 2} and a 1-class {7, 8, 9, 10} on trace {0}, joined by
+    ``ab_edges``; k = 1 and source = target = {0}."""
+    edges = [(0, 1), (0, 2), (0, 3)] + [(c, a) for a in (4, 5, 6) for c in (0, 1, 2)]
+    edges += [(0, b) for b in range(7, 11)] + ab_edges
+    return DcrInstance(Graph(11, edges), 1, frozenset({0}), frozenset({0}), d=d,
+                       family=K4D_MINOR_FREE, core=frozenset(range(4)))
+
+
 def test_fat_pairs_threshold():
-    # complete bipartite between two classes of size kd+1 = 3 each
-    edges = [(0, 2), (0, 3)]  # anchors: vertex 0 and 1 in the core
-    left = [4, 5, 6]
-    right = [7, 8, 9]
-    edges += [(0, v) for v in left] + [(1, v) for v in right]
-    edges += [(u, v) for u in left for v in right]
-    g = Graph(10, edges)
-    inst = DcrInstance(g, 1, frozenset({0}), frozenset({0}), d=2,
-                       core=frozenset({0, 1, 2, 3}))
-    pairs = fat_pairs(inst)
-    assert (frozenset({0}), frozenset({1})) in pairs
-    assert (frozenset({1}), frozenset({0})) in pairs
+    """k * d = 2: two stars, eight edges with a maximum matching of exactly
+    2, leave the pair alone and the input object comes back; a third
+    disjoint edge makes the pair fat, and every edge between them is cut."""
+    stars = [(a, b) for a in (4, 5) for b in range(7, 11)]
+    inst = _three_and_one_class(stars, d=2)
+    assert prune_three_classes(inst) is inst
+    fat = _three_and_one_class(stars + [(6, 7)], d=2)
+    assert prune_three_classes(fat).graph == _three_and_one_class([], d=2).graph
 
 
 def test_single_edge_is_never_fat():
-    g = Graph(4, [(0, 1), (2, 3), (1, 3), (0, 2)])
-    inst = DcrInstance(g, 1, frozenset({0}), frozenset({0}), d=1,
-                       core=frozenset({0, 2}))
-    assert fat_pairs(inst) == []
+    """k * d = 1: one edge, or one star of four, matches a single pair."""
+    for ab in ([(4, 7)], [(4, b) for b in range(7, 11)]):
+        inst = _three_and_one_class(ab, d=1)
+        assert prune_three_classes(inst) is inst
+
+
+def test_fat_pair_between_one_classes_is_never_cut():
+    """Only pairs whose first class is a 3-class are cut: two 1-classes
+    {2, 3, 4} and {5, 6, 7} joined by a perfect matching of 3 > k * d stay
+    joined, beside a 3-class {8} that is fat with neither."""
+    edges = [(0, 1), (0, 2), (8, 0), (8, 1), (8, 2)]
+    edges += [(0, v) for v in (3, 4, 5)] + [(1, v) for v in (6, 7, 9)] + [(3, 6), (4, 7), (5, 9)]
+    inst = DcrInstance(Graph(10, edges), 1, frozenset({0}), frozenset({0}), d=1,
+                       family=K4D_MINOR_FREE, core=frozenset({0, 1, 2}))
+    assert prune_three_classes(inst) is inst
+
+
+def test_prune_three_classes_survives_a_1000_step_augmenting_path():
+    """A staircase on 2,004 vertices: core {0, 1, 2, 3} around hub 0, the
+    3-class a_i = 4 + i and the 1-class b_i = 2003 - i (i < 1000), a_i
+    joined to b_i and b_(i+1).  Taking the lower-numbered b first, the last
+    a_i needs a 1,000-step augmenting path, past Python's recursion limit
+    for a recursive matcher.  The pair is fat (1,000 > k * d = 4), and all
+    1,999 edges between the classes are cut, leaving a connected graph."""
+    n = 2004
+    edges = [(0, 1), (0, 2), (0, 3)]
+    for i in range(1000):
+        a, b = 4 + i, n - 1 - i
+        edges += [(0, a), (1, a), (2, a), (0, b), (a, b)] + ([(a, b - 1)] if i < 999 else [])
+    g = Graph(n, edges)
+    assert g.m == 6002
+    inst = DcrInstance(g, 1, frozenset({0}), frozenset({0}), d=4, family=K4D_MINOR_FREE,
+                       core=frozenset(range(4)))
+    out = prune_three_classes(inst)
+    cut = {(4 + i, n - 1 - i) for i in range(1000)} | {(4 + i, n - 2 - i) for i in range(999)}
+    assert set(g.edges) - set(out.graph.edges) == cut
+    assert out.graph.m == g.m - 1999 and out.graph.is_connected()
 
 
 def test_prune_three_classes_needs_family():
@@ -394,29 +432,11 @@ def test_twin_and_class_rules_keep_the_answer_on_every_small_graph():
 
 
 def test_prune_three_classes_keeps_the_answer_on_built_fat_pairs():
-    """Random instances never hold a fat pair, so these are built: a core
-    X of 3-5 vertices, a 3-class A and a class B whose trace lies inside
-    A's (the minor-free promise forces that), k * d + 1 of each, joined by a
-    perfect matching plus random edges."""
-    rng = random.Random(4411)
-    for i in range(400):
-        x, k = rng.randint(3, 5), rng.randint(1, 2)
-        a = list(range(x, x + k + 1))
-        b = [v + k + 1 for v in a]
-        ya = rng.sample(range(x), 3)
-        yb = rng.sample(ya, rng.randint(1, 2))
-        edges = {e for e in itertools.combinations(range(x), 2) if rng.random() < 0.5}
-        edges |= {(y, u) for u in a for y in ya} | {(y, v) for v in b for y in yb}
-        edges |= set(zip(a, b)) | {(u, v) for u in a for v in b if rng.random() < 0.2}
-        g = Graph(x + 2 * k + 2, sorted(edges))
-        core = frozenset(range(x))
-        doms = [frozenset(c) for c in itertools.combinations(core, k) if dominates(g, c, core)]
-        if len(doms) < 2 or not g.is_connected():
-            continue
-        src, tgt = rng.sample(doms, 2)
-        inst = DcrInstance(g, k, src, tgt, d=1, family=K4D_MINOR_FREE, core=core)
+    """On every built fat pair (``helpers.built_fat_pairs``) the cut fires
+    and the search gives the same answer on both sides."""
+    for i, inst in enumerate(built_fat_pairs()):
         out = prune_three_classes(inst)
-        assert out.graph.m < g.m
+        assert out.graph.m < inst.graph.m
         assert solve_dcr(out).reachable == solve_dcr(inst).reachable, i
 
 
