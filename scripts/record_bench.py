@@ -11,7 +11,11 @@ acceptance`` child per run, on the checkout's ``src``, and reads each
 criterion's seconds off its PASS/FAIL lines on stderr as a metric
 ``<criterion>_s`` (lower is better); the criteria fix their own seeds, so
 ``--seed`` and ``--seconds`` do not apply and the runs are filed under
-``"fixed"``.
+``"fixed"``.  ``--workload tier1`` likewise starts one ``python -m pytest -q
+-W error -p no:cacheprovider`` child per run in the checkout, files it under
+``"fixed"`` and records ``wall_s``, the recorder's clock around the child
+(lower is better), and the ``passed``, ``failed`` and ``errors`` counts of
+pytest's summary line; such a run is correct iff the child exits 0.
 With ``--against DIR`` every run of this tree is paired with a run of the
 checkout in DIR, and the side that goes first alternates from pair to pair,
 so that a drift of the machine's speed falls on both sides alike.
@@ -19,7 +23,8 @@ so that a drift of the machine's speed falls on both sides alike.
 The file holds, per workload, seed and side, every run's ``correct``,
 ``failed`` and end-to-end metrics, and each metric's median and quartiles;
 with ``--against``, also how many pairs this tree won on each metric (the
-direction of "better" is read from ``BENCHMARK.json``).  It records the
+direction of "better" is read from ``BENCHMARK.json``; fewer seconds win
+acceptance, and tier-1 reads ``TIER1_BETTER``).  It records the
 seeds, ``--seconds``, both git revisions and the machine.  Nothing under
 ``perfbench/`` is read or written except by the child.
 """
@@ -33,13 +38,18 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREE, PARENT = "tree", "parent"
-ACCEPTANCE = "acceptance"
+ACCEPTANCE, TIER1 = "acceptance", "tier1"
 # one line per criterion, as ``acceptance.run_all`` logs it
 CRITERION_LINE = re.compile(r"(PASS|FAIL) (\S+) \[ *(\d+\.\d+)s\] ")
+# pytest's summary line, such as "1 failed, 465 passed in 30.12s", and its counts
+SUMMARY_LINE = re.compile(r"^=*\s*(\d+ \w+(, \d+ \w+)*) in [\d.]+s")
+SUMMARY_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
+TIER1_BETTER = {"wall_s": "lower", "passed": "higher", "failed": "lower", "errors": "lower"}
 
 
 def parse_result(stdout: str) -> dict:
@@ -84,15 +94,20 @@ def parse_acceptance(stderr: str) -> dict:
     return {"correct": not failed, "failed": failed, "metrics": metrics}
 
 
+def _source_env(checkout: Path) -> dict:
+    """This environment with ``checkout``'s ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 def run_acceptance(checkout: Path) -> dict:
     """One ``reconflab acceptance`` child on ``checkout``'s source; a run that
     exits nonzero is not correct, and one that logs no criterion counts as
     one failed run."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "reconflab.cli", ACCEPTANCE], cwd=checkout,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_source_env(checkout))
     try:
         run = parse_acceptance(proc.stderr)
     except ValueError as exc:
@@ -100,6 +115,35 @@ def run_acceptance(checkout: Path) -> dict:
                 "error": f"exit {proc.returncode}: {exc}; stderr: {proc.stderr[-500:]}"}
     run["correct"] = run["correct"] and proc.returncode == 0
     return run
+
+
+def parse_tier1(stdout: str) -> dict:
+    """The ``passed``, ``failed`` and ``errors`` counts of the last summary
+    line in a pytest child's stdout; a count the line does not name is 0."""
+    lines = [line for line in stdout.splitlines() if SUMMARY_LINE.match(line.strip())]
+    if not lines:
+        raise ValueError("the run printed no summary line")
+    counts = dict.fromkeys(("passed", "failed", "errors"), 0)
+    for number, word in SUMMARY_COUNT.findall(lines[-1]):
+        counts["errors" if word.startswith("error") else word] = int(number)
+    return counts
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 pytest child in ``checkout``, timed from outside: correct iff
+    it exits 0; one that prints no summary line counts as one failed run."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error",
+                           "-p", "no:cacheprovider"], cwd=checkout, capture_output=True,
+                          text=True, env=_source_env(checkout))
+    wall = time.perf_counter() - start
+    try:
+        counts = parse_tier1(proc.stdout)
+    except ValueError as exc:
+        return {"correct": False, "failed": 1, "metrics": {"wall_s": wall},
+                "error": f"exit {proc.returncode}: {exc}; stdout: {proc.stdout[-500:]}"}
+    return {"correct": proc.returncode == 0, "failed": counts["failed"] + counts["errors"],
+            "metrics": {"wall_s": wall, **counts}}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -157,12 +201,13 @@ def record(args, benchmark: dict) -> dict:
            "workloads": {}}
     for workload in args.workload:
         per_seed = doc["workloads"][workload] = {}
-        for seed in ["fixed"] if workload == ACCEPTANCE else args.seed:
+        for seed in ["fixed"] if workload in (ACCEPTANCE, TIER1) else args.seed:
             runs = {side: [] for side in sides}
             for i in range(args.runs):
                 order = list(sides) if i % 2 == 0 else list(reversed(sides))
                 for side in order:
                     run = (run_acceptance(sides[side]) if workload == ACCEPTANCE
+                           else run_tier1(sides[side]) if workload == TIER1
                            else run_once(sides[side], workload, seed, args.seconds))
                     runs[side].append(run)
                     print(f"{workload} seed {seed} run {i + 1}/{args.runs} {side}: "
@@ -170,8 +215,11 @@ def record(args, benchmark: dict) -> dict:
             entry = per_seed[str(seed)] = {
                 side: {"runs": runs[side], "summary": summarize(runs[side])} for side in sides}
             if args.against is not None:
-                direction = better if workload != ACCEPTANCE else {
-                    name: "lower" for run in runs[TREE] for name in run["metrics"]}
+                direction = better
+                if workload == ACCEPTANCE:
+                    direction = {name: "lower" for run in runs[TREE] for name in run["metrics"]}
+                elif workload == TIER1:
+                    direction = TIER1_BETTER
                 entry["tree_wins"] = pair_wins(runs[TREE], runs[PARENT], direction)
     return doc
 
@@ -181,7 +229,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
     p.add_argument("--workload", action="append",
-                   choices=[w["name"] for w in benchmark["workloads"]] + [ACCEPTANCE],
+                   choices=[w["name"] for w in benchmark["workloads"]] + [ACCEPTANCE, TIER1],
                    help="repeat for several; default: every workload in BENCHMARK.json")
     p.add_argument("--seed", action="append", type=int, help="repeat for several; default: 1")
     p.add_argument("--runs", type=int, default=10, help="runs per seed and side")

@@ -26,12 +26,11 @@ from .graphs import (
     cycle_graph,
     degeneracy,
     dominates,
-    find_reducible_vertex,
     mask_of,
     min_feedback_vertex_set,
     neighborhood_classes,
 )
-from .kernel import kernelize, solve_dcr, solve_via_kernel
+from .kernel import kernelize, reduce_twins, solve_dcr, solve_via_kernel
 from .reductions import (
     CONSTRUCTIONS,
     NormalizedFormula,
@@ -344,7 +343,7 @@ def _c09_kernelization() -> tuple[bool, str]:
         for key, members in classes.items():
             if len(key) >= 3 and len(members) >= kernel.d:
                 return False, f"large-type class too big on instance {i}"
-        if find_reducible_vertex(kernel.graph, kernel.core_set()) is not None:
+        if reduce_twins(kernel) is not kernel:
             return False, f"kernel {i} still has a removable twin"
         again, _ = kernelize(kernel)
         if again != kernel:

@@ -236,24 +236,6 @@ def neighborhood_classes(g: Graph, x: Iterable[int]) -> dict[frozenset[int], fro
     return {set_of(k): frozenset(vs) for k, vs in classes.items()}
 
 
-def find_reducible_vertex(g: Graph, x: Iterable[int]) -> Optional[int]:
-    """First vertex u outside x with N(u) minus {w} inside N(w) for some w outside x.
-
-    One-sided condition (strictly weaker than equal neighborhoods): such a u
-    is redundant for any reconfiguration that only has to dominate x.
-    """
-    x = set(x)
-    outside = [v for v in range(g.n) if v not in x]
-    for u in outside:
-        nu = g.nbr_mask[u]
-        for w in outside:
-            if w == u:
-                continue
-            if nu & ~(1 << w) & ~g.nbr_mask[w] == 0:
-                return u
-    return None
-
-
 # ---------------------------------------------------------------------------
 # degeneracy / feedback vertex sets / bicliques
 

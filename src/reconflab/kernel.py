@@ -20,8 +20,8 @@ from typing import Optional
 from .dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, check_token_sets,
                   enumerate_dominating_sets, has_dominating_set, solve)
 from .errors import InfeasibleInstance, MalformedInput
-from .graphs import (Graph, bits, component_of, dominates, find_biclique, find_reducible_vertex,
-                     mask_of, neighborhood_classes, quotient)
+from .graphs import (Graph, bits, component_of, dominates, find_biclique, mask_of,
+                     neighborhood_classes, quotient)
 
 K3D_FREE = "k3d-free"
 K4D_MINOR_FREE = "k4d-minor-free"
@@ -131,9 +131,22 @@ def _quotient(inst: DcrInstance, onto: dict[int, Optional[int]]) -> DcrInstance:
                    core=m(inst.core_set()))
 
 
+def _absorbed(nbr: list[int], outside: int) -> Optional[int]:
+    """The lowest vertex u of the mask ``outside`` with N(u) - w inside N(w)
+    for some other w of ``outside``, or None; ``nbr`` holds the neighbour
+    masks.  The condition is one-sided, weaker than equal neighbourhoods."""
+    for u in bits(outside):
+        nu = nbr[u]
+        for w in bits(outside ^ 1 << u):
+            if nu & ~nbr[w] & ~(1 << w) == 0:
+                return u
+    return None
+
+
 def reduce_twins(inst: DcrInstance) -> DcrInstance:
     """Delete vertices outside the core that some sibling absorbs, one at a
-    time: two mutual twins must not both go.
+    time from a copy of the neighbour masks, rescanning from the lowest: two
+    mutual twins must not both go.  The graph is rebuilt once, at the end.
 
     Answer preservation, for x and y outside X with N(x) - y inside N(y):
     G - x is an induced subgraph with the same X and token sets, so its
@@ -143,9 +156,15 @@ def reduce_twins(inst: DcrInstance) -> DcrInstance:
     move.  While x and y both hold tokens the other k - 1 dominate X, so the
     token on x is a spare; that case is checked by search, not proved here.
     """
-    while (victim := find_reducible_vertex(inst.graph, inst.core_set())) is not None:
-        inst = _quotient(inst, {victim: None})
-    return inst
+    nbr = list(inst.graph.nbr_mask)
+    outside = inst.graph.full_mask & ~mask_of(inst.core_set())
+    victims = {}
+    while (victim := _absorbed(nbr, outside)) is not None:
+        victims[victim] = None
+        outside ^= 1 << victim
+        for v in bits(nbr[victim]):
+            nbr[v] ^= 1 << victim
+    return _quotient(inst, victims) if victims else inst
 
 
 def contract_class_components(inst: DcrInstance) -> DcrInstance:
@@ -308,7 +327,7 @@ def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
         zero_class_bounded=len(classes.get(frozenset(), ())) <= 1,
         big_classes_bounded=big_ok,
         small_classes_bounded=small_ok,
-        twin_free=find_reducible_vertex(inst.graph, inst.core_set()) is None,
+        twin_free=reduce_twins(inst) is inst,
     )
     return inst, report
 

@@ -21,7 +21,8 @@ from .tapes import (
     MultiTapeInstance,
     Tape,
     TapeInstance,
-    build_extended,
+    cell_bases,
+    extended_edges,
     irreducible_masks,
     is_irreducible,
     path_order,
@@ -636,15 +637,14 @@ def tape_to_ts_dsr(inst: TapeInstance) -> DsrInstance:
     mirror head moves.
     """
     _check_token_source(inst, "sliding")
-    ext = build_extended(inst)
-    edges, labels = list(ext.graph.edges), dict(ext.graph.labels)
-    guards = tuple(_add_vertex(edges, labels, f"guard:{i}",
-                               (ext.cell_id(i, c) for c in range(t.cells.n)))
-                   for i, t in enumerate(inst.tapes))
-    hub = _add_vertex(edges, labels, "hub", range(ext.letter_base))  # cells precede letters
+    bases = cell_bases(inst)
+    edges, labels = extended_edges(inst)
+    guards = tuple(_add_vertex(edges, labels, f"guard:{i}", range(b, b + t.cells.n))
+                   for i, (t, b) in enumerate(zip(inst.tapes, bases)))
+    hub = _add_vertex(edges, labels, "hub", range(bases[-1]))  # cells precede letters
     leaf = _add_vertex(edges, labels, "hub-leaf", (hub,))
-    source = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.cs)) | {hub}
-    target = frozenset(ext.cell_id(i, c) for i, c in enumerate(inst.ct)) | {hub}
+    source = frozenset(b + c for b, c in zip(bases, inst.cs)) | {hub}
+    target = frozenset(b + c for b, c in zip(bases, inst.ct)) | {hub}
     return DsrInstance(
         graph=Graph(len(labels), edges, labels),
         k=len(guards) + 1,
@@ -657,64 +657,60 @@ def tape_to_ts_dsr(inst: TapeInstance) -> DsrInstance:
             "guards": guards,
             "hub": hub,
             "leaf": leaf,
-            "cell_base": ext.cell_base,
-            "letter_base": ext.letter_base,
-            "cell_count": ext.letter_base,
+            "cell_base": bases[:-1],
+            "letter_base": bases[-1],
+            "cell_count": bases[-1],
         },
     )
+
+
+# Connected jumping's budget per tape: its guard, a cell and a subdivided vertex
+# next to it (the hub is one token more).  Each tape gets an empty path of
+# 2 * TOKENS_PER_TAPE + 1 edges appended: a token covers at most two of their
+# subdivided vertices, so a tape that its guard abandons needs one too many.
+TOKENS_PER_TAPE = 3
 
 
 def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
     """Connected dominating sets under token jumping, via edge subdivision.
 
     Every cell-cell edge is subdivided; the hub sees original cells only and
-    guard i sees tape i's subdivided vertices only, so a budget of 3k+1
-    connected tokens is forced into "hub + per tape: guard, one cell, one
-    incident subdivided vertex".  Short tapes are padded with empty cells so
-    the counting goes through.
+    guard i sees tape i's subdivided vertices only, so a budget of
+    ``TOKENS_PER_TAPE`` connected tokens per tape, and the hub, is forced
+    into "hub + per tape: guard, one cell, one incident subdivided vertex".
+    Tapes are padded with empty cells so the counting goes through.
     """
     _check_token_source(inst, "jumping")
-    k = len(inst.tapes)
-    # Every connected dominating set of size 3k+1 must keep one token on each
-    # guard.  A tape abandoned by its guard has to dominate its own subdivided
-    # vertices, and the budget leaves only 3 tokens per tape, so each tape
-    # gets an empty 7-edge path appended: covering those 7 subdivided vertices
-    # alone already costs 4 tokens.
+    pad = 2 * TOKENS_PER_TAPE + 1
     padded = []
     for t in inst.tapes:
-        tail = [t.end, *range(t.cells.n, t.cells.n + 7)]
-        cells = Graph(t.cells.n + 7, [*t.cells.edges, *zip(tail, tail[1:])], t.cells.labels)
-        padded.append(Tape(cells, (*t.content, *(0,) * 7), t.start, t.end))
+        tail = [t.end, *range(t.cells.n, t.cells.n + pad)]
+        cells = Graph(t.cells.n + pad, [*t.cells.edges, *zip(tail, tail[1:])], t.cells.labels)
+        padded.append(Tape(cells, (*t.content, *(0,) * pad), t.start, t.end))
     inst2 = TapeInstance(inst.sigma, tuple(padded), inst.cs, inst.ct)
-    ext = build_extended(inst2)
-    edges: list[tuple[int, int]] = []
-    labels = dict(ext.graph.labels)
-    sub_of_tape: list[list[int]] = [[] for _ in range(k)]
-    sub_by_cell: dict[int, list[int]] = {}
-    for u, v in ext.graph.edges:
-        if u in ext.tape_of and v in ext.tape_of:  # cell-cell edge: subdivide
-            mid = _add_vertex(edges, labels, f"mid:{ext.tape_of[u]}", (u, v))
-            sub_of_tape[ext.tape_of[u]].append(mid)
-            sub_by_cell.setdefault(u, []).append(mid)
-            sub_by_cell.setdefault(v, []).append(mid)
-        else:
-            edges.append((u, v))
-    hub = _add_vertex(edges, labels, "hub", ext.tape_of)
-    guards = tuple(_add_vertex(edges, labels, f"guard:{i}", mids)
-                   for i, mids in enumerate(sub_of_tape))
+    bases = cell_bases(inst2)
+    edges, labels = extended_edges(inst2)
+    edges = [(u, v) for u, v in edges if v >= bases[-1]]  # the cell-letter edges
+    mids, first_mid = [], {}  # per tape its subdivided vertices; per cell its lowest one
+    for i, (t, b) in enumerate(zip(padded, bases)):
+        mids.append([])
+        for u, v in t.cells.edges:
+            mid = _add_vertex(edges, labels, f"mid:{i}", (b + u, b + v))
+            mids[i].append(mid)
+            first_mid.setdefault(b + u, mid)
+            first_mid.setdefault(b + v, mid)
+    hub = _add_vertex(edges, labels, "hub", range(bases[-1]))
+    guards = tuple(_add_vertex(edges, labels, f"guard:{i}", tape_mids)
+                   for i, tape_mids in enumerate(mids))
     leaf = _add_vertex(edges, labels, "hub-leaf", (hub,))
 
     def config(cells_: Sequence[int]) -> frozenset[int]:
-        toks = {hub, *guards}
-        for i, c in enumerate(cells_):
-            vid = ext.cell_id(i, c)
-            toks.add(vid)
-            toks.add(min(sub_by_cell[vid]))
-        return frozenset(toks)
+        cells_ = [b + c for b, c in zip(bases, cells_)]
+        return frozenset({hub, *guards, *cells_, *map(first_mid.__getitem__, cells_)})
 
     return DsrInstance(
         graph=Graph(len(labels), edges, labels),
-        k=3 * k + 1,
+        k=TOKENS_PER_TAPE * len(guards) + 1,
         source=config(inst2.cs),
         target=config(inst2.ct),
         rule=JUMP,
@@ -725,8 +721,8 @@ def tape_to_tj_cdsr(inst: TapeInstance) -> DsrInstance:
             "guards": guards,
             "hub": hub,
             "leaf": leaf,
-            "cell_base": ext.cell_base,
-            "letter_base": ext.letter_base,
+            "cell_base": bases[:-1],
+            "letter_base": bases[-1],
         },
     )
 
@@ -775,8 +771,9 @@ def check_min_ds_structure(inst: DsrInstance) -> bool:
 
 def check_guard_containment(inst: DsrInstance) -> bool:
     """Certify, by counting on the graph, that every connected dominating set
-    of a connected-jumping reduction output with its budget 3k + 1 holds
-    every guard and exactly one of the hub and its leaf.
+    of a connected-jumping reduction output with its budget 3k + 1
+    (``TOKENS_PER_TAPE`` per tape and one more) holds every guard and
+    exactly one of the hub and its leaf.
 
     Let S_i be guard i, its neighbours (tape i's subdivided vertices) and
     theirs but the guard (tape i's cells).  N[leaf] must be {hub, leaf}, and
@@ -787,7 +784,8 @@ def check_guard_containment(inst: DsrInstance) -> bool:
     such have neighbours outside S_i: 3 vertices in S_i.  If D misses guard
     i, it dominates tape i's subdivided vertices from S_i alone; four of them
     whose closed neighbourhoods less guard i are pairwise disjoint, found
-    greedily in id order, need 4.  So a set of 3k + 1 holds every guard and
+    greedily in id order, need 4, one more than a tape's share of the
+    budget.  So a set of 3k + 1 holds every guard and
     one of hub and leaf.  The provenance only names the vertices, and False
     means "not certified".  The exhaustive form is
     ``acceptance.enumerated_guard_containment``.
@@ -797,7 +795,8 @@ def check_guard_containment(inst: DsrInstance) -> bool:
         raise MalformedInput("guard check needs a tj-cdsr artifact")
     nbr, guards = inst.graph.nbr_mask, prov["guards"]
     seen = 1 << prov["hub"] | 1 << prov["leaf"]
-    if inst.k != 3 * len(guards) + 1 or inst.graph.closed_mask[prov["leaf"]] != seen:
+    budget = TOKENS_PER_TAPE * len(guards) + 1
+    if inst.k != budget or inst.graph.closed_mask[prov["leaf"]] != seen:
         return False
     for guard in guards:
         region, packed, packing = 1 << guard, 0, 0
@@ -807,7 +806,7 @@ def check_guard_containment(inst: DsrInstance) -> bool:
             if not near & packed:
                 packed |= near
                 packing += 1
-        if region & seen or packing < 4:
+        if region & seen or packing <= TOKENS_PER_TAPE:
             return False
         seen |= region
     return True

@@ -310,50 +310,45 @@ def _all_tapes(inst: TapeInstance | MultiTapeInstance) -> tuple[Tape, ...]:
     return inst.tapes
 
 
-@dataclass(frozen=True)
-class ExtendedGraph:
-    """Cells of all tapes plus one vertex per letter, with id bookkeeping."""
+def cell_bases(inst: TapeInstance | MultiTapeInstance) -> tuple[int, ...]:
+    """Extended-graph ids: that of each tape's cell 0, then that of letter 0.
 
-    graph: Graph
-    cell_base: tuple[int, ...]  # id offset of each tape's cells
-    letter_base: int
-    tape_of: dict[int, int]  # cell vertex -> tape index
-
-    def cell_id(self, tape: int, cell: int) -> int:
-        return self.cell_base[tape] + cell
-
-    def letter_id(self, letter: int) -> int:
-        return self.letter_base + letter
+    Cells are numbered tape by tape and the letters after them, so cell c of
+    tape i is ``bases[i] + c``, letter l is ``bases[-1] + l``, and every id
+    below ``bases[-1]`` is a cell.
+    """
+    bases = [0]
+    for t in _all_tapes(inst):
+        bases.append(bases[-1] + t.cells.n)
+    return tuple(bases)
 
 
-def build_extended(inst: TapeInstance | MultiTapeInstance) -> ExtendedGraph:
-    tapes = _all_tapes(inst)
-    base, off = [], 0
-    for t in tapes:
-        base.append(off)
-        off += t.cells.n
-    letter_base = off
-    n = off + inst.sigma
+def extended_edges(inst: TapeInstance | MultiTapeInstance
+                   ) -> tuple[list[tuple[int, int]], dict[int, str]]:
+    """The extended graph's edges and labels, numbered as ``cell_bases``
+    says: per tape its cell edges, then each cell's edges to its letters.
+    Every vertex has a label, so the token reductions number the vertices
+    they add from ``len(labels)``; MalformedInput if a cell holds a letter
+    outside the alphabet, which would otherwise name one of them."""
+    bases = cell_bases(inst)
+    letter_base = bases[-1]
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
-    tape_of: dict[int, int] = {}
-    for i, t in enumerate(tapes):
-        for u, v in t.cells.edges:
-            edges.append((base[i] + u, base[i] + v))
-        for c in range(t.cells.n):
-            vid = base[i] + c
-            labels[vid] = f"cell:{i}:{c}"
-            tape_of[vid] = i
-            for letter in bits(t.content[c]):  # Graph rejects a letter >= sigma
-                edges.append((vid, letter_base + letter))
-    for letter in range(inst.sigma):
-        labels[letter_base + letter] = f"letter:{letter}"
-    assert len(labels) == n  # the token reductions number their added vertices from len(labels)
-    return ExtendedGraph(Graph(n, edges, labels), tuple(base), letter_base, tape_of)
+    for i, (t, base) in enumerate(zip(_all_tapes(inst), bases)):
+        if t.alphabet_mask() >> inst.sigma:
+            raise MalformedInput(f"tape {i} uses letters outside the alphabet")
+        edges += [(base + u, base + v) for u, v in t.cells.edges]
+        for c, letters in enumerate(t.content, start=base):
+            labels[c] = f"cell:{i}:{c - base}"
+            edges += [(c, letter_base + letter) for letter in bits(letters)]
+    labels.update((letter_base + letter, f"letter:{letter}") for letter in range(inst.sigma))
+    return edges, labels
 
 
 def extended_graph(inst: TapeInstance | MultiTapeInstance) -> Graph:
-    return build_extended(inst).graph
+    """Cells of all tapes, then one vertex per letter (``extended_edges``)."""
+    edges, labels = extended_edges(inst)
+    return Graph(len(labels), edges, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ along the branch, with the token's letter and the check letter in every bag.
 The triangle and sliding constructions widen their source's bags; a
 triangle artifact's ``triple_bases`` provenance, each tape's first phase
 letter, is what ``reductions._phased`` returned when it laid out the phase
-letters.  Bags are
-assembled over symbolic handles and mapped to vertex ids at the end, through
-the extended graph of the tape instance at the chain's tape end (a sliding
-artifact numbers cells and letters as its source's extended graph does and
-appends guards, hub and leaf):
+letters.  Bags are assembled over symbolic handles and mapped to vertex ids
+at the end through one map, built from ``tapes.cell_bases`` of the tape
+instance at the chain's tape end, with no graph built; a sliding artifact
+numbers cells and letters as its source's extended graph does and appends
+guards, hub and leaf:
 
     ("c", tape, cell)   a tape cell
     ("l", letter)       an alphabet vertex
@@ -23,7 +23,7 @@ from __future__ import annotations
 from .decomposition import TreeDecomposition
 from .dsr import DsrInstance
 from .errors import MalformedInput
-from .tapes import TapeInstance, build_extended
+from .tapes import TapeInstance, cell_bases
 
 Bags = list[frozenset]
 Edges = list[tuple[int, int]]
@@ -160,12 +160,12 @@ def derive_decomposition(artifact, kind: str = "tree") -> TreeDecomposition:
         bags, edges = _tape_handle_decomposition(inst, kind)
     else:
         raise MalformedInput("unknown artifact type")
-    ext = build_extended(inst)
-    ids.update((("c", i, c), ext.cell_id(i, c))
-               for i, t in enumerate(inst.tapes) for c in range(t.cells.n))
-    ids.update((("l", l), ext.letter_id(l)) for l in range(inst.sigma))
+    bases = cell_bases(inst)
+    tape_of = {bases[i] + c: i for i, t in enumerate(inst.tapes) for c in range(t.cells.n)}
+    ids.update((("c", i, v - bases[i]), v) for v, i in tape_of.items())
+    ids.update((("l", l), bases[-1] + l) for l in range(inst.sigma))
     return TreeDecomposition(
         bags=tuple(frozenset(ids[h] for h in bag) for bag in bags),
         tree=tuple(edges),
-        tape_of=dict(ext.tape_of),
+        tape_of=tape_of,
     )

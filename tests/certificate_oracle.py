@@ -31,6 +31,10 @@ dominating set with ``dsr_oracle.minimum_dominating_sets``, then checks each.
 ``max_bipartite_matching`` is the recursive augmenting-path matcher over an
 edge list that ``kernel._matching_size`` replaced with breadth-first searches
 over neighbourhood masks; it returns the matching itself.
+``find_reducible_vertex`` is the pairwise scan over a graph that
+``kernel._absorbed`` replaced with a scan of neighbour masks, and
+``reduce_twins`` the rule as it was before it deleted its twins from one copy
+of those masks: one deletion, and a new graph, per twin.
 """
 from __future__ import annotations
 
@@ -393,3 +397,24 @@ def max_bipartite_matching(left, right, edges) -> dict:
     for u in range(len(left)):
         augment(u, set())
     return {left[u]: right[v] for u, v in enumerate(match_l) if v is not None}
+
+
+def find_reducible_vertex(g: Graph, x) -> Optional[int]:
+    """First vertex u outside x with N(u) minus {w} inside N(w) for some w outside x."""
+    x = set(x)
+    outside = [v for v in range(g.n) if v not in x]
+    for u in outside:
+        for w in outside:
+            if w != u and set(g.adj[u]) - {w} <= set(g.adj[w]):
+                return u
+    return None
+
+
+def reduce_twins(inst):
+    """Delete the first reducible vertex until none is left, one graph per deletion."""
+    while (victim := find_reducible_vertex(inst.graph, inst.core_set())) is not None:
+        g, remap = delete_vertices(inst.graph, {victim})
+        m = lambda s: frozenset(remap[v] for v in s)
+        inst = replace(inst, graph=g, source=m(inst.source), target=m(inst.target),
+                       core=m(inst.core_set()))
+    return inst

@@ -182,18 +182,22 @@ def test_kernelize_refuses_a_broken_minor_free_promise(capsys):
 
 
 # sha256 of stdout for each step of a tape document's round trip, recorded
-# before the tape codecs and the tape validation were rewritten for speed
+# before the tape codecs and the tape validation were rewritten for speed (the
+# two token reductions: before the extended graph became one edge list)
 ROUND_TRIP_DIGESTS = {
     "solve-tape --witness": "87c933d6de961aef8762effef109353773001856921759da58c402dfcc10109f",
     "reduce --to tape": "3e255ed34bd08baee58c3452fdb94cae818ab27f04f254b505ef45482476a161",
     "reduce-tapes": "b8d1068c49eccacb8a63c42eac0e2f617953376e53c6284bf45418ef7d52b59c",
+    "reduce --to ts-dsr": "12d918eef3942f28a2ad1f649cba3c4f4b98cfc7002f21be6eaa20fa1ee93384",
+    "reduce --to tj-cdsr": "2fd0c98f72081d466bdd4976e3e74cd8db3409bee5678a1e81d60014f8bd11b9",
 }
 
 
 def test_tape_round_trip_bytes_are_pinned(tmp_path, capsys):
     """A generated synchronized tape document through ``solve-tape``,
-    ``reduce --to tape`` and ``reduce-tapes`` on the reduction's output: every
-    step exits 0 and prints the bytes recorded before the rewrite."""
+    ``reduce --to tape``, then ``reduce-tapes`` and both token reductions on
+    the reduction's output: every step exits 0 and prints the bytes recorded
+    before the rewrite."""
     assert main(["gen", "tape", "--seed", "3", "--tapes", "3", "--cells", "3", "--sigma", "2",
                  "--sync"]) == 0
     doc = tmp_path / "t.json"
@@ -201,7 +205,9 @@ def test_tape_round_trip_bytes_are_pinned(tmp_path, capsys):
     reduced = tmp_path / "a.json"
     steps = {"solve-tape --witness": ["solve-tape", str(doc), "--witness"],
              "reduce --to tape": ["reduce", str(doc), "--to", "tape"],
-             "reduce-tapes": ["reduce-tapes", str(reduced)]}
+             "reduce-tapes": ["reduce-tapes", str(reduced)],
+             "reduce --to ts-dsr": ["reduce", str(reduced), "--to", "ts-dsr"],
+             "reduce --to tj-cdsr": ["reduce", str(reduced), "--to", "tj-cdsr"]}
     digests = {}
     for name, argv in steps.items():
         assert main(argv) == 0, name

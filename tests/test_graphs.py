@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
-from reconflab import graphs
+from reconflab import graphs, kernel
 from reconflab.acceptance import _small_irreducible
 from reconflab.dsr import _first_picks, _joins_every_component
 from reconflab.errors import MalformedInput, SizeCapExceeded
@@ -19,7 +19,6 @@ from reconflab.graphs import (
     cycle_graph,
     degeneracy,
     dominates,
-    find_reducible_vertex,
     mask_of,
     min_feedback_vertex_set,
     neighborhood_classes,
@@ -240,20 +239,28 @@ def test_classes_partition_complement(seed, n):
 
 # ---------------------------------------------------------------- reducible vertex
 
+def absorbed(g, x):
+    """``kernel._absorbed`` on g outside x, checked against the pairwise scan
+    it replaced."""
+    got = kernel._absorbed(g.nbr_mask, g.full_mask & ~mask_of(x))
+    assert got == certificate_oracle.find_reducible_vertex(g, x)
+    return got
+
+
 def test_reducible_twin_leaves():
     g = Graph(3, [(0, 1), (0, 2)])
-    assert find_reducible_vertex(g, set()) in (1, 2)
+    assert absorbed(g, set()) in (1, 2)
 
 
 def test_reducible_triangle_all_mutual():
-    assert find_reducible_vertex(complete_graph(3), set()) is not None
+    assert absorbed(complete_graph(3), set()) is not None
 
 
 def test_reducible_none_on_path_with_anchor():
     # P4 with both inner vertices anchored: the two leaves have disjoint
     # neighborhoods inside the anchor, neither absorbs the other.
     g = path_graph(4)
-    assert find_reducible_vertex(g, {1, 2}) is None
+    assert absorbed(g, {1, 2}) is None
 
 
 @given(st.integers(0, 2**15 - 1), st.integers(2, 7))
@@ -262,7 +269,7 @@ def test_reducible_vertex_verified_by_pairwise_scan(seed, n):
     rng = random.Random(seed)
     g = random_graph(rng, n)
     x = {v for v in range(n) if rng.random() < 0.3}
-    got = find_reducible_vertex(g, x)
+    got = absorbed(g, x)
     outside = [v for v in range(n) if v not in x]
     witnesses = [
         u

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
 from helpers import built_fat_pairs, fan, wheel
-from reconflab import dsr, graphs
+from reconflab import dsr, graphs, kernel
 from reconflab.dsr import enumerate_dominating_sets
 from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
 from reconflab.generators import gen_dcr_instance
@@ -15,7 +15,6 @@ from reconflab.graphs import (
     Graph,
     contains_biclique,
     dominates,
-    find_reducible_vertex,
     mask_of,
     neighborhood_classes,
     path_graph,
@@ -166,7 +165,8 @@ def test_reduce_twins_preserves_answer(seed):
     rng = random.Random(seed)
     inst = random_dcr(rng)
     out = reduce_twins(inst)
-    assert find_reducible_vertex(out.graph, out.core_set()) is None
+    assert out == certificate_oracle.reduce_twins(inst)
+    assert certificate_oracle.find_reducible_vertex(out.graph, out.core_set()) is None
     assert solve_dcr(out).reachable == solve_dcr(inst).reachable
 
 
@@ -249,26 +249,43 @@ def test_fat_pair_between_one_classes_is_never_cut():
     assert prune_three_classes(inst) is inst
 
 
-def test_prune_three_classes_survives_a_1000_step_augmenting_path():
-    """A staircase on 2,004 vertices: core {0, 1, 2, 3} around hub 0, the
-    3-class a_i = 4 + i and the 1-class b_i = 2003 - i (i < 1000), a_i
-    joined to b_i and b_(i+1).  Taking the lower-numbered b first, the last
-    a_i needs a 1,000-step augmenting path, past Python's recursion limit
-    for a recursive matcher.  The pair is fat (1,000 > k * d = 4), and all
-    1,999 edges between the classes are cut, leaving a connected graph."""
+def staircase():
+    """Core {0, 1, 2, 3} around hub 0, the 3-class a_i = 4 + i and the
+    1-class b_i = 2003 - i (i < 1000), a_i joined to b_i and b_(i+1)."""
     n = 2004
     edges = [(0, 1), (0, 2), (0, 3)]
     for i in range(1000):
         a, b = 4 + i, n - 1 - i
         edges += [(0, a), (1, a), (2, a), (0, b), (a, b)] + ([(a, b - 1)] if i < 999 else [])
-    g = Graph(n, edges)
+    return DcrInstance(Graph(n, edges), 1, frozenset({0}), frozenset({0}), d=4,
+                       family=K4D_MINOR_FREE, core=frozenset(range(4)))
+
+
+def test_prune_three_classes_survives_a_1000_step_augmenting_path():
+    """A staircase on 2,004 vertices.  Taking the lower-numbered b first, the
+    last a_i needs a 1,000-step augmenting path, past Python's recursion
+    limit for a recursive matcher.  The pair is fat (1,000 > k * d = 4), and
+    all 1,999 edges between the classes are cut, leaving a connected graph."""
+    n = 2004
+    inst = staircase()
+    g = inst.graph
     assert g.m == 6002
-    inst = DcrInstance(g, 1, frozenset({0}), frozenset({0}), d=4, family=K4D_MINOR_FREE,
-                       core=frozenset(range(4)))
     out = prune_three_classes(inst)
     cut = {(4 + i, n - 1 - i) for i in range(1000)} | {(4 + i, n - 2 - i) for i in range(999)}
     assert set(g.edges) - set(out.graph.edges) == cut
     assert out.graph.m == g.m - 1999 and out.graph.is_connected()
+
+
+def test_reduce_twins_rebuilds_the_pruned_staircase_once(monkeypatch):
+    """The pruned staircase loses 1,999 twins in one ``graphs.quotient``
+    and keeps the core and one vertex next to 0, 1 and 2."""
+    pruned = prune_three_classes(staircase())
+    calls, real = [], kernel.quotient
+    monkeypatch.setattr(kernel, "quotient", lambda g, onto: calls.append(len(onto)) or real(g, onto))
+    out = reduce_twins(pruned)
+    assert calls == [1999]
+    assert out.graph == Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4)])
+    assert (out.source, out.target, out.core) == ({0}, {0}, set(range(4)))
 
 
 def test_prune_three_classes_needs_family():

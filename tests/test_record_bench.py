@@ -77,3 +77,22 @@ def test_parse_acceptance_reads_each_criterions_seconds():
 def test_parse_acceptance_refuses_stderr_without_a_criterion_line(stderr):
     with pytest.raises(ValueError):
         record_bench.parse_acceptance(stderr)
+
+
+@pytest.mark.parametrize("stdout, counts", [
+    ("....\n466 passed in 24.49s\n", {"passed": 466, "failed": 0, "errors": 0}),
+    ("F...\nFAILED tests/test_x.py::test_y - assert 1 == 2\n1 failed, 465 passed in 30.12s\n",
+     {"passed": 465, "failed": 1, "errors": 0}),
+    ("E.\n= 1 failed, 463 passed, 2 errors in 28.00s =\n",
+     {"passed": 463, "failed": 1, "errors": 2}),
+    ("\n1 error in 0.31s\n", {"passed": 0, "failed": 0, "errors": 1}),
+])
+def test_parse_tier1_reads_the_summary_counts(stdout, counts):
+    assert record_bench.parse_tier1(stdout) == counts
+
+
+@pytest.mark.parametrize("stdout", ["", "....\n", "Traceback (most recent call last):\n",
+                                    "test_passed in 3 files\n"])
+def test_parse_tier1_refuses_stdout_without_a_summary_line(stdout):
+    with pytest.raises(ValueError):
+        record_bench.parse_tier1(stdout)

@@ -650,6 +650,16 @@ def test_ts_dsr_requires_irreducible():
         tape_to_ts_dsr(inst)
 
 
+def test_token_reductions_refuse_a_letter_outside_the_alphabet():
+    """Letter 1 of a one-letter alphabet would be the id of a vertex the
+    reductions add, not a letter."""
+    inst = TapeInstance(1, (path_tape([1, 0b11]),), (0,), (1,))
+    assert is_irreducible(inst)
+    for build in (tape_to_ts_dsr, tape_to_tj_cdsr):
+        with pytest.raises(MalformedInput, match="outside the alphabet"):
+            build(inst)
+
+
 def test_ts_dsr_equivalence_structure_and_bounds():
     for art in small_irreducible_instances(6, seed=42):
         dsr = tape_to_ts_dsr(art)

@@ -19,7 +19,8 @@ from reconflab.tapes import (
     MultiTapeInstance,
     Tape,
     TapeInstance,
-    build_extended,
+    cell_bases,
+    extended_edges,
     extended_graph,
     is_irreducible,
     is_valid_configuration,
@@ -515,11 +516,12 @@ def test_extended_graph_layout():
     t1 = path_tape([1, 0])
     t2 = path_tape([1])
     inst = instance([t1, t2], [0, 0], [1, 0])
-    ext = build_extended(inst)
-    assert ext.cell_id(1, 0) == 2
-    assert ext.letter_id(0) == 3
-    assert ext.tape_of == {0: 0, 1: 0, 2: 1}
-    assert ext.graph.labels[3] == "letter:0"
+    assert cell_bases(inst) == (0, 2, 3)  # tape 1's cell 0 is 2, letter 0 is 3
+    edges, labels = extended_edges(inst)
+    assert edges == [(0, 1), (0, 3), (2, 3)]
+    assert labels == {0: "cell:0:0", 1: "cell:0:1", 2: "cell:1:0", 3: "letter:0"}
+    g = extended_graph(inst)
+    assert g.edges == ((0, 1), (0, 3), (2, 3)) and g.labels == labels
 
 
 # ----------------------------------------------------------------- validation

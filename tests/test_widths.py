@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -95,16 +96,30 @@ def test_pipeline_hits_explicit_width_constants():
         assert _max_degree(path) <= 2
 
 
+# sha256 of every decomposition in the sweep below (bags as sorted lists, the
+# tree, ``tape_of``), recorded before the extended graph became one edge list
+# and a table of cell bases
+SWEEP_DECOMPOSITION_DIGEST = "b06eaab053e1e3b205e43c49f46ff83cb1b44b5eabf936de33818c07fd26d958"
+
+
+def _digest_update(h, td) -> None:
+    h.update(repr(([sorted(bag) for bag in td.bags], td.tree,
+                   sorted(td.tape_of.items()))).encode())
+
+
 def test_explicit_width_constants_on_a_seeded_sweep():
     """Tree width 3 and path width 5 on 300 stars artifacts and one with three
     tokens, tree width 12 and path width 18 on 60 full chains and one with
-    three tokens; every path decomposition is a path."""
+    three tokens; every path decomposition is a path, and the decompositions
+    hash to the digest recorded before the rewrite."""
     three = stars_artifact(seed=0, k_max=3)
     assert three.provenance["k"] == 3
+    h = hashlib.sha256()
     for seed, art in [*((seed, stars_artifact(seed=seed)) for seed in range(300)), ("k=3", three)]:
         g = extended_graph(art)
         for kind, s, bound in (("tree", 1, 3), ("path", 2, 5)):
             td = derive_decomposition(art, kind)
+            _digest_update(h, td)
             rep = verify_decomposition(g, td, s=s)
             assert rep.valid and rep.structured and rep.width <= bound, (seed, kind)
             assert kind == "tree" or _max_degree(td) <= 2, seed
@@ -113,9 +128,11 @@ def test_explicit_width_constants_on_a_seeded_sweep():
         dsr = tape_to_ts_dsr(desynchronize_triangle(art))
         for kind, bound in (("tree", 12), ("path", 18)):
             td = derive_decomposition(dsr, kind)
+            _digest_update(h, td)
             rep = verify_decomposition(dsr.graph, td)
             assert rep.valid and rep.width <= bound, (seed, kind)
             assert kind == "tree" or _max_degree(td) <= 2, seed
+    assert h.hexdigest() == SWEEP_DECOMPOSITION_DIGEST
 
 
 def test_trivial_chain_for_random_sync_instances():
