@@ -25,12 +25,14 @@ The file holds, per workload, seed and side, every run's ``correct``,
 with ``--against``, also how many pairs this tree won on each metric (the
 direction of "better" is read from ``BENCHMARK.json``; fewer seconds win
 acceptance, and tier-1 reads ``TIER1_BETTER``).  It records the
-seeds, ``--seconds``, both git revisions and the machine.  Nothing under
+seeds, ``--seconds``, the machine and both revisions: a git commit, or for
+a copy outside git a hash of its measured files.  Nothing under
 ``perfbench/`` is read or written except by the child.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -50,6 +52,9 @@ CRITERION_LINE = re.compile(r"(PASS|FAIL) (\S+) \[ *(\d+\.\d+)s\] ")
 SUMMARY_LINE = re.compile(r"^=*\s*(\d+ \w+(, \d+ \w+)*) in [\d.]+s")
 SUMMARY_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 TIER1_BETTER = {"wall_s": "lower", "passed": "higher", "failed": "lower", "errors": "lower"}
+# what a run measures, hashed as the revision of a copy outside git
+MEASURED = ("src", "tests", "perfbench", "scripts", "pyproject.toml", "BENCHMARK.json")
+UNMEASURED = {"__pycache__", ".bench_out"}
 
 
 def parse_result(stdout: str) -> dict:
@@ -168,9 +173,25 @@ def pair_wins(tree: list[dict], parent: list[dict], better: dict[str, str]) -> d
     return out
 
 
-def revision(checkout: Path) -> str | None:
+def tree_digest(checkout: Path) -> str:
+    """``sha256:<hex>`` over the relative path and bytes of every file under
+    ``MEASURED``, in sorted path order, skipping caches and run output."""
+    files = []
+    for name in MEASURED:
+        top = checkout / name
+        files += [p for p in ([top] if top.is_file() else top.rglob("*")) if p.is_file()
+                  and p.suffix != ".pyc" and not UNMEASURED & set(p.relative_to(checkout).parts)]
+    digest = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(checkout).as_posix(), p) for p in files):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return "sha256:" + digest.hexdigest()
+
+
+def revision(checkout: Path) -> str:
     """The checkout's git commit, with ``+dirty`` when its tracked files differ
-    from it; None outside a git work tree."""
+    from it; outside a git work tree, such as a copy made by ``git archive``,
+    the ``tree_digest`` of its files."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
@@ -178,7 +199,7 @@ def revision(checkout: Path) -> str | None:
         rev = git("rev-parse", "HEAD")
         return rev + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
     except (OSError, subprocess.CalledProcessError):
-        return None
+        return tree_digest(checkout)
 
 
 def machine() -> dict:

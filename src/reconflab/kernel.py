@@ -3,7 +3,7 @@
 An instance names a core X that holds both token sets; a configuration is
 feasible when it dominates X, which for a domination core is the same as
 dominating V.  Vertices outside X fall into classes by their trace N(v) & X.
-Three rules, iterated to a global fixpoint, shrink an instance to a size
+Three rules, one pass each and in this order, shrink an instance to a size
 bounded in the token count: contract the components inside each class, cut
 fat pairs off 3-classes (minor-free family only), and delete one-sided twins.
 None of them changes X or the trace of a vertex it keeps, so feasibility
@@ -78,14 +78,22 @@ def validate_dcr(inst: DcrInstance) -> None:
                 raise MalformedInput("token sets must dominate the core")
 
 
+def _with_core(inst: DcrInstance) -> DcrInstance:
+    """The instance with its core; a computed core is checked as a given one
+    is, the only check that refuses token sets which do not dominate it."""
+    if inst.core is None:
+        inst = replace(inst, core=compute_core(inst.graph, inst.k, inst.source | inst.target))
+        validate_dcr(inst)
+    return inst
+
+
 def as_dsr(inst: DcrInstance) -> DsrInstance:
-    """The sliding instance; a missing core is computed as ``kernelize`` does."""
+    """The sliding instance; a missing core is computed and checked as
+    ``kernelize`` does."""
     validate_dcr(inst)
-    core = inst.core
-    if core is None:
-        core = compute_core(inst.graph, inst.k, inst.source | inst.target)
+    inst = _with_core(inst)
     return DsrInstance(graph=inst.graph, k=inst.k, source=inst.source, target=inst.target,
-                       rule=SLIDE, core=core)
+                       rule=SLIDE, core=inst.core)
 
 
 def solve_dcr(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigResult:
@@ -96,26 +104,23 @@ def solve_dcr(inst: DcrInstance, state_cap: int = DEFAULT_STATE_CAP) -> Reconfig
 # domination cores
 
 def compute_core(g: Graph, k: int, must_include: frozenset[int]) -> frozenset[int]:
-    """Greedy removal from X = V to a fixpoint, in ascending order per pass.
+    """Greedy removal from X = V, one pass in ascending order.
 
     While X is a core, X - v is one iff no set of at most k vertices
     dominates X - v while missing N[v]: any other such set dominates v, so X,
     so V.  Grown outside N[v] such a set stays one, so one enumerator query
-    of size min(k, n - |N[v]|) decides.  The size bound (2d+1) * k^(d+1) is a
-    certificate to check on family-promised inputs, not a guarantee.
+    of size min(k, n - |N[v]|) decides.  One pass suffices: a set missing
+    N[v] that dominates X - v does so for every smaller X.  The size bound
+    (2d+1) * k^(d+1) is a certificate to check on promised inputs, not a guarantee.
     """
     if not has_dominating_set(g, k):
         raise InfeasibleInstance(f"no dominating set of size at most {k}")
     closed = g.closed_mask
     x = g.full_mask
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(x & ~mask_of(must_include)):
-            size = min(k, g.n - closed[v].bit_count())
-            if next(enumerate_dominating_sets(g, size, x ^ 1 << v, banned=closed[v]), None) is None:
-                x ^= 1 << v
-                changed = True
+    for v in bits(x & ~mask_of(must_include)):
+        size = min(k, g.n - closed[v].bit_count())
+        if next(enumerate_dominating_sets(g, size, x ^ 1 << v, banned=closed[v]), None) is None:
+            x ^= 1 << v
     return frozenset(bits(x))
 
 
@@ -219,10 +224,10 @@ def prune_three_classes(inst: DcrInstance) -> DcrInstance:
     """Cut all edges between a 3-class and a fat partner (minor-free only):
     a class joined to it by a matching larger than k * d.
 
-    Pairs are tried in order: each 3-class A, then each partner B != A,
-    both by ``sorted`` trace; the first fat pair is cut, and the classes
-    are recomputed before the next, since a cut can change the matchings
-    of the remaining pairs.
+    One pass tries each 3-class A, then each partner B != A, both by
+    ``sorted`` trace, and cuts each fat pair before trying the next.  It is
+    a fixpoint: a cut changes no trace, so the classes stay, and grows no
+    matching, so a thin pair stays thin and a cut pair has none.
 
     Answer preservation rests on the promise: contracting the more than
     k * d disjoint edges of a fat pair (A, B) gives as many vertices next
@@ -236,32 +241,34 @@ def prune_three_classes(inst: DcrInstance) -> DcrInstance:
     """
     if inst.family != K4D_MINOR_FREE:
         raise MalformedInput("3-class pruning relies on the minor-free promise")
-    threshold = inst.k * inst.d
-    while True:
-        nbr = inst.graph.nbr_mask
-        classes = neighborhood_classes(inst.graph, inst.core_set())
-        keys = sorted(classes, key=sorted)
-        fat = next(((a, b) for a in keys if len(a) == 3 for b in keys if b != a
-                    if _matching_size(nbr, sorted(classes[a]), mask_of(classes[b])) > threshold),
-                   None)
-        if fat is None:
-            return inst
-        a, b = fat
+    g, threshold = inst.graph, inst.k * inst.d
+    nbr = list(g.nbr_mask)
+    classes = neighborhood_classes(g, inst.core_set())
+    keys = sorted(classes, key=sorted)
+    for a, b in ((a, b) for a in keys if len(a) == 3 for b in keys if b != a):
         bmask = mask_of(classes[b])
-        gone = {(min(u, v), max(u, v)) for u in classes[a] for v in bits(nbr[u] & bmask)}
-        g = Graph(inst.graph.n, [e for e in inst.graph.edges if e not in gone], inst.graph.labels)
+        if _matching_size(nbr, sorted(classes[a]), bmask) <= threshold:
+            continue
+        for u in classes[a]:
+            for v in bits(nbr[u] & bmask):
+                nbr[u] ^= 1 << v
+                nbr[v] ^= 1 << u
+        g = Graph(g.n, [(u, v) for u, v in g.edges if nbr[u] >> v & 1], g.labels)
         if not g.is_connected():
             raise MalformedInput(
                 f"{inst.family} promise or core {sorted(inst.core_set())} is false: cutting "
                 f"the fat pair {sorted(a)} / {sorted(b)} disconnected the graph")
-        inst = replace(inst, graph=g)
+    return inst if g is inst.graph else replace(inst, graph=g)
 
 
 # ---------------------------------------------------------------------------
 # the pipeline
 
 def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
-    """Run every rule to a global fixpoint and certify the kernel's shape."""
+    """Compute a missing core, run each rule once in order, and certify the
+    kernel's shape.  Once is a fixpoint: after contraction each class is
+    independent, cuts and deletions add no edge inside one and grow no
+    matching, and ``reduce_twins`` rescans until nothing is absorbed."""
     validate_dcr(inst)
     q = 3 if inst.family == K3D_FREE else 4
     # The forbidden-subgraph promise exists solely to bound classes of large
@@ -281,12 +288,8 @@ def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
                 f"on {witness[0]} / {witness[1]}"
             )
     size_before = (inst.graph.n, inst.graph.m)
-    applied = []
-    if inst.core is None:
-        x = compute_core(inst.graph, inst.k, inst.source | inst.target)
-        inst = replace(inst, core=x)
-        applied.append("compute-core")
-        validate_dcr(inst)
+    applied = [] if inst.core is not None else ["compute-core"]
+    inst = _with_core(inst)
 
     rules = [
         ("contract-class-components", contract_class_components),
@@ -294,16 +297,12 @@ def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
     ]
     if inst.family == K4D_MINOR_FREE:
         rules.insert(1, ("prune-three-classes", prune_three_classes))
-    changed = True
-    while changed:
-        changed = False
-        for name, rule in rules:
-            nxt = rule(inst)
-            if nxt is not inst:
-                applied.append(name)
-                inst = nxt
-                changed = True
-                assert inst.graph.is_connected()
+    for name, rule in rules:
+        nxt = rule(inst)
+        if nxt is not inst:
+            applied.append(name)
+            inst = nxt
+            assert inst.graph.is_connected()
 
     classes = neighborhood_classes(inst.graph, inst.core_set())
     histogram: dict[int, list[int]] = {}

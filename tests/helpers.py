@@ -6,10 +6,11 @@ encoding promises; nothing in ``reconflab`` needs either.  ``successors``
 lists the tape search's moves from one configuration as tuples, in the order
 the search discovers them.  ``fan`` and ``wheel`` are planar families at a
 fixed k for the kernel and the enumerator, and ``built_fat_pairs`` the
-minor-free instances on which the kernel's fat-pair cut fires.  ``one_sided_path`` is the path
-a breadth-first search from the start alone returns, and ``two_ended_count``
-the number of states ``dsr.bfs`` stores, and its cap outcome; the token and
-tape oracles answer with the two.
+minor-free instances on which the kernel's fat-pair cut fires, and
+``hub_draws`` trees around a hub, on which twins and class components fire.
+``one_sided_path`` is the path a breadth-first search from the start alone
+returns, and ``two_ended_count`` the number of states ``dsr.bfs`` stores,
+and its cap outcome; the token and tape oracles answer with the two.
 """
 from __future__ import annotations
 
@@ -102,6 +103,29 @@ def built_fat_pairs(seed: int = 4411, draws: int = 400) -> list[DcrInstance]:
             continue
         src, tgt = rng.sample(doms, 2)
         out.append(DcrInstance(g, k, src, tgt, d=1, family=K4D_MINOR_FREE, core=core))
+    return out
+
+
+def hub_draws(seed: int = 11, draws: int = 200) -> list[DcrInstance]:
+    """A random tree on 8-14 vertices with vertex 0 joined to each other
+    vertex with probability 0.35, at k = 2-3, d = 3 and no core; source and
+    target are two distinct dominating k-sets.  The hub makes twins and
+    class components, so the kernel's rules fire on these.  A tree with
+    fewer than two dominating k-sets is drawn again."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < draws:
+        n = rng.randint(8, 14)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {(0, v) for v in range(1, n) if rng.random() < 0.35}
+        g = Graph(n, sorted(edges))
+        k = rng.randint(2, 3)
+        doms = [frozenset(c) for c in itertools.combinations(range(n), k)
+                if dominates(g, c, range(n))]
+        if len(doms) < 2:
+            continue
+        src, tgt = rng.sample(doms, 2)
+        out.append(DcrInstance(g, k, src, tgt, d=3))
     return out
 
 

@@ -261,6 +261,25 @@ def test_solve_and_verify_witness_compute_a_missing_dcr_core(tmp_path, capsys):
     assert code == 0 and doc["valid"] is True
 
 
+def test_a_computed_dcr_core_is_checked_as_kernelize_checks_it(tmp_path, capsys):
+    """Path 0-1-2-3-4, k = 2 and no core: the source {0, 1} does not
+    dominate the core computed for {0, 1, 3}.  ``solve_dcr`` and
+    ``kernelize`` refuse it with one message, and the commands that read a
+    dcr document exit 2 with it."""
+    from reconflab.kernel import kernelize, solve_dcr
+
+    message = "token sets must dominate the core"
+    inst = DcrInstance(path_graph(5), 2, frozenset({0, 1}), frozenset({1, 3}), d=1)
+    for call in (solve_dcr, kernelize):
+        with pytest.raises(MalformedInput, match=message):
+            call(inst)
+    path = write(tmp_path, "p.json", serialize.dcr_to_json(inst))
+    wpath = write(tmp_path, "w.json", witness_doc([{0, 1}, {1, 3}]))
+    for argv in (["solve", path], ["kernelize", path], ["verify-witness", path, wpath]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 @pytest.mark.parametrize("graph, changes", [
     (path_graph(3), {"family": "nope", "d": 0}),
     (Graph(4, [(0, 1), (1, 2)]), {}),

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificate_oracle
-from helpers import built_fat_pairs, fan, wheel
+from helpers import built_fat_pairs, fan, hub_draws, wheel
 from reconflab import dsr, graphs, kernel
 from reconflab.dsr import enumerate_dominating_sets
 from reconflab.errors import InfeasibleInstance, MalformedInput, SizeCapExceeded
@@ -288,6 +289,24 @@ def test_reduce_twins_rebuilds_the_pruned_staircase_once(monkeypatch):
     assert (out.source, out.target, out.core) == ({0}, {0}, set(range(4)))
 
 
+def test_one_prune_call_cuts_two_fat_pairs():
+    """Core {0, 1, 2, 3} around hub 0 and the 3-class A = {4, 5, 6} on
+    trace {0, 1, 2}, matched to the 1-class B1 = {7, 8, 9} on trace {0} and,
+    separately, to B2 = {10, 11, 12} on trace {1}.  At k * d = 2 both pairs
+    are fat, and one call cuts both matchings; twins then leave the core
+    and one vertex of A."""
+    edges = [(0, 1), (0, 2), (0, 3)] + [(c, a) for a in (4, 5, 6) for c in (0, 1, 2)]
+    edges += [(0, b) for b in (7, 8, 9)] + [(1, b) for b in (10, 11, 12)]
+    matchings = [(4, 7), (5, 8), (6, 9), (4, 10), (5, 11), (6, 12)]
+    inst = DcrInstance(Graph(13, edges + matchings), 2, frozenset({0, 1}), frozenset({0, 2}),
+                       d=1, family=K4D_MINOR_FREE, core=frozenset(range(4)))
+    assert prune_three_classes(inst).graph == Graph(13, edges)
+    out, report = kernelize(inst)
+    assert report.rules_applied == ("prune-three-classes", "reduce-twins")
+    assert out.graph == Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4)])
+    assert (out.source, out.target, out.core) == ({0, 1}, {0, 2}, set(range(4)))
+
+
 def test_prune_three_classes_needs_family():
     rng = random.Random(1)
     inst = random_dcr(rng)
@@ -318,6 +337,30 @@ def test_kernel_minor_free_family(seed):
     kernel, report = kernelize(inst)
     assert report.certified
     assert solve_dcr(kernel).reachable == solve_dcr(inst).reachable
+
+
+def test_no_rule_fires_on_a_kernel():
+    """Every rule returns a kernel itself (the fat-pair cut on the
+    minor-free family only), and each rule fires at most once per call:
+    one pass of each is its fixpoint.  The rules do fire here: the cut on
+    195 of the built fat pairs, twins on 101 and class contraction on 19
+    of the 200 hub draws."""
+    fired = {}
+    for name, insts in (("fat pairs", built_fat_pairs()), ("hubs", hub_draws())):
+        fired[name] = collections.Counter()
+        for inst in insts:
+            out, report = kernelize(inst)
+            assert len(set(report.rules_applied)) == len(report.rules_applied), inst
+            fired[name].update(report.rules_applied)
+            rules = [contract_class_components, reduce_twins]
+            if inst.family == K4D_MINOR_FREE:
+                rules.append(prune_three_classes)
+            for rule in rules:
+                assert rule(out) is out, (rule.__name__, inst)
+    assert fired == {
+        "fat pairs": {"prune-three-classes": 195, "reduce-twins": 195},
+        "hubs": {"compute-core": 200, "reduce-twins": 101, "contract-class-components": 19},
+    }
 
 
 def test_solve_via_kernel_matches_direct():

@@ -96,3 +96,30 @@ def test_parse_tier1_reads_the_summary_counts(stdout, counts):
 def test_parse_tier1_refuses_stdout_without_a_summary_line(stdout):
     with pytest.raises(ValueError):
         record_bench.parse_tier1(stdout)
+
+
+def _clean_copy(root):
+    """A small tree laid out as a checkout, with no ``.git``."""
+    for rel, text in [("src/reconflab/a.py", "x = 1\n"), ("tests/test_a.py", "def test(): pass\n"),
+                      ("perfbench/run.py", "pass\n"), ("scripts/s.py", "pass\n"),
+                      ("pyproject.toml", "[project]\n"), ("BENCHMARK.json", "{}\n")]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+def test_revision_of_a_clean_copy_hashes_its_files(tmp_path):
+    """Outside git the revision is a sha256 of the measured files: equal
+    copies read the same, a changed byte changes it, and caches and run
+    output do not."""
+    one = record_bench.revision(_clean_copy(tmp_path / "one"))
+    assert one.startswith("sha256:") and len(one) == len("sha256:") + 64
+    two = _clean_copy(tmp_path / "two")
+    assert record_bench.revision(two) == one
+    (two / "src" / "reconflab" / "__pycache__").mkdir()
+    (two / "src" / "reconflab" / "__pycache__" / "x.pyc").write_bytes(b"\0")
+    (two / "perfbench" / ".bench_out").mkdir()
+    (two / "perfbench" / ".bench_out" / "trace.json").write_text("{}\n")
+    assert record_bench.revision(two) == one
+    (two / "src" / "reconflab" / "a.py").write_text("x = 2\n")
+    assert record_bench.revision(two) != one
