@@ -16,6 +16,12 @@ criterion's seconds off its PASS/FAIL lines on stderr as a metric
 ``"fixed"`` and records ``wall_s``, the recorder's clock around the child
 (lower is better), and the ``passed``, ``failed`` and ``errors`` counts of
 pytest's summary line; such a run is correct iff the child exits 0.
+``--workload kernel`` writes the documents of ``KERNEL_DOCS`` as plain JSON,
+importing none of the code it measures, and starts one ``python -m
+reconflab.cli kernelize DOC`` child per document and run, on the checkout's
+``src``; it files its runs under ``"fixed"`` and records ``<doc>_s``, the
+recorder's clock around each child (lower is better); a run is correct iff
+every child exits 0 and prints its document's pinned ``sizeAfter``.
 With ``--against DIR`` every run of this tree is paired with a run of the
 checkout in DIR, and the side that goes first alternates from pair to pair,
 so that a drift of the machine's speed falls on both sides alike.
@@ -24,7 +30,7 @@ The file holds, per workload, seed and side, every run's ``correct``,
 ``failed`` and end-to-end metrics, and each metric's median and quartiles;
 with ``--against``, also how many pairs this tree won on each metric (the
 direction of "better" is read from ``BENCHMARK.json``; fewer seconds win
-acceptance, and tier-1 reads ``TIER1_BETTER``).  It records the
+acceptance and kernel, and tier-1 reads ``TIER1_BETTER``).  It records the
 seeds, ``--seconds``, the machine and both revisions: a git commit, or for
 a copy outside git a hash of its measured files.  Nothing under
 ``perfbench/`` is read or written except by the child.
@@ -40,12 +46,14 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREE, PARENT = "tree", "parent"
-ACCEPTANCE, TIER1 = "acceptance", "tier1"
+ACCEPTANCE, TIER1, KERNEL = "acceptance", "tier1", "kernel"
+FIXED = (ACCEPTANCE, TIER1, KERNEL)  # workloads that fix their own inputs
 # one line per criterion, as ``acceptance.run_all`` logs it
 CRITERION_LINE = re.compile(r"(PASS|FAIL) (\S+) \[ *(\d+\.\d+)s\] ")
 # pytest's summary line, such as "1 failed, 465 passed in 30.12s", and its counts
@@ -151,6 +159,84 @@ def run_tier1(checkout: Path) -> dict:
             "metrics": {"wall_s": wall, **counts}}
 
 
+def _dcr_document(n: int, edges: list[tuple[int, int]], k: int, source: set[int],
+                  target: set[int]) -> str:
+    """A k3d-free dcr document at d = 3 with no core, in the bytes of
+    ``serialize.canonical_dumps`` (sorted keys, no spaces, sorted edges)."""
+    graph = {"edges": sorted(sorted(e) for e in edges), "kind": "graph", "n": n, "version": 1}
+    doc = {"d": 3, "family": "k3d-free", "graph": graph, "k": k, "kind": "dcr-instance",
+           "source": sorted(source), "target": sorted(target), "version": 1}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def wheel_document(n: int) -> str:
+    """``tests/helpers.wheel(n)``: a hub 0 joined to the cycle 1..n-1, k = 2."""
+    edges = [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)]
+    return _dcr_document(n, edges, 2, {0, 1}, {0, n // 2})
+
+
+def fan_document(middles: int) -> str:
+    """``tests/helpers.fan(middles)``: two adjacent hubs, a path of middles
+    joined to both and a three-leaf star next to hub 0, k = 3."""
+    c = middles + 2
+    edges = [(0, 1), (0, c)] + [(h, v) for h in (0, 1) for v in range(2, c)]
+    edges += [(v, v + 1) for v in range(2, c - 1)] + [(c, c + i) for i in (1, 2, 3)]
+    return _dcr_document(c + 4, edges, 3, {0, c, 2}, {1, c, c - 1})
+
+
+# the kernel workload's documents: name -> (document, pinned sizeAfter)
+KERNEL_DOCS = {
+    "wheel1025": (wheel_document(1025), [12, 22]),
+    "wheel2049": (wheel_document(2049), [12, 22]),
+    "fan646": (fan_document(640), [14, 28]),
+}
+
+
+def write_kernel_docs(directory: Path) -> dict[str, tuple[Path, list[int]]]:
+    """Write each document of ``KERNEL_DOCS`` to ``<name>.json`` in
+    ``directory``: name -> (path, pinned sizeAfter)."""
+    out = {}
+    for name, (text, size_after) in KERNEL_DOCS.items():
+        path = directory / f"{name}.json"
+        path.write_text(text)
+        out[name] = (path, size_after)
+    return out
+
+
+def parse_kernelize(stdout: str) -> list[int]:
+    """The ``sizeAfter`` of a ``reconflab kernelize`` child's certificate."""
+    try:
+        return json.loads(stdout)["certificate"]["sizeAfter"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"not a kernelize document: {stdout[:200]!r}") from exc
+
+
+def run_kernel(checkout: Path) -> dict:
+    """One ``reconflab kernelize`` child per document of ``KERNEL_DOCS`` on
+    ``checkout``'s source, each timed from outside as ``<name>_s``; a child
+    that exits nonzero or prints another ``sizeAfter`` than its pinned one
+    counts as failed."""
+    metrics, errors = {}, []
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, (path, size_after) in write_kernel_docs(Path(scratch)).items():
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "reconflab.cli", "kernelize", str(path)],
+                                  cwd=checkout, capture_output=True, text=True,
+                                  env=_source_env(checkout))
+            metrics[f"{name}_s"] = time.perf_counter() - start
+            try:
+                got = parse_kernelize(proc.stdout) if proc.returncode == 0 else None
+            except ValueError:
+                got = None
+            if got != size_after:
+                errors.append(f"{name}: exit {proc.returncode}, sizeAfter {got}; "
+                              f"stderr: {proc.stderr[-300:]}")
+    run = {"correct": not errors, "failed": len(errors), "metrics": metrics}
+    if errors:
+        run["error"] = "; ".join(errors)
+    return run
+
+
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of each metric over the runs that report it."""
     out = {}
@@ -222,13 +308,14 @@ def record(args, benchmark: dict) -> dict:
            "workloads": {}}
     for workload in args.workload:
         per_seed = doc["workloads"][workload] = {}
-        for seed in ["fixed"] if workload in (ACCEPTANCE, TIER1) else args.seed:
+        for seed in ["fixed"] if workload in FIXED else args.seed:
             runs = {side: [] for side in sides}
             for i in range(args.runs):
                 order = list(sides) if i % 2 == 0 else list(reversed(sides))
                 for side in order:
                     run = (run_acceptance(sides[side]) if workload == ACCEPTANCE
                            else run_tier1(sides[side]) if workload == TIER1
+                           else run_kernel(sides[side]) if workload == KERNEL
                            else run_once(sides[side], workload, seed, args.seconds))
                     runs[side].append(run)
                     print(f"{workload} seed {seed} run {i + 1}/{args.runs} {side}: "
@@ -237,7 +324,7 @@ def record(args, benchmark: dict) -> dict:
                 side: {"runs": runs[side], "summary": summarize(runs[side])} for side in sides}
             if args.against is not None:
                 direction = better
-                if workload == ACCEPTANCE:
+                if workload in (ACCEPTANCE, KERNEL):
                     direction = {name: "lower" for run in runs[TREE] for name in run["metrics"]}
                 elif workload == TIER1:
                     direction = TIER1_BETTER
@@ -250,7 +337,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
     p.add_argument("--workload", action="append",
-                   choices=[w["name"] for w in benchmark["workloads"]] + [ACCEPTANCE, TIER1],
+                   choices=[w["name"] for w in benchmark["workloads"]] + list(FIXED),
                    help="repeat for several; default: every workload in BENCHMARK.json")
     p.add_argument("--seed", action="append", type=int, help="repeat for several; default: 1")
     p.add_argument("--runs", type=int, default=10, help="runs per seed and side")

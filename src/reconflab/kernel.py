@@ -20,8 +20,8 @@ from typing import Optional
 from .dsr import (DEFAULT_STATE_CAP, SLIDE, DsrInstance, ReconfigResult, check_token_sets,
                   enumerate_dominating_sets, has_dominating_set, solve)
 from .errors import InfeasibleInstance, MalformedInput
-from .graphs import (Graph, bits, component_of, dominates, find_biclique, mask_of,
-                     neighborhood_classes, quotient)
+from .graphs import (Graph, bits, component_of, dominates, mask_of, neighborhood_classes,
+                     quotient)
 
 K3D_FREE = "k3d-free"
 K4D_MINOR_FREE = "k4d-minor-free"
@@ -265,31 +265,25 @@ def prune_three_classes(inst: DcrInstance) -> DcrInstance:
 # the pipeline
 
 def kernelize(inst: DcrInstance) -> tuple[DcrInstance, KernelReport]:
-    """Compute a missing core, run each rule once in order, and certify the
-    kernel's shape.  Once is a fixpoint: after contraction each class is
+    """Compute a missing core, refuse a broken family promise, run each rule
+    once in order, and certify the kernel's shape.  The K_{q,d} promise (q = 3,
+    or 4 for the minor-free family) serves only to bound the classes of type
+    q or more, so it is checked on them alone: such a class with d members is
+    itself a K_{q,d}, named by the first q vertices of its trace and its first
+    d members.  Once is a fixpoint: after contraction each class is
     independent, cuts and deletions add no edge inside one and grow no
     matching, and ``reduce_twins`` rescans until nothing is absorbed."""
     validate_dcr(inst)
-    q = 3 if inst.family == K3D_FREE else 4
-    # The forbidden-subgraph promise exists solely to bound classes of large
-    # type, so the biclique search is skipped when that bound already holds.
-    # The skip decides which inputs are accepted: any kernel re-enters, even
-    # one whose contractions merged neighbourhoods into a forbidden biclique.
-    big_classes_small = inst.core is not None and all(
-        len(members) < inst.d
-        for key, members in neighborhood_classes(inst.graph, inst.core).items()
-        if len(key) >= q
-    )
-    if not big_classes_small:
-        witness = find_biclique(inst.graph, q, inst.d)
-        if witness is not None:
-            raise MalformedInput(
-                f"family promise violated: complete bipartite {q}x{inst.d} subgraph "
-                f"on {witness[0]} / {witness[1]}"
-            )
     size_before = (inst.graph.n, inst.graph.m)
     applied = [] if inst.core is not None else ["compute-core"]
     inst = _with_core(inst)
+    q = 3 if inst.family == K3D_FREE else 4
+    for key, members in neighborhood_classes(inst.graph, inst.core_set()).items():
+        if len(key) >= q and len(members) >= inst.d:
+            raise MalformedInput(
+                f"family promise violated: complete bipartite {q}x{inst.d} subgraph "
+                f"on {tuple(sorted(key)[:q])} / {tuple(sorted(members)[:inst.d])}"
+            )
 
     rules = [
         ("contract-class-components", contract_class_components),

@@ -219,26 +219,37 @@ def test_tape_round_trip_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_kernelize_a_513_vertex_wheel(tmp_path, capsys):
-    """Its core takes one enumerator query per vertex and pass, and its
-    biclique check one short search per vertex; a scan of every 3-subset
-    would pass ``graphs.ENUM_CAP`` here."""
-    path = write(tmp_path, "w.json", serialize.dcr_to_json(wheel(513)))
-    code, doc = run(capsys, "kernelize", path)
-    assert code == 0
-    cert = doc["certificate"]
-    assert cert["certified"] is True
-    assert cert["sizeBefore"] == [513, 1024] and cert["sizeAfter"] == [12, 22]
+    """The kernel's size does not grow with n: wheels of 65 to 1,025
+    vertices at k = 2 all give 12 vertices and 22 edges, and fans of 16 to
+    646 vertices at k = 3 all give 14 and 28, each one certified.  The core
+    takes one enumerator query per vertex; a scan of every 3-subset of the
+    513-vertex wheel would pass ``graphs.ENUM_CAP``."""
+    sweep = [(wheel(n), [12, 22]) for n in (65, 129, 257, 513, 1025)]
+    sweep += [(fan(middles), [14, 28]) for middles in (10, 40, 160, 640)]
+    for inst, size_after in sweep:
+        path = write(tmp_path, "k.json", serialize.dcr_to_json(inst))
+        code, doc = run(capsys, "kernelize", path)
+        assert code == 0
+        cert = doc["certificate"]
+        assert cert["certified"] is True, inst.graph.n
+        assert cert["sizeBefore"] == [inst.graph.n, inst.graph.m]
+        assert cert["sizeAfter"] == size_after, inst.graph.n
 
 
 def test_kernelize_past_the_enumerator_cap_exits_3(tmp_path, capsys, monkeypatch):
-    """fan(8)'s core queries need seven branching nodes a call; see
-    ``test_compute_core_raises_past_the_enumerator_cap``."""
+    """At ``ENUM_CAP`` 1 fan(8)'s core stops at its first enumerator call,
+    the check that some k-set dominates; from 2 on the whole ``kernelize``
+    finishes.  See ``test_compute_core_raises_past_the_enumerator_cap`` for
+    a graph whose core queries pass a cap its feasibility check does not."""
     from reconflab import graphs
 
     path = write(tmp_path, "f.json", serialize.dcr_to_json(fan(8)))
     monkeypatch.setattr(graphs, "ENUM_CAP", 2)
+    assert main(["kernelize", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(graphs, "ENUM_CAP", 1)
     assert main(["kernelize", path]) == 3
-    assert capsys.readouterr().err.startswith("cap exceeded: ")
+    assert capsys.readouterr().err.startswith("cap exceeded: dominating-set enumeration passed ")
 
 
 def test_solve_and_verify_witness_compute_a_missing_dcr_core(tmp_path, capsys):

@@ -399,6 +399,55 @@ def test_promise_check_skipped_when_class_bound_already_holds():
     assert report.certified
 
 
+def _verdict(inst):
+    """``kernelize``'s kernel and report fields, or the refusal's type and
+    message."""
+    try:
+        out, report = kernelize(inst)
+    except (MalformedInput, InfeasibleInstance) as exc:
+        return type(exc), str(exc)
+    return out, report
+
+
+def test_one_verdict_with_or_without_the_computed_core():
+    """``kernelize`` refuses an instance with no core exactly when it refuses
+    it with its computed core written in, and otherwise gives the same
+    kernel and report, but for the leading ``compute-core``.  The first
+    input is a K_{2,3}, so a complete bipartite 3x2 subgraph, whose computed
+    core is all of V and leaves no class of type 3; then a seeded sweep of
+    random connected graphs with no core, k and d of 1-3, in both families.
+    Every kernel keeps the answer on the whole vertex set."""
+    k23 = Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)])
+    cases = [DcrInstance(k23, 3, frozenset({0, 1, 4}), frozenset({0, 3, 4}), d=2)]
+    rng = random.Random(39)
+    while len(cases) < 1200:
+        n, p = rng.randint(5, 9), rng.uniform(0.3, 0.7)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        k = rng.randint(1, 3)
+        doms = [frozenset(c) for c in itertools.combinations(range(n), k)
+                if dominates(g, c, range(n))]
+        if not g.is_connected() or not doms:
+            continue
+        cases.append(DcrInstance(g, k, rng.choice(doms), rng.choice(doms), d=rng.randint(1, 3),
+                                 family=rng.choice([K3D_FREE, K4D_MINOR_FREE])))
+    refused = []
+    for i, inst in enumerate(cases):
+        bare = _verdict(inst)
+        cored = _verdict(replace(inst, core=compute_core(inst.graph, inst.k,
+                                                         inst.source | inst.target)))
+        if isinstance(bare[0], type):  # a refusal
+            assert bare == cored, inst
+            refused.append(i)
+            continue
+        (out, report), (cored_out, cored_report) = bare, cored
+        assert out == cored_out, inst
+        assert report == replace(cored_report,
+                                 rules_applied=("compute-core", *cored_report.rules_applied))
+        assert report.certified, inst
+        assert solve_dcr(out).reachable == _truth(inst), inst
+    assert 0 not in refused and len(refused) == 205
+
+
 def test_small_class_bound_on_a_large_core():
     """The bound 2 ** (p * 2 ** |X|) on classes of type 1 and 2 is compared
     by bit length; at |X| = 41 the number itself would not fit in memory."""

@@ -123,3 +123,38 @@ def test_revision_of_a_clean_copy_hashes_its_files(tmp_path):
     assert record_bench.revision(two) == one
     (two / "src" / "reconflab" / "a.py").write_text("x = 2\n")
     assert record_bench.revision(two) != one
+
+
+def test_kernel_documents_are_the_helpers_instances_in_canonical_bytes(tmp_path):
+    """The kernel workload's documents, written with no import of
+    ``reconflab``, read byte for byte as the CLI would write the test
+    helpers' wheels and fan."""
+    from helpers import fan, wheel
+    from reconflab import serialize
+
+    want = {"wheel1025": wheel(1025), "wheel2049": wheel(2049), "fan646": fan(640)}
+    docs = record_bench.write_kernel_docs(tmp_path)
+    assert docs.keys() == want.keys()
+    for name, inst in want.items():
+        path, size_after = docs[name]
+        assert path.read_text() == serialize.canonical_dumps(serialize.dcr_to_json(inst)), name
+        assert size_after == ([14, 28] if name.startswith("fan") else [12, 22])
+
+
+KERNELIZE_STDOUT = (
+    '{"certificate":{"certified":true,"classHistogram":{"1":[1,1],"2":[1,1,1]},"coreSize":4,'
+    '"rulesApplied":["compute-core","contract-class-components","reduce-twins"],'
+    '"sizeAfter":[12,22],"sizeBefore":[1025,2048]},"core":[0,1,2,3],"d":3,'
+    '"family":"k3d-free","graph":{"edges":[[0,1]],"kind":"graph","n":12,"version":1},"k":2,'
+    '"kind":"dcr-instance","source":[0,1],"target":[0,2],"version":1}\n')
+
+
+def test_parse_kernelize_reads_the_size_after():
+    assert record_bench.parse_kernelize(KERNELIZE_STDOUT) == [12, 22]
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n", "[1, 2]\n",
+                                    '{"certificate": {}}\n'])
+def test_parse_kernelize_refuses_output_without_a_size(stdout):
+    with pytest.raises(ValueError):
+        record_bench.parse_kernelize(stdout)
